@@ -54,24 +54,18 @@ class ParameterImportance:
 
 def _impurity_importance(forest: RandomForestRegressor, d: int) -> np.ndarray:
     """Split-gain attribution summed over all trees."""
-    gains = np.zeros(d)
-    for tree in forest.trees:
-        nodes = tree._nodes
-        for node in nodes:
-            if node.feature < 0:
-                continue
-            left, right = nodes[node.left], nodes[node.right]
-            # Parent SSE minus children SSE approximated via the variance
-            # decomposition weighted by sample counts.
-            n = node.n_samples
-            nl, nr = left.n_samples, right.n_samples
-            if n == 0:
-                continue
-            between = (
-                nl * (left.value - node.value) ** 2
-                + nr * (right.value - node.value) ** 2
-            )
-            gains[node.feature] += between
+    nodes = forest._nodes
+    split = np.flatnonzero(nodes.feature >= 0)
+    left = nodes.left[split]
+    right = left + 1
+    # Parent SSE minus children SSE approximated via the variance
+    # decomposition weighted by sample counts.
+    value = nodes.value[split]
+    between = (
+        nodes.n_samples[left] * (nodes.value[left] - value) ** 2
+        + nodes.n_samples[right] * (nodes.value[right] - value) ** 2
+    )
+    gains = np.bincount(nodes.feature[split], weights=between, minlength=d)
     total = gains.sum()
     return gains / total if total > 0 else np.full(d, 1.0 / d)
 

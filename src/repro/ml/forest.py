@@ -4,7 +4,8 @@ The paper's RF tuner uses sk-learn's ``RandomForestRegressor``
 (Section VI-B); this is the same algorithm: an ensemble of CART trees,
 each fit on a bootstrap resample of the data with per-node random feature
 subsetting, predictions averaged (*bagging* + random subspaces — exactly
-the combination Section III-A describes).
+the combination Section III-A describes).  All trees grow in one
+level-synchronous pass of :func:`repro.ml.tree.grow`.
 
 Defaults mirror sk-learn's: 100 trees, unbounded depth,
 ``max_features=1.0`` (all features — sk-learn's regression default),
@@ -17,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, check_xy
 
 __all__ = ["RandomForestRegressor"]
 
@@ -30,7 +31,7 @@ class RandomForestRegressor:
     n_estimators:
         Number of trees.
     max_depth, min_samples_split, min_samples_leaf, max_features:
-        Passed to each :class:`~repro.ml.tree.DecisionTreeRegressor`.
+        As for :class:`~repro.ml.tree.DecisionTreeRegressor`.
     bootstrap:
         Fit each tree on an n-out-of-n resample with replacement.
     rng:
@@ -57,8 +58,6 @@ class RandomForestRegressor:
         self.bootstrap = bootstrap
         self.rng = rng if rng is not None else np.random.default_rng()
         self._trees: List[DecisionTreeRegressor] = []
-        self._oob_indices: List[np.ndarray] = []
-        self._n_features = 0
 
     @property
     def trees(self) -> List[DecisionTreeRegressor]:
@@ -69,51 +68,37 @@ class RandomForestRegressor:
         return len(self._trees) > 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        X, y = check_xy(X, y)
         n = X.shape[0]
-        if y.shape != (n,):
-            raise ValueError(f"y shape {y.shape} does not match X {X.shape}")
-        self._n_features = X.shape[1]
-        self._trees = []
-        self._oob_indices = []
-        for _ in range(self.n_estimators):
-            if self.bootstrap:
-                sample = self.rng.integers(0, n, size=n)
-                oob = np.setdiff1d(np.arange(n), sample, assume_unique=False)
-            else:
-                sample = np.arange(n)
-                oob = np.empty(0, dtype=np.int64)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                rng=self.rng,
-            )
-            tree.fit(X[sample], y[sample])
-            self._trees.append(tree)
-            self._oob_indices.append(oob)
+        # One bootstrap draw per tree, in tree order: the generator stream
+        # the forest (and everything drawn after it) depends on.
+        self._samples = np.stack([
+            self.rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            for _ in range(self.n_estimators)
+        ])
+        grower = DecisionTreeRegressor(
+            self.max_depth, self.min_samples_split, self.min_samples_leaf,
+            self.max_features, self.rng,
+        )
+        self._nodes = grower._grow(X, y, self._samples)
+        self._trees = [grower._for_tree(t) for t in range(self.n_estimators)]
         self._X_train, self._y_train = X, y
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Mean prediction across trees."""
+    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """``(n_trees, n)`` per-tree predictions."""
         if not self._trees:
             raise RuntimeError("forest is not fitted; call fit() first")
-        preds = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
-        for tree in self._trees:
-            preds += tree.predict(X)
-        return preds / len(self._trees)
+        X = self._trees[0]._check_X(X)
+        return self._nodes.leaf_values(X, np.arange(len(self._trees)))
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Mean prediction across trees."""
+        return self._leaf_values(X).sum(axis=0) / len(self._trees)
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
         """Across-tree standard deviation (ensemble disagreement)."""
-        if not self._trees:
-            raise RuntimeError("forest is not fitted; call fit() first")
-        all_preds = np.stack([t.predict(X) for t in self._trees])
-        return all_preds.std(axis=0)
+        return self._leaf_values(X).std(axis=0)
 
     def oob_score(self) -> float:
         """Out-of-bag R^2 (requires ``bootstrap=True`` and enough trees).
@@ -126,12 +111,10 @@ class RandomForestRegressor:
         if not self.bootstrap:
             raise ValueError("OOB score requires bootstrap=True")
         n = self._X_train.shape[0]
-        sums = np.zeros(n)
-        counts = np.zeros(n)
-        for tree, oob in zip(self._trees, self._oob_indices):
-            if oob.size == 0:
-                continue
-            sums[oob] += tree.predict(self._X_train[oob])
+        sums, counts = np.zeros(n), np.zeros(n)
+        for pred, sample in zip(self._leaf_values(self._X_train), self._samples):
+            oob = np.setdiff1d(np.arange(n), sample)
+            sums[oob] += pred[oob]
             counts[oob] += 1
         mask = counts > 0
         if not mask.any():

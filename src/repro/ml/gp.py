@@ -9,6 +9,11 @@ The substrate behind the paper's BO GP tuner (scikit-optimize's
   L-BFGS-B restarts,
 * Cholesky-based posterior mean/std prediction.
 
+The likelihood is evaluated thousands of times per study, so the Cholesky
+factorization and solves call LAPACK's ``dpotrf``/``dpotrs`` directly —
+the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap, minus the
+wrappers' per-call checks.
+
 Runtimes are heavy-tailed, so callers should model ``log(runtime)`` (the
 tuners in :mod:`repro.search.bo_gp` do); ``normalize_y`` handles the
 remaining location/scale.
@@ -19,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 __all__ = ["Matern52", "RBF", "GaussianProcessRegressor"]
@@ -111,17 +116,15 @@ class GaussianProcessRegressor:
     def _kmatrix(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         signal, ls, noise = self._unpack(theta)
         K = signal * self._corr.correlation(_sq_dists(X, X, ls))
-        K[np.diag_indices_from(K)] += noise + self.alpha
+        K.flat[:: K.shape[0] + 1] += noise + self.alpha
         return K
 
     def _nlml(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        K = self._kmatrix(theta, X)
-        try:
-            cf = cho_factor(K, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        chol, info = dpotrf(self._kmatrix(theta, X), lower=1, clean=0)
+        if info > 0:  # not positive definite
             return 1e25
-        alpha_vec = cho_solve(cf, y, check_finite=False)
-        logdet = 2.0 * np.log(np.diag(cf[0])).sum()
+        alpha_vec = dpotrs(chol, y, lower=1)[0]
+        logdet = 2.0 * np.log(np.diag(chol)).sum()
         n = y.size
         val = 0.5 * float(y @ alpha_vec) + 0.5 * logdet + 0.5 * n * np.log(2 * np.pi)
         return val if np.isfinite(val) else 1e25
@@ -189,11 +192,16 @@ class GaussianProcessRegressor:
                 if res.fun < best_val and np.all(np.isfinite(res.x)):
                     best_theta, best_val = res.x, res.fun
 
+        chol, info = dpotrf(self._kmatrix(best_theta, X), lower=1, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the GP covariance is not "
+                f"positive definite"
+            )
         self._theta = best_theta
         self._X = X
-        K = self._kmatrix(best_theta, X)
-        self._chol = cho_factor(K, lower=True, check_finite=False)
-        self._alpha_vec = cho_solve(self._chol, yn, check_finite=False)
+        self._chol = chol
+        self._alpha_vec = dpotrs(chol, yn, lower=1)[0]
         self._fitted = True
         return self
 
@@ -226,7 +234,7 @@ class GaussianProcessRegressor:
         mean = mean_n * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = cho_solve(self._chol, Ks.T, check_finite=False)
+        v = dpotrs(self._chol, Ks.T, lower=1)[0]
         var_n = signal - np.einsum("ij,ji->i", Ks, v)
         var_n = np.maximum(var_n, 1e-12)
         std = np.sqrt(var_n) * self._y_std
@@ -236,7 +244,7 @@ class GaussianProcessRegressor:
         """LML of the fitted model (normalized-target scale)."""
         if not self._fitted:
             raise RuntimeError("GP is not fitted; call fit() first")
-        logdet = 2.0 * np.log(np.diag(self._chol[0])).sum()
+        logdet = 2.0 * np.log(np.diag(self._chol)).sum()
         n = self._X.shape[0]
         # Reconstruct the normalized targets from K @ alpha.
         K = self._kmatrix(self._theta, self._X)

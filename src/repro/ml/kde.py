@@ -94,10 +94,24 @@ class AdaptiveParzenEstimator1D:
         self._mus = mus
         self._sigmas = sigmas
         self._weights = weights / weights.sum()
+        # Tied observations make components with equal (mu, sigma), hence
+        # equal CDFs.  Ties sit next to each other in ``order``, so each
+        # run of them becomes one CDF column, evaluated once and mapped
+        # back to its components through ``_column``.
+        run_mus, run_sigmas = mus[order], sigmas[order]
+        new = np.ones(mus.size, dtype=bool)
+        new[1:] = (run_mus[1:] != run_mus[:-1]) | (
+            run_sigmas[1:] != run_sigmas[:-1]
+        )
+        self._column = np.empty(mus.size, dtype=np.intp)
+        self._column[order] = np.cumsum(new) - 1
+        self._col_mus, self._col_sigmas = run_mus[new], run_sigmas[new]
         # Truncation mass of each component on [low-0.5, high+0.5].
-        lo_z = (self.low - 0.5 - mus) / sigmas
-        hi_z = (self.high + 0.5 - mus) / sigmas
-        self._trunc_mass = np.maximum(ndtr(hi_z) - ndtr(lo_z), 1e-300)
+        lo_z = (self.low - 0.5 - self._col_mus) / self._col_sigmas
+        hi_z = (self.high + 0.5 - self._col_mus) / self._col_sigmas
+        self._trunc_mass = np.maximum(ndtr(hi_z) - ndtr(lo_z), 1e-300)[
+            self._column
+        ]
         self._fitted = True
         return self
 
@@ -110,10 +124,17 @@ class AdaptiveParzenEstimator1D:
         """P(v) for each candidate integer (vectorized)."""
         self._require_fitted()
         v = np.asarray(candidates, dtype=np.float64).ravel()
-        # (n_candidates, n_components) CDF-difference masses.
-        hi = (v[:, None] + 0.5 - self._mus[None, :]) / self._sigmas[None, :]
-        lo = (v[:, None] - 0.5 - self._mus[None, :]) / self._sigmas[None, :]
-        mass = (ndtr(hi) - ndtr(lo)) / self._trunc_mass[None, :]
+        # (n_candidates, n_components) CDF-difference masses.  The CDF
+        # table has one row per distinct bin edge — integer candidates
+        # share edges (v + 0.5 == (v + 1) - 0.5 exactly) — and one column
+        # per distinct component.
+        edges, at = np.unique(
+            np.concatenate([v + 0.5, v - 0.5]), return_inverse=True
+        )
+        z = (edges[:, None] - self._col_mus[None, :]) / self._col_sigmas
+        cdf = ndtr(z)[:, self._column]
+        at = at.ravel()
+        mass = (cdf[at[: v.size]] - cdf[at[v.size:]]) / self._trunc_mass[None, :]
         p = mass @ self._weights
         inside = (v >= self.low) & (v <= self.high)
         return np.where(inside, np.maximum(p, 1e-300), 0.0)
@@ -129,16 +150,20 @@ class AdaptiveParzenEstimator1D:
         if n < 1:
             raise ValueError("n must be >= 1")
         comp = rng.choice(self._mus.size, size=n, p=self._weights)
-        out = np.empty(n, dtype=np.int64)
-        for i, c in enumerate(comp):
+        mus, sigmas = self._mus.tolist(), self._sigmas.tolist()
+        low, high = self.low, self.high
+        lo_edge, hi_edge = low - 0.5, high + 0.5
+        normal = rng.normal
+        out = []
+        for c in comp.tolist():
             # Rejection-sample the truncated normal (ranges are wide
             # relative to bandwidths, so this terminates fast).
-            mu, sigma = self._mus[c], self._sigmas[c]
+            mu, sigma = mus[c], sigmas[c]
             for _ in range(100):
-                draw = rng.normal(mu, sigma)
-                if self.low - 0.5 <= draw <= self.high + 0.5:
+                draw = normal(mu, sigma)
+                if lo_edge <= draw <= hi_edge:
                     break
             else:
-                draw = rng.uniform(self.low - 0.5, self.high + 0.5)
-            out[i] = int(np.clip(round(draw), self.low, self.high))
-        return out
+                draw = rng.uniform(lo_edge, hi_edge)
+            out.append(min(max(round(draw), low), high))
+        return np.array(out, dtype=np.int64)

@@ -1,45 +1,218 @@
-"""CART regression trees, from scratch.
+"""CART regression trees (the paper's sk-learn RF substrate), from scratch.
 
-The substrate behind the paper's Random Forest tuner (sk-learn's
-``RandomForestRegressor`` in the original; Section VI-B).  This is a
-standard CART variance-reduction regression tree:
-
-* binary axis-aligned splits chosen to minimize the summed squared error
-  of the two children;
-* candidate thresholds are the midpoints between consecutive *unique*
-  feature values — exactly CART's candidate set — evaluated from per-bin
-  sufficient statistics, not per-node sorting;
-* optional per-node random feature subsetting (``max_features``), which is
-  what lets :mod:`repro.ml.forest` build Breiman-style random forests.
-
-Performance: every column is binned once per fit (``np.unique``), and the
-per-node split search runs as a *single* flat ``bincount`` + cumulative-sum
-pass over all features simultaneously — roughly 16 NumPy calls per node
-regardless of dimensionality, following the hpc-parallel guidance of
-pushing inner loops into vectorized primitives.  The tree itself is stored
-in flat arrays so prediction is a vectorized level-by-level descent.
+Splits minimize the children's summed squared error at CART's thresholds
+(midpoints between consecutive unique values of the tree's training rows),
+optionally over a random feature subset per node (``max_features``).
+:func:`grow` fits all trees of a forest together, one depth level at a
+time: per level, one segmented ``bincount`` + row-wise ``cumsum`` scores
+every open node's splits, in blocks of at most ``_BLOCK_CELLS`` node-bins.
+A :class:`DecisionTreeRegressor` is the one-tree case.  Results equal the
+textbook one-node-at-a-time computation bit for bit: per-bin sums run in
+ascending sample order, a feature's left sums are the node's running total
+minus the total before the feature's first bin, node totals are NumPy's
+pairwise sums, and partitions are stable (``tests/ml/test_bit_identity.py``).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 __all__ = ["DecisionTreeRegressor"]
 
 _LEAF = -1
+#: Node-bins per split-search block: bounds the per-level work arrays.
+_BLOCK_CELLS = 1 << 17
+#: (row, tree) pairs per prediction pass: keeps the trees' nodes in cache.
+_DESCENT_CELLS = 1 << 15
 
 
-@dataclass
-class _Node:
-    feature: int = _LEAF
-    threshold: float = 0.0
-    left: int = _LEAF
-    right: int = _LEAF
-    value: float = 0.0
-    n_samples: int = 0
+def check_xy(X, y) -> tuple:
+    """Validate and convert a training set."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"y shape {y.shape} does not match X {X.shape}")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite values; penalize "
+                         "failed measurements before model fitting")
+    return X, y
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    """Fitted trees as flat node arrays, numbered level by level: split node
+    ``i`` sends rows with ``X[:, feature[i]] <= threshold[i]`` to node
+    ``left[i]`` and the others to ``left[i] + 1``; leaves have ``feature ==
+    _LEAF``.  Tree ``t`` is rooted at node ``t``."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    depth: np.ndarray
+    tree: np.ndarray
+
+    def leaf_values(self, X: np.ndarray, trees: np.ndarray) -> np.ndarray:
+        """``(len(trees), n)`` values of the leaves the rows of X reach."""
+        m, d = X.shape
+        out = np.empty(trees.size * m)
+        flat_X = X.ravel()
+        group = max(1, _DESCENT_CELLS // max(m, 1))
+        for lo in range(0, trees.size, group):
+            node = np.repeat(trees[lo:lo + group], m)
+            at = np.arange(lo * m, lo * m + node.size)
+            row = np.tile(np.arange(0, m * d, d), node.size // max(m, 1))
+            while node.size:
+                feature = self.feature.take(node)
+                leaf = feature == _LEAF
+                if leaf.any():
+                    out[at[leaf]] = self.value.take(node[leaf])
+                    node, at, row, feature = (
+                        a[~leaf] for a in (node, at, row, feature))
+                x = flat_X.take(row + feature)
+                node = self.left.take(node) + ~(x <= self.threshold.take(node))
+        return out.reshape(trees.size, m)
+
+
+def _bin_trees(X: np.ndarray, samples: np.ndarray) -> tuple:
+    """Bins shared by all trees: an empty bin 0, then every column's sorted
+    unique values.  Returns each tree-sample's bin per column; per bin, its
+    column and the bin before the column's first; and per tree and bin, the
+    threshold to the tree's next value and whether a split may follow (bins
+    a tree lacks only repeat running totals, so they are never split at)."""
+    n_trees, m = samples.shape
+    tree_of = np.repeat(np.arange(n_trees), m)
+    codes, feature, before, threshold, splittable = [], [], [], [], []
+    offset = 1
+    for f in range(X.shape[1]):
+        uniques, inverse = np.unique(X[:, f], return_inverse=True)
+        code = inverse.ravel()[samples.ravel()]
+        u = uniques.size
+        seen = np.zeros((n_trees, u), dtype=bool)
+        seen[tree_of, code] = True
+        # Per tree, the first unique at or after each index (u: none) ...
+        first = np.where(seen, np.arange(u), u)[:, ::-1]
+        first = np.minimum.accumulate(first, axis=1)
+        # ... shifted to the next one strictly after it.
+        after = np.full((n_trees, u), u)
+        after[:, :-1] = first[:, -2::-1]
+        codes.append(code + offset)
+        feature.append(np.full(u, f))
+        before.append(np.full(u, offset - 1))
+        threshold.append(0.5 * (uniques + np.append(uniques, np.inf)[after]))
+        splittable.append(seen & (after < u))
+        offset += u
+    pad = np.zeros((n_trees, 1))
+    return (np.column_stack(codes), np.concatenate([[0], *feature]),
+            np.concatenate([[0], *before]), np.hstack([pad, *threshold]),
+            np.hstack([pad.astype(bool), *splittable]))
+
+
+def _node_sums(y_nodes: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """Per node: sums of y and y*y, and whether y is constant.  Nodes of
+    equal size are the rows of one matrix, whose row sums are NumPy's
+    pairwise sums of each node's targets."""
+    tot_s, tot_q = np.empty(sizes.size), np.empty(sizes.size)
+    flat = np.empty(sizes.size, dtype=bool)
+    for size in np.unique(sizes).tolist():
+        nodes = np.flatnonzero(sizes == size)
+        block = y_nodes[starts[nodes, None] + np.arange(size)]
+        tot_s[nodes] = block.sum(axis=1)
+        tot_q[nodes] = (block * block).sum(axis=1)
+        flat[nodes] = block.max(axis=1) == block.min(axis=1)
+    return tot_s, tot_q, flat
+
+
+def grow(X, y, samples, max_depth=None, min_samples_split=2,
+         min_samples_leaf=1, k=None, rng=None) -> _Nodes:
+    """Fit one CART tree per row of ``samples`` (the rows of ``X``/``y``
+    each tree trains on).  With ``k < d`` features per split, subsets are
+    drawn from ``rng`` node by node in level order: every tree's root,
+    then every depth-1 node, and so on."""
+    (n_trees, m), d = samples.shape, X.shape[1]
+    k = d if k is None else k
+    codes, bin_feature, before, thresholds, splittable = _bin_trees(X, samples)
+    width = bin_feature.size
+    step = max(1, _BLOCK_CELLS // width)
+    X_s, y_s = X[samples.ravel()], y[samples.ravel()]
+
+    rows = np.arange(n_trees * m)  # tree-samples, grouped by node
+    sizes = np.full(n_trees, m)
+    node_tree = np.arange(n_trees)
+    first_id, depth, levels = 0, 0, []
+    while sizes.size:
+        count = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        y_nodes = y_s[rows]
+        tot_s, tot_q, flat = _node_sums(y_nodes, starts, sizes)
+        feature, threshold = np.full(count, _LEAF), np.zeros(count)
+        growing = max_depth is None or depth < max_depth
+        open_nodes = np.flatnonzero(growing & (sizes >= min_samples_split) & ~flat)
+        for lo in range(0, open_nodes.size, step):
+            # Count / sum / sum of squares per (node, bin), accumulated to
+            # the left-side statistics of every candidate split.
+            nodes = open_nodes[lo:lo + step]
+            c, n, t = nodes.size, sizes[nodes], node_tree[nodes]
+            pos = np.arange(n.sum()) + np.repeat(starts[nodes] - np.cumsum(n) + n, n)
+            cells = (np.repeat(np.arange(c) * width, n)[:, None]
+                     + codes[rows[pos]]).ravel()
+            y_rep = np.repeat(y_nodes[pos], d)
+            cc, cs, cq = (
+                np.bincount(cells, weights=w, minlength=c * width)
+                .reshape(c, width).cumsum(axis=1)
+                for w in (None, y_rep, y_rep * y_rep)
+            )
+            base = (np.arange(c) * width)[:, None] + before
+            left_n = (cc - cc.take(base)).astype(np.float64)
+            left_s, left_q = cs - cs.take(base), cq - cq.take(base)
+            right_n = n[:, None] - left_n
+            valid = (splittable[t] & (left_n >= min_samples_leaf)
+                     & (right_n >= min_samples_leaf))
+            if k < d:
+                chosen = np.zeros((c, d), dtype=bool)
+                for i in range(c):
+                    chosen[i, rng.choice(d, size=k, replace=False)] = True
+                valid &= chosen[:, bin_feature]
+            s, q = tot_s[nodes, None], tot_q[nodes, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sse = ((left_q - left_s**2 / left_n)
+                       + ((q - left_q) - (s - left_s) ** 2 / right_n))
+            sse = np.where(valid, sse, np.inf)
+            j = sse.argmin(axis=1)
+            found = np.isfinite(sse[np.arange(c), j])
+            feature[nodes] = np.where(found, bin_feature[j], _LEAF)
+            threshold[nodes] = thresholds[t, j]
+
+        # Stable partition of each split node's rows into its children; a
+        # split sending every row one way (a numeric edge case) stays a leaf.
+        owner = np.repeat(np.arange(count), sizes)
+        go_right = ~(X_s[rows, feature[owner]] <= threshold[owner])
+        n_right = np.bincount(owner, weights=go_right, minlength=count)
+        feature[(n_right == 0) | (n_right == sizes)] = _LEAF
+        moving = feature[owner] != _LEAF
+        rows, owner, go_right = rows[moving], owner[moving], go_right[moving]
+        split = feature != _LEAF
+        rank = np.cumsum(split) - 1
+        next_id = first_id + count
+        levels.append((
+            feature, threshold, np.where(split, next_id + 2 * rank, _LEAF),
+            tot_s / sizes, sizes, np.full(count, depth), node_tree,
+        ))
+        child = 2 * rank[owner] + go_right
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * int(split.sum()))
+        node_tree = np.repeat(node_tree[split], 2)
+        first_id, depth = next_id, depth + 1
+    return _Nodes(*(np.concatenate(column) for column in zip(*levels)))
 
 
 class DecisionTreeRegressor:
@@ -55,7 +228,8 @@ class DecisionTreeRegressor:
         Minimum samples in each child.
     max_features:
         Features examined per split: ``None`` (all), an int, a float
-        fraction, or ``"sqrt"`` (Breiman's forest default).
+        fraction, or ``"sqrt"`` (Breiman's forest default).  Subsets are
+        drawn node by node in level order (see :func:`grow`).
     rng:
         Generator used for feature subsetting; required when
         ``max_features`` restricts the candidate set.
@@ -80,7 +254,8 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng
-        self._nodes: List[_Node] = []
+        self._nodes: Optional[_Nodes] = None
+        self._tree = 0
         self._n_features = 0
 
     # -- fitting -------------------------------------------------------------
@@ -100,213 +275,55 @@ class DecisionTreeRegressor:
         return k
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if y.shape != (X.shape[0],):
-            raise ValueError(f"y shape {y.shape} does not match X {X.shape}")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains non-finite values; penalize "
-                             "failed measurements before model fitting")
+        X, y = check_xy(X, y)
+        self._grow(X, y, np.arange(X.shape[0])[None, :])
+        return self
+
+    def _grow(self, X: np.ndarray, y: np.ndarray, samples: np.ndarray) -> _Nodes:
+        """Grow a tree per row of ``samples``; :meth:`_for_tree` views them."""
         d = self._n_features = X.shape[1]
         k = self._n_candidate_features(d)
         if k < d and self.rng is None:
             self.rng = np.random.default_rng()
+        self._nodes = grow(X, y, samples, self.max_depth,
+                           self.min_samples_split, self.min_samples_leaf,
+                           k, self.rng)
+        self._tree = 0
+        return self._nodes
 
-        # Bin every column once: codes index the column's sorted unique
-        # values.  All columns share one flat bin index space so the
-        # per-node statistics come from a single bincount.
-        bin_values: List[np.ndarray] = []
-        codes = np.empty(X.shape, dtype=np.int64)
-        widths = np.empty(d, dtype=np.int64)
-        for f in range(d):
-            uniques, col_codes = np.unique(X[:, f], return_inverse=True)
-            bin_values.append(uniques)
-            codes[:, f] = col_codes
-            widths[f] = uniques.size
-        offsets = np.concatenate([[0], np.cumsum(widths)[:-1]])
-        total_bins = int(widths.sum())
-
-        # Per-flat-bin lookup tables used by the vectorized split search.
-        bin_feature = np.repeat(np.arange(d), widths)
-        feat_start = offsets[bin_feature]          # first bin of the feature
-        feat_end = (offsets + widths - 1)[bin_feature]  # last bin
-        # A bin can host a split "after itself" only if it is not the
-        # feature's last bin.
-        not_last = np.arange(total_bins) != feat_end
-        # Midpoint threshold for a split after bin b (undefined at last
-        # bins; those stay masked out).
-        flat_values = np.concatenate(bin_values)
-        thresholds = np.empty(total_bins, dtype=np.float64)
-        thresholds[:-1] = 0.5 * (flat_values[:-1] + flat_values[1:])
-        thresholds[-1] = np.inf
-
-        self._bins = {
-            "values": bin_values,
-            "flat_codes": codes + offsets[None, :],
-            "feature": bin_feature,
-            "start": feat_start,
-            "end": feat_end,
-            "not_last": not_last,
-            "thresholds": thresholds,
-            "total": total_bins,
-            "d": d,
-            "k": k,
-        }
-        self._X = X
-        self._y = y
-        self._nodes = []
-        self._build(np.arange(X.shape[0]), depth=0)
-        del self._bins, self._X, self._y
-        # Freeze the finished tree into flat arrays once.  _build mutates
-        # nodes after appending them (children are assigned post-recursion),
-        # so this can only happen here — and predict used to rebuild these
-        # five arrays from the node list on every call.
-        nodes = self._nodes
-        self._flat_features = np.array(
-            [n.feature for n in nodes], dtype=np.int64
-        )
-        self._flat_thresholds = np.array([n.threshold for n in nodes])
-        self._flat_lefts = np.array([n.left for n in nodes], dtype=np.int64)
-        self._flat_rights = np.array([n.right for n in nodes], dtype=np.int64)
-        self._flat_values = np.array([n.value for n in nodes])
-        return self
-
-    def _best_split(self, idx: np.ndarray) -> tuple:
-        """Exact CART split over all (selected) features in one pass.
-
-        Returns ``(feature, threshold)`` or ``(_LEAF, nan)``.
-        """
-        b = self._bins
-        y_node = self._y[idx]
-        n = idx.size
-        d, k = b["d"], b["k"]
-
-        fc = b["flat_codes"][idx].ravel()
-        y_rep = np.repeat(y_node, d)
-        counts = np.bincount(fc, minlength=b["total"])
-        sums = np.bincount(fc, weights=y_rep, minlength=b["total"])
-        sqs = np.bincount(fc, weights=y_rep * y_rep, minlength=b["total"])
-
-        cc = np.cumsum(counts)
-        cs = np.cumsum(sums)
-        cq = np.cumsum(sqs)
-        # Within-feature cumulatives: subtract the running total at the
-        # feature's first bin (exclusive).
-        start = b["start"]
-        base_c = np.where(start > 0, cc[start - 1], 0)
-        base_s = np.where(start > 0, cs[start - 1], 0.0)
-        base_q = np.where(start > 0, cq[start - 1], 0.0)
-        left_n = (cc - base_c).astype(np.float64)
-        left_s = cs - base_s
-        left_q = cq - base_q
-        # Feature totals, broadcast per bin (they equal n and the node's
-        # y-sums, but keeping the general form documents the structure).
-        tot_s = float(y_node.sum())
-        tot_q = float((y_node * y_node).sum())
-        right_n = n - left_n
-
-        valid = (
-            b["not_last"]
-            & (left_n >= self.min_samples_leaf)
-            & (right_n >= self.min_samples_leaf)
-            & (left_n > 0)
-            & (right_n > 0)
-        )
-        if k < d:
-            chosen = self.rng.choice(d, size=k, replace=False)
-            sel = np.zeros(d, dtype=bool)
-            sel[chosen] = True
-            valid &= sel[b["feature"]]
-        if not valid.any():
-            return _LEAF, np.nan
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse = (
-                (left_q - left_s**2 / left_n)
-                + ((tot_q - left_q) - (tot_s - left_s) ** 2 / right_n)
-            )
-        sse = np.where(valid, sse, np.inf)
-        j = int(np.argmin(sse))
-        if not np.isfinite(sse[j]):
-            return _LEAF, np.nan
-        return int(b["feature"][j]), float(b["thresholds"][j])
-
-    def _build(self, idx: np.ndarray, depth: int) -> int:
-        node_id = len(self._nodes)
-        y_node = self._y[idx]
-        node = _Node(value=float(y_node.mean()), n_samples=idx.size)
-        self._nodes.append(node)
-
-        if (
-            idx.size < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.ptp(y_node) == 0.0
-        ):
-            return node_id
-
-        feature, threshold = self._best_split(idx)
-        if feature == _LEAF:
-            return node_id
-
-        mask = self._X[idx, feature] <= threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        if left_idx.size == 0 or right_idx.size == 0:  # numeric edge case
-            return node_id
-
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(left_idx, depth + 1)
-        node.right = self._build(right_idx, depth + 1)
-        return node_id
+    def _for_tree(self, tree: int) -> "DecisionTreeRegressor":
+        view = copy.copy(self)
+        view._tree = tree
+        return view
 
     # -- prediction -----------------------------------------------------------
     @property
     def is_fitted(self) -> bool:
-        return len(self._nodes) > 0
+        return self._nodes is not None
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        nodes = self._nodes
+        return 0 if nodes is None else int(np.sum(nodes.tree == self._tree))
 
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree (0 = a single leaf)."""
-        if not self._nodes:
+        if self._nodes is None:
             raise RuntimeError("tree is not fitted")
+        return int(self._nodes.depth[self._nodes.tree == self._tree].max())
 
-        def d(i: int) -> int:
-            node = self._nodes[i]
-            if node.feature == _LEAF:
-                return 0
-            return 1 + max(d(node.left), d(node.right))
-
-        return d(0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted values, shape ``(n,)``; vectorized descent."""
-        if not self._nodes:
+    def _check_X(self, X: np.ndarray) -> np.ndarray:
+        if self._nodes is None:
             raise RuntimeError("tree is not fitted; call fit() first")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self._n_features:
             raise ValueError(
                 f"X must be (n, {self._n_features}), got shape {X.shape}"
             )
-        features = self._flat_features
-        thresholds = self._flat_thresholds
-        lefts = self._flat_lefts
-        rights = self._flat_rights
-        values = self._flat_values
+        return X
 
-        current = np.zeros(X.shape[0], dtype=np.int64)
-        active = features[current] != _LEAF
-        while active.any():
-            idx = np.nonzero(active)[0]
-            nodes = current[idx]
-            go_left = X[idx, features[nodes]] <= thresholds[nodes]
-            current[idx] = np.where(go_left, lefts[nodes], rights[nodes])
-            active[idx] = features[current[idx]] != _LEAF
-        return values[current]
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predicted values, shape ``(n,)``; vectorized descent."""
+        X = self._check_X(X)
+        return self._nodes.leaf_values(X, np.array([self._tree]))[0]

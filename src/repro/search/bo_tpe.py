@@ -24,8 +24,6 @@ Like BO GP, TPE samples the unconstrained space (Section V-C).
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..ml import AdaptiveParzenEstimator1D, log_runtime, penalize_failures
@@ -92,8 +90,6 @@ class BayesianTpeTuner(SequentialTuner):
         good = observations[order[:n_good]]
         bad = observations[order[n_good:]]
 
-        best_score = -np.inf
-        best_vector: List[int] = []
         # Per-dimension candidate draws from l(x), scored by l/g; the
         # vector is assembled dimension-wise (HyperOpt treats flat search
         # spaces as independent dimensions).
@@ -113,8 +109,7 @@ class BayesianTpeTuner(SequentialTuner):
             score += l_est.log_prob(draws) - g_est.log_prob(draws)
             candidate_matrix[:, d] = draws
         best = int(np.argmax(score))
-        best_vector = candidate_matrix[best].tolist()
-        return space.indices_to_config(best_vector)
+        return space.indices_to_config(candidate_matrix[best].tolist())
 
     def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
         space = objective.space

@@ -66,10 +66,10 @@ class GeneticAlgorithmTuner(SequentialTuner):
     def _random_individual(
         self, objective: Objective, rng: np.random.Generator
     ) -> Tuple[int, ...]:
-        cfg = objective.space.sample(
+        row = objective.space.sample_indices(
             rng, 1, feasible_only=self.respect_constraints
         )[0]
-        return tuple(int(v) for v in objective.space.config_to_indices(cfg))
+        return tuple(row.tolist())
 
     def _uniform_crossover(
         self,

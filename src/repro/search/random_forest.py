@@ -120,12 +120,12 @@ class RandomForestTuner(DatasetTuner):
         # (stepping over the fastest-varying dimension tile) as the rest
         # of the top-k cluster.
         with objective.span("propose"):
-            candidates = space.sample(
+            candidates = space.sample_indices(
                 rng, self.candidate_pool,
                 feasible_only=self.respect_constraints,
             )
-            preds = forest.predict(space.to_features(candidates))
-            best_flat = space.config_to_flat(
+            preds = forest.predict(space.index_matrix_to_features(candidates))
+            best_flat = space.indices_to_flat(
                 candidates[int(np.argmin(preds))]
             )
         stride = space.parameters[-1].cardinality  # skip near-dead last dim

@@ -285,10 +285,20 @@ class SearchSpace:
         rows every vectorized constraint already accepted.
         """
         flats = np.asarray(flats, dtype=np.int64)
-        mask = np.ones(flats.size, dtype=bool)
         if len(self._constraints) == 0 or flats.size == 0:
+            return np.ones(flats.size, dtype=bool)
+        return self._feasible_rows(self.flats_to_index_matrix(flats))
+
+    def _feasible_rows(self, indices: np.ndarray) -> np.ndarray:
+        """:meth:`feasible_mask` for the rows of an ``(n, d)`` index matrix."""
+        mask = np.ones(indices.shape[0], dtype=bool)
+        if len(self._constraints) == 0:
             return mask
-        indices = self.flats_to_index_matrix(flats)
+        if indices.shape[0] < 8:  # too few rows to repay the column set-up
+            return np.array([
+                self.is_feasible(self.indices_to_config(row))
+                for row in indices.tolist()
+            ], dtype=bool)
         col_of = {p.name: c for c, p in enumerate(self._parameters)}
         column_cache: dict = {}
 
@@ -342,21 +352,48 @@ class SearchSpace:
         sampling used for non-SMBO methods).  Sampling *with replacement*:
         duplicates are possible, as in real measurement campaigns.
         """
-        out: List[Configuration] = []
-        rejections = 0
-        while len(out) < n:
-            cfg = {p.name: p.sample(rng) for p in self._parameters}
-            if feasible_only and not self.is_feasible(cfg):
-                rejections += 1
+        return self.index_matrix_to_configs(
+            self.sample_indices(rng, n, feasible_only, max_rejections)
+        )
+
+    def sample_indices(
+        self,
+        rng: np.random.Generator,
+        n: int = 1,
+        feasible_only: bool = False,
+        max_rejections: int = 10_000,
+    ) -> np.ndarray:
+        """:meth:`sample` as an ``(n, d)`` index matrix, without dicts.
+
+        Consumes exactly the generator draws of one ``Parameter.sample``
+        per parameter per candidate, in order: each round draws one index
+        row for every still-missing configuration, and rejected rows are
+        replaced in the next round.
+        """
+        cards = self._cardinalities
+        rounds: List[np.ndarray] = []
+        need, rejections = n, 0
+        while need > 0:
+            # (a one-row draw without ``size`` skips NumPy's broadcast set-up)
+            draw = (
+                rng.integers(0, cards)[None] if need == 1
+                else rng.integers(0, cards, size=(need, cards.size))
+            )
+            if feasible_only:
+                ok = self._feasible_rows(draw)
+                rejections += need - int(np.count_nonzero(ok))
                 if rejections > max_rejections:
                     raise RuntimeError(
                         f"exceeded {max_rejections} rejections while sampling "
                         f"feasible configurations; constraints may be "
                         f"unsatisfiable: {self._constraints.describe()}"
                     )
-                continue
-            out.append(cfg)
-        return out
+                draw = draw[ok]
+            rounds.append(draw)
+            need -= draw.shape[0]
+        if not rounds:
+            return np.empty((0, cards.size), dtype=np.int64)
+        return np.concatenate(rounds)
 
     def sample_flat(
         self, rng: np.random.Generator, n: int, feasible_only: bool = False

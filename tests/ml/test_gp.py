@@ -52,6 +52,41 @@ class TestValidation:
             gp.predict(np.ones((2, 3)))
 
 
+class TestFactorizationFailure:
+    """A covariance that is not positive definite: the likelihood reports
+    it as a huge loss, and a fit that cannot factorize its final model
+    raises instead of keeping a broken one."""
+
+    @staticmethod
+    def indefinite(theta, X):
+        return -np.eye(X.shape[0])
+
+    def test_nlml_penalizes_indefinite_covariance(self, monkeypatch):
+        X, y = make_1d(10)
+        gp = GaussianProcessRegressor(rng=np.random.default_rng(0))
+        theta = np.zeros(3)
+        assert np.isfinite(gp._nlml(theta, X, y))
+        monkeypatch.setattr(gp, "_kmatrix", self.indefinite)
+        assert gp._nlml(theta, X, y) == 1e25
+
+    def test_fit_raises_when_final_factorization_fails(self, monkeypatch):
+        X, y = make_1d(10)
+        gp = GaussianProcessRegressor(
+            n_restarts=0, rng=np.random.default_rng(0)
+        )
+        monkeypatch.setattr(gp, "_kmatrix", self.indefinite)
+        with pytest.raises(np.linalg.LinAlgError):
+            gp.fit(X, y)
+        assert not gp._fitted
+
+    def test_refactorization_failure_raises(self, monkeypatch):
+        X, y = make_1d(10)
+        gp = GaussianProcessRegressor(rng=np.random.default_rng(0)).fit(X, y)
+        monkeypatch.setattr(gp, "_kmatrix", self.indefinite)
+        with pytest.raises(np.linalg.LinAlgError):
+            gp.fit(X, y, optimize=False)
+
+
 class TestPosterior:
     def test_interpolates_clean_data(self):
         X, y = make_1d(noise=0.0)

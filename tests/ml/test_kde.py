@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import ndtr
+
 from repro.ml import AdaptiveParzenEstimator1D
 
 
@@ -112,3 +114,46 @@ class TestSampling:
         a = est.sample(np.random.default_rng(5), 50)
         b = est.sample(np.random.default_rng(5), 50)
         np.testing.assert_array_equal(a, b)
+
+
+class TestMatchesReference:
+    """``prob`` and ``sample`` against the textbook formulas, bit for bit:
+    one CDF difference per (candidate, component), and one truncated
+    normal draw loop per candidate on the caller's generator."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        span=st.integers(0, 40),
+        n_obs=st.integers(0, 120),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prob_and_sample_bit_identical(self, seed, span, n_obs):
+        rng = np.random.default_rng(seed)
+        low, high = 2, 2 + span
+        est = AdaptiveParzenEstimator1D(low, high).fit(
+            rng.integers(low, high + 1, n_obs)
+        )
+        mus, sigmas = est._mus, est._sigmas
+        v = np.concatenate([np.arange(low - 2, high + 3),
+                            rng.uniform(low - 1, high + 1, 5)])
+        hi = (v[:, None] + 0.5 - mus[None, :]) / sigmas[None, :]
+        lo = (v[:, None] - 0.5 - mus[None, :]) / sigmas[None, :]
+        trunc = np.maximum(ndtr((high + 0.5 - mus) / sigmas)
+                           - ndtr((low - 0.5 - mus) / sigmas), 1e-300)
+        p = ((ndtr(hi) - ndtr(lo)) / trunc[None, :]) @ est._weights
+        inside = (v >= low) & (v <= high)
+        expected = np.where(inside, np.maximum(p, 1e-300), 0.0)
+        assert est.prob(v).tobytes() == expected.tobytes()
+
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = []
+        for c in slow.choice(mus.size, size=30, p=est._weights):
+            for _ in range(100):
+                draw = slow.normal(mus[c], sigmas[c])
+                if low - 0.5 <= draw <= high + 0.5:
+                    break
+            else:
+                draw = slow.uniform(low - 0.5, high + 0.5)
+            draws.append(int(np.clip(round(draw), low, high)))
+        assert est.sample(fast, 30).tolist() == draws
+        assert fast.integers(2**62) == slow.integers(2**62)

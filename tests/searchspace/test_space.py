@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.searchspace import (
+    CategoricalParameter,
     IntegerParameter,
+    PredicateConstraint,
     PAPER_SPACE_SIZE,
     SearchSpace,
     paper_search_space,
@@ -279,6 +281,42 @@ class TestSampling:
         assert flats.shape == (500,)
         for f in flats[:50]:
             assert space.is_feasible(space.flat_to_config(int(f)))
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(0, 40),
+        sparse=st.booleans(),
+        feasible=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sample_matches_per_parameter_draws(self, seed, n, sparse,
+                                                feasible):
+        """Vectorised sampling returns what drawing one ``Parameter.sample``
+        per parameter per candidate would, and leaves the generator in the
+        same state: tuners sample mid-stream."""
+        space = paper_search_space()
+        if sparse:  # a predicate without a vectorised form; ~1 in 4 pass
+            space = SearchSpace(
+                [IntegerParameter("a", 0, 9),
+                 CategoricalParameter("kind", ("x", "y", "z")),
+                 IntegerParameter("b", 1, 4)],
+                [PredicateConstraint(
+                    lambda c: c["a"] + c["b"] >= 11 or c["kind"] == "z",
+                    parameter_names=("a", "b", "kind"),
+                )],
+            )
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        while len(expected) < n:
+            cfg = {p.name: p.sample(slow) for p in space.parameters}
+            if not feasible or space.is_feasible(cfg):
+                expected.append(cfg)
+        got = space.sample(fast, n, feasible_only=feasible)
+        assert got == expected
+        assert [[type(v) for v in c.values()] for c in got] == [
+            [type(v) for v in c.values()] for c in expected
+        ]
+        assert fast.integers(2**62) == slow.integers(2**62)
 
     def test_unsatisfiable_constraint_raises(self, small_space):
         impossible = small_space.with_constraints(
