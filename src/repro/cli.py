@@ -48,6 +48,13 @@ from .search import PAPER_ALGORITHM_NAMES
 __all__ = ["main", "build_parser"]
 
 
+def _chunk_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-study",
@@ -84,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor", choices=list(EXECUTOR_NAMES), default=None,
         help="transport backend for the experiments phase: serial "
-             "(inline, zero IPC), process (the classic pool), thread "
-             "(mmap-bound work), or socket (multi-node: a TCP "
+             "(inline, zero IPC), process (the classic pool), or socket "
+             "(multi-node: a TCP "
              "coordinator fed by `repro-worker connect HOST:PORT` "
              "processes); default: auto (serial for --workers 1, else "
              "process). Checkpoints are byte-identical across backends",
@@ -103,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
              "workers join elastically)",
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
+        "--chunk-size", type=_chunk_size, default=None, metavar="N",
         help="tasks per worker message (default: balanced automatic "
              "chunking; replication groups never split regardless)",
     )
@@ -123,13 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retries", type=int, default=0,
         help="per-cell retries (capped backoff) for transient errors",
-    )
-    parser.add_argument(
-        "--batch-replications", action="store_true",
-        help="execute same-cell replication groups through the batched "
-             "engine (shared setup + vectorized dataset work; Random "
-             "Search groups collapse to pure array reductions) — "
-             "bit-identical results, substantially faster studies",
     )
     parser.add_argument(
         "--adaptive", action="store_true",
@@ -315,7 +315,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             trace_dir=args.trace_dir,
             metrics=registry,
             landscape_cache=args.landscape_cache,
-            batch_replications=args.batch_replications,
             adaptive=adaptive,
             trace_level=args.trace_level,
             profile=args.profile or bool(args.profile_out),

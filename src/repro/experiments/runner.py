@@ -23,7 +23,8 @@ the group — and, for tuners implementing
 entire group into vectorized array work.  Results are bit-identical to
 :func:`run_experiment` per task: every replication keeps its own
 ``cell_key``-derived RNG streams, so nothing about grouping leaks into
-the numbers.
+the numbers.  The study dispatches every replication group through it;
+:func:`run_experiment` is the pool's per-task retry and fallback path.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ any scale:
    the non-SMBO sample source (Section VI-B),
 2. compute each landscape's true optimum by exhaustive scan (the
    denominator of "percentage of optimum"),
-3. fan every experiment out over a process pool with per-experiment
-   reproducible RNG streams,
+3. dispatch the experiments as replication groups (the batched engine
+   of :func:`~repro.experiments.runner.run_experiment_batch`) with
+   per-experiment reproducible RNG streams — the fixed design in one
+   round, the adaptive design in one round per look,
 4. gather everything into a :class:`~repro.experiments.results.StudyResults`.
 
 ``StudyConfig`` defaults to the paper's exact design; tests and benches
@@ -24,7 +26,16 @@ import math
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -116,18 +127,40 @@ def paper_study_config(workers: Optional[int] = None) -> StudyConfig:
     return StudyConfig(workers=workers)
 
 
+def _needs_data(config: StudyConfig) -> Dict[str, bool]:
+    """Which of the study's algorithms read pre-collected dataset rows."""
+    return {
+        alg: isinstance(
+            make_tuner(alg, **dict(config.overrides_for(alg))), DatasetTuner
+        )
+        for alg in config.algorithms
+    }
+
+
 def _needs_dataset(config: StudyConfig) -> bool:
-    return any(
-        isinstance(make_tuner(a, **dict(config.overrides_for(a))), DatasetTuner)
-        for a in config.algorithms
-    )
+    return any(_needs_data(config).values())
+
+
+#: One study cell: ``(algorithm, kernel, arch, sample_size, experiment)``.
+_Cell = Tuple[str, str, str, int, int]
+
+
+def _cell_key(cell: _Cell) -> str:
+    return "/".join(str(part) for part in cell)
+
+
+def _cells(config: StudyConfig) -> Iterator[_Cell]:
+    """Every cell of the fixed design, in study (task) order."""
+    for alg in config.algorithms:
+        for kname in config.kernels:
+            for aname in config.archs:
+                for size in config.design.sample_sizes:
+                    for exp in range(config.design.experiments_for(size)):
+                        yield alg, kname, aname, size, exp
 
 
 def _dataset_cells_covered(
-    config: StudyConfig,
-    fingerprints: Optional["_CellFingerprints"],
-    store_hits: Dict[str, object],
-    completed: Dict[str, object],
+    config: StudyConfig, covered: Dict[str, object]
 ) -> bool:
     """True when no dataset-driven cell still needs its dataset rows.
 
@@ -135,26 +168,12 @@ def _dataset_cells_covered(
     checkpoint already completed it; a fully-covered study skips the
     dataset collection pass entirely.
     """
-    if not store_hits and not completed:
-        return False
-    for alg in config.algorithms:
-        if fingerprints is not None:
-            needs = fingerprints.needs_data(alg)
-        else:
-            needs = isinstance(
-                make_tuner(alg, **dict(config.overrides_for(alg))),
-                DatasetTuner,
-            )
-        if not needs:
-            continue
-        for kname in config.kernels:
-            for aname in config.archs:
-                for size in config.design.sample_sizes:
-                    for exp in range(config.design.experiments_for(size)):
-                        key = f"{alg}/{kname}/{aname}/{size}/{exp}"
-                        if key not in store_hits and key not in completed:
-                            return False
-    return True
+    needs = _needs_data(config)
+    return bool(covered) and all(
+        _cell_key(cell) in covered
+        for cell in _cells(config)
+        if needs[cell[0]]
+    )
 
 
 class _CellFingerprints:
@@ -169,16 +188,7 @@ class _CellFingerprints:
     def __init__(self, config: StudyConfig) -> None:
         self._config = config
         self._landscape_fps: Dict[Tuple[str, str], str] = {}
-        self._needs_data = {
-            alg: isinstance(
-                make_tuner(alg, **dict(config.overrides_for(alg))),
-                DatasetTuner,
-            )
-            for alg in config.algorithms
-        }
-
-    def needs_data(self, alg: str) -> bool:
-        return self._needs_data[alg]
+        self._needs_data = _needs_data(config)
 
     def _landscape_fp(self, kname: str, aname: str) -> str:
         key = (kname, aname)
@@ -216,6 +226,24 @@ class _CellFingerprints:
             ),
         )
         return fingerprint_of(identity), identity
+
+    def lookup(
+        self, store: ResultStore, cells: Iterable[_Cell]
+    ) -> Tuple[Dict[str, object], Dict[str, Tuple[str, dict]]]:
+        """Look each cell up in ``store`` once.
+
+        Returns ``(hits, cell_ids)``: the cached results by cell key, and
+        every cell's ``(fingerprint, identity)`` for write-back.
+        """
+        hits: Dict[str, object] = {}
+        cell_ids: Dict[str, Tuple[str, dict]] = {}
+        for cell in cells:
+            key = _cell_key(cell)
+            fp, identity = cell_ids[key] = self.fingerprint_for(*cell)
+            cached = store.get_result(fp)
+            if cached is not None:
+                hits[key] = cached
+        return hits, cell_ids
 
 
 def _load_landscapes(
@@ -289,18 +317,15 @@ def _compute_optima(
 def _task_for(
     config: StudyConfig,
     datasets: Dict[Tuple[str, str], PrecollectedDataset],
-    alg: str,
     needs_data: bool,
-    kname: str,
-    aname: str,
-    size: int,
-    exp: int,
+    cell: _Cell,
     trace_dir: Optional[str] = None,
     landscape_cache: Optional[str] = None,
     trace_level: str = "events",
     span_parent: Optional[SpanContext] = None,
 ) -> ExperimentTask:
     """One cell's :class:`ExperimentTask`, dataset slice attached."""
+    alg, kname, aname, size, exp = cell
     flats = runtimes = None
     if needs_data:
         sl = datasets[(kname, aname)].slice_for(size, exp)
@@ -344,30 +369,145 @@ def build_tasks(
     at all.  Those tasks are placeholders for result assembly and are
     never dispatched.
     """
-    tasks: List[ExperimentTask] = []
-    for alg in config.algorithms:
-        tuner = make_tuner(alg, **dict(config.overrides_for(alg)))
-        needs_data = isinstance(tuner, DatasetTuner)
-        for kname in config.kernels:
-            for aname in config.archs:
-                for size in config.design.sample_sizes:
-                    n_exp = config.design.experiments_for(size)
-                    for exp in range(n_exp):
-                        cell_key = f"{alg}/{kname}/{aname}/{size}/{exp}"
-                        attach_data = needs_data and not (
-                            skip_data is not None and cell_key in skip_data
-                        )
-                        tasks.append(
-                            _task_for(
-                                config, datasets, alg, attach_data,
-                                kname, aname, size, exp,
-                                trace_dir=trace_dir,
-                                landscape_cache=landscape_cache,
-                                trace_level=trace_level,
-                                span_parent=span_parent,
-                            )
-                        )
-    return tasks
+    needs_data = _needs_data(config)
+    skip = skip_data or {}
+    return [
+        _task_for(
+            config, datasets,
+            needs_data[cell[0]] and _cell_key(cell) not in skip,
+            cell,
+            trace_dir=trace_dir,
+            landscape_cache=landscape_cache,
+            trace_level=trace_level,
+            span_parent=span_parent,
+        )
+        for cell in _cells(config)
+    ]
+
+
+@dataclass
+class _RoundEngine:
+    """Runs planned cells in rounds and keeps every cell's fate.
+
+    Both replication designs run through :meth:`run_round`: the fixed
+    design is one round over every cell, the adaptive design one round
+    per look.  A round resolves its cells in task order —
+    checkpoint-completed cells are replayed, result-store hits stream
+    into the checkpoint, and the rest dispatch as replication groups
+    through :meth:`~repro.parallel.ParallelMap.run_grouped`, whose
+    outcome hook writes checkpoint lines in input order.  Completed and
+    resumed cells the store did not answer are then written back to it.
+    """
+
+    pool: ParallelMap
+    telemetry: StudyTelemetry
+    ckpt: Optional[StudyCheckpoint]
+    store: Optional[ResultStore]
+    #: Cells the checkpoint had completed before this run started.
+    done: Dict[str, object]
+    results: Dict[str, object] = field(default_factory=dict)
+    failed: Dict[str, dict] = field(default_factory=dict)
+    resumed: int = 0
+    store_hits: int = 0
+
+    def run_round(
+        self,
+        tasks: List[ExperimentTask],
+        hits: Dict[str, object],
+        cell_ids: Dict[str, Tuple[str, dict]],
+    ) -> None:
+        """Resolve ``tasks``; ``hits`` and ``cell_ids`` come from
+        :meth:`_CellFingerprints.lookup` (empty without a store)."""
+        pending: List[ExperimentTask] = []
+        resumed = answered = 0
+        for task in tasks:
+            key = task.cell_key
+            if key in self.done:
+                self.results[key] = self.done[key]
+                resumed += 1
+            elif key in hits:
+                self.results[key] = hits[key]
+                answered += 1
+                if self.ckpt is not None:
+                    # A later resume then replays the hit without the
+                    # store.
+                    self.ckpt.record_result(key, hits[key])
+            else:
+                pending.append(task)
+        self.resumed += resumed
+        self.store_hits += answered
+        self.telemetry.add_tasks(len(pending))
+        self.telemetry.add_skipped(resumed + answered)
+        notes = []
+        if resumed:
+            notes.append(f"{resumed} cells already complete")
+        if answered:
+            notes.append(f"{answered} answered by the result store")
+        self.telemetry.line(
+            f"running {len(pending)} experiments on {self._fleet()}"
+            + (f" ({', '.join(notes)})" if notes else "")
+        )
+        self.pool.run_grouped(
+            run_experiment,
+            run_experiment_batch,
+            pending,
+            group_key=batch_group_key,
+            on_outcome=self._on_outcome,
+        )
+        if self.store is not None:
+            # Resumed cells are written back too, so resuming an old
+            # study migrates its results into the store for every later
+            # study and tune() request.
+            for task in tasks:
+                key = task.cell_key
+                if key in self.results and key not in hits:
+                    fp, identity = cell_ids[key]
+                    self.store.put_result(fp, self.results[key], identity)
+
+    def _fleet(self) -> str:
+        executor = self.pool.executor
+        if executor is None:
+            return f"{self.pool.workers} workers"
+        if executor.name == "socket":
+            return f"{executor.worker_count()} socket worker(s)"
+        return f"the {executor.name} executor"
+
+    def _on_outcome(self, outcome: TaskOutcome) -> None:
+        self.telemetry.task_finished(outcome.ok)
+        key = outcome.task.cell_key
+        if outcome.ok:
+            self.results[key] = outcome.result
+            if self.ckpt is not None:
+                self.ckpt.record_result(key, outcome.result)
+            return
+        self.failed[key] = {
+            "cell_key": key,
+            "error": repr(outcome.error),
+            "error_type": outcome.error_type,
+            "traceback": outcome.traceback,
+            "attempts": outcome.attempts,
+            # Which machine produced the final failed attempt (socket
+            # executor only) — metadata, never checkpoint bytes.
+            "node": outcome.node,
+        }
+        if self.ckpt is not None:
+            self.ckpt.record_failure(
+                key,
+                error=repr(outcome.error),
+                error_type=outcome.error_type,
+                traceback=outcome.traceback,
+            )
+
+    def collect(self, keys: Iterable[str]) -> Tuple[List[object], List[dict]]:
+        """Results and failed-cell records of ``keys``, in that order."""
+        results: List[object] = []
+        failed: List[dict] = []
+        for key in keys:
+            if key in self.results:
+                results.append(self.results[key])
+            elif key in self.failed:
+                failed.append(self.failed[key])
+        return results, failed
 
 
 @dataclass
@@ -383,7 +523,6 @@ class _AdaptiveGroup:
     kernel: str
     arch: str
     sample_size: int
-    needs_data: bool
     #: Cumulative replication counts at each look (ends at the ceiling).
     schedule: List[int]
     #: The fixed design's replication count (savings baseline).
@@ -432,27 +571,20 @@ class _AdaptiveGroup:
 def _run_adaptive(
     config: StudyConfig,
     adaptive: AdaptiveConfig,
+    engine: _RoundEngine,
     datasets: Dict[Tuple[str, str], PrecollectedDataset],
     optima: Dict[Tuple[str, str], float],
-    pool: ParallelMap,
-    ckpt: Optional[StudyCheckpoint],
-    telemetry: StudyTelemetry,
     registry: MetricsRegistry,
-    trace_dir: Optional[str],
-    landscape_cache: Optional[str],
-    batch_replications: bool,
-    trace_level: str = "events",
-    span_parent: Optional[SpanContext] = None,
-    store: Optional[ResultStore] = None,
-    fingerprints: Optional[_CellFingerprints] = None,
-) -> Tuple[List[object], List[dict], dict, int, int, int]:
+    fingerprints: Optional[_CellFingerprints],
+    task_opts: dict,
+) -> Tuple[List[str], dict]:
     """The adaptive sequential-replication loop.
 
-    Grows every replication group in rounds through the same pool
-    machinery as the fixed path; after each round, each still-active
-    group takes a *look*: an anytime-valid bootstrap CI on its median
-    percent-of-optimum at the alpha-spending-corrected per-look
-    confidence.  Groups stop at the CI target or at their ceiling.
+    Grows every replication group in rounds through ``engine``; after
+    each round, each still-active group takes a *look*: an
+    anytime-valid bootstrap CI on its median percent-of-optimum at the
+    alpha-spending-corrected per-look confidence.  Groups stop at the
+    CI target or at their ceiling.
 
     Determinism: each look's bootstrap RNG is a stream derived from the
     (group key, look index) pair — never from execution order, worker
@@ -460,27 +592,24 @@ def _run_adaptive(
     experiment order.  On resume, checkpointed stop decisions are
     replayed verbatim rather than re-derived.
 
-    When a result store is attached, every cell a group grows into is
-    looked up by its content fingerprint before dispatch: hits land
-    directly in the group's population (and the checkpoint), so whole
-    replication groups short-circuit when a previous study already
-    materialized them — the looks then re-derive the same stopping
-    decisions from the identical numbers.  Completed cells (dispatched
-    or checkpoint-resumed) are written back to the store.
+    When a result store is attached, each round's cells are looked up
+    by their content fingerprints before dispatch, so whole replication
+    groups short-circuit when a previous study already materialized
+    them — the looks then re-derive the same stopping decisions from
+    the identical numbers.
 
-    Returns ``(results, failed_cells, adaptive_metadata, total_cells,
-    resumed_cells, store_hits)``.
+    Returns ``(cell_keys, adaptive_metadata)``: the keys of every cell
+    the groups grew into, in study order.
     """
+    ckpt = engine.ckpt
+    trace_dir = task_opts["trace_dir"]
+    trace_level = task_opts["trace_level"]
+    span_parent = task_opts["span_parent"]
     rngs = RngFactory(config.root_seed)
     events_on = trace_dir is not None and trace_level in ("events", "full")
     spans_on = trace_dir is not None and trace_level in ("spans", "full")
     tracer = tracer_for_dir(trace_dir) if events_on else NULL_TRACER
-    needs_data = {
-        alg: isinstance(
-            make_tuner(alg, **dict(config.overrides_for(alg))), DatasetTuner
-        )
-        for alg in config.algorithms
-    }
+    needs_data = _needs_data(config)
 
     groups: List[_AdaptiveGroup] = []
     for alg in config.algorithms:
@@ -492,7 +621,6 @@ def _run_adaptive(
                         kernel=kname,
                         arch=aname,
                         sample_size=size,
-                        needs_data=needs_data[alg],
                         schedule=adaptive.replication_schedule(
                             config.design, size
                         ),
@@ -521,16 +649,7 @@ def _run_adaptive(
             {"budget_cells": sum(g.budget for g in groups)}
         )
 
-    done = dict(ckpt.completed) if ckpt is not None else {}
-    results_by_key: Dict[str, object] = {}
-    failed_by_key: Dict[str, dict] = {}
-    #: cell_key -> (fingerprint, identity) for store write-back.
-    cell_ids: Dict[str, Tuple[str, dict]] = {}
-    resumed = 0
-    store_hits = 0
-
-    telemetry.start_tasks(0, skipped=0)
-    telemetry.line(
+    engine.telemetry.line(
         f"adaptive replication: {len(groups)} groups, "
         + adaptive.describe()
         + (
@@ -540,21 +659,8 @@ def _run_adaptive(
         )
     )
 
-    def on_outcome(outcome: TaskOutcome) -> None:
-        telemetry.task_finished(outcome.ok)
-        if ckpt is not None:
-            if outcome.ok:
-                ckpt.record_result(outcome.task.cell_key, outcome.result)
-            else:
-                ckpt.record_failure(
-                    outcome.task.cell_key,
-                    error=repr(outcome.error),
-                    error_type=outcome.error_type,
-                    traceback=outcome.traceback,
-                )
-
     def count_stop(group: _AdaptiveGroup) -> None:
-        telemetry.group_stopped(group.budget - group.dispatched)
+        engine.telemetry.group_stopped(group.budget - group.dispatched)
         registry.counter(
             "adaptive_groups_stopped_total",
             "Adaptive replication groups stopped, by stop reason.",
@@ -586,77 +692,27 @@ def _run_adaptive(
         active = [g for g in groups if not g.stopped]
         if not active:
             break
-        pending: List[ExperimentTask] = []
+        cells: List[_Cell] = []
         for group in active:
             target = group.next_target()
-            for exp in range(group.dispatched, target):
-                task = _task_for(
-                    config, datasets, group.algorithm, group.needs_data,
-                    group.kernel, group.arch, group.sample_size, exp,
-                    trace_dir=trace_dir, landscape_cache=landscape_cache,
-                    trace_level=trace_level, span_parent=span_parent,
-                )
-                fp_id: Optional[Tuple[str, dict]] = None
-                if store is not None and fingerprints is not None:
-                    fp_id = fingerprints.fingerprint_for(
-                        group.algorithm, group.kernel, group.arch,
-                        group.sample_size, exp,
-                    )
-                    cell_ids[task.cell_key] = fp_id
-                if task.cell_key in done:
-                    result = done[task.cell_key]
-                    results_by_key[task.cell_key] = result
-                    resumed += 1
-                    telemetry.add_skipped(1)
-                    if fp_id is not None and store.get_result(
-                        fp_id[0]
-                    ) is None:
-                        # Migrate checkpoint-resumed cells into the store
-                        # so the next study hits cache without the file.
-                        store.put_result(fp_id[0], result, fp_id[1])
-                elif fp_id is not None and (
-                    hit := store.get_result(fp_id[0])
-                ) is not None:
-                    results_by_key[task.cell_key] = hit
-                    store_hits += 1
-                    telemetry.add_skipped(1)
-                    if ckpt is not None:
-                        ckpt.record_result(task.cell_key, hit)
-                else:
-                    pending.append(task)
+            cells.extend(
+                (group.algorithm, group.kernel, group.arch,
+                 group.sample_size, exp)
+                for exp in range(group.dispatched, target)
+            )
             group.dispatched = target
-        if pending:
-            telemetry.add_tasks(len(pending))
-            if batch_replications:
-                outcomes = pool.run_grouped(
-                    run_experiment,
-                    run_experiment_batch,
-                    pending,
-                    group_key=batch_group_key,
-                    on_outcome=on_outcome,
-                )
-            else:
-                outcomes = pool.run(
-                    run_experiment, pending, on_outcome=on_outcome
-                )
-            for outcome in outcomes:
-                if outcome.ok:
-                    results_by_key[outcome.task.cell_key] = outcome.result
-                    if store is not None:
-                        fp_id = cell_ids.get(outcome.task.cell_key)
-                        if fp_id is not None:
-                            store.put_result(
-                                fp_id[0], outcome.result, fp_id[1]
-                            )
-                else:
-                    failed_by_key[outcome.task.cell_key] = {
-                        "cell_key": outcome.task.cell_key,
-                        "error": repr(outcome.error),
-                        "error_type": outcome.error_type,
-                        "traceback": outcome.traceback,
-                        "attempts": outcome.attempts,
-                        "node": outcome.node,
-                    }
+        tasks = [
+            _task_for(
+                config, datasets, needs_data[cell[0]], cell, **task_opts
+            )
+            for cell in cells
+        ]
+        hits, cell_ids = (
+            fingerprints.lookup(engine.store, cells)
+            if fingerprints is not None
+            else ({}, {})
+        )
+        engine.run_round(tasks, hits, cell_ids)
         for group in active:
             if group.replay_target is not None:
                 # Stop decision made (and checkpointed) by the interrupted
@@ -681,7 +737,7 @@ def _run_adaptive(
                 percents = [
                     100.0 * optimum / result.final_runtime_ms
                     for result in (
-                        results_by_key.get(f"{group.key}/{exp}")
+                        engine.results.get(f"{group.key}/{exp}")
                         for exp in range(group.dispatched)
                     )
                     if result is not None
@@ -728,20 +784,10 @@ def _run_adaptive(
         "Replications the fixed design would have run but adaptive "
         "stopping skipped.",
     ).inc(float(saved))
-    telemetry.line(
+    engine.telemetry.line(
         f"adaptive replication: {executed}/{budget_total} replications "
         f"({saved} saved)"
     )
-
-    results: List[object] = []
-    failed_cells: List[dict] = []
-    for group in groups:
-        for exp in range(group.dispatched):
-            cell_key = f"{group.key}/{exp}"
-            if cell_key in results_by_key:
-                results.append(results_by_key[cell_key])
-            elif cell_key in failed_by_key:
-                failed_cells.append(failed_by_key[cell_key])
 
     meta = {
         "config": {
@@ -757,9 +803,10 @@ def _run_adaptive(
         "replications_saved": saved,
         "replications_budget": budget_total,
         "groups_replayed": replayed,
-        "store_hits": store_hits,
+        "store_hits": engine.store_hits,
     }
-    return results, failed_cells, meta, executed, resumed, store_hits
+    keys = [f"{g.key}/{exp}" for g in groups for exp in range(g.dispatched)]
+    return keys, meta
 
 
 def run_study(
@@ -772,7 +819,6 @@ def run_study(
     trace_dir: Optional[object] = None,
     metrics: Optional[MetricsRegistry] = None,
     landscape_cache: Optional[object] = None,
-    batch_replications: bool = False,
     adaptive: Optional[AdaptiveConfig] = None,
     trace_level: str = "events",
     profile: bool = False,
@@ -833,16 +879,6 @@ def run_study(
         files, sharing read-only pages.  Results are bit-identical with
         the cache on or off.  ``None`` with no environment override runs
         fully live.
-    batch_replications:
-        Dispatch same-cell replication groups through the batched
-        engine (:func:`~repro.experiments.runner.run_experiment_batch`
-        via :meth:`~repro.parallel.ParallelMap.run_grouped`): the group
-        shares kernel/space/landscape setup and one vectorized dataset
-        decode, and Random Search collapses each group into pure array
-        work.  Per-cell failure attribution, retries, checkpointing and
-        telemetry behave exactly as in the per-task path, and results
-        are bit-identical — each replication keeps its own
-        cell-key-derived RNG streams.  Off by default.
     adaptive:
         An :class:`~repro.experiments.design.AdaptiveConfig` switches
         replication from the fixed design to sequential stopping: each
@@ -880,7 +916,7 @@ def run_study(
         programmatic invocations).
     executor:
         Transport backend for the experiments phase: ``"serial"``,
-        ``"process"``, ``"thread"``, or ``"socket"`` (see
+        ``"process"``, or ``"socket"`` (see
         :mod:`repro.parallel.executors`).  ``None`` (default) keeps the
         historical auto-selection (inline for one worker, else a
         process pool).  ``"socket"`` starts a TCP coordinator and
@@ -1013,50 +1049,31 @@ def run_study(
         fingerprints = (
             _CellFingerprints(config) if store is not None else None
         )
-        #: cell_key -> cached ExperimentResult answered by the store.
-        store_hit_results: Dict[str, object] = {}
-        #: cell_key -> (fingerprint, identity) for write-back.
+        #: The fixed design's store pre-scan: cached results and every
+        #: cell's (fingerprint, identity) for write-back.
+        store_hits: Dict[str, object] = {}
         cell_ids: Dict[str, Tuple[str, dict]] = {}
-        if store is not None and adaptive is None:
+        if fingerprints is not None and adaptive is None:
             with study_phase("store"):
-                for alg in config.algorithms:
-                    for kname in config.kernels:
-                        for aname in config.archs:
-                            for size in config.design.sample_sizes:
-                                n_exp = config.design.experiments_for(size)
-                                for exp in range(n_exp):
-                                    key = (
-                                        f"{alg}/{kname}/{aname}/"
-                                        f"{size}/{exp}"
-                                    )
-                                    fp, ident = (
-                                        fingerprints.fingerprint_for(
-                                            alg, kname, aname, size, exp
-                                        )
-                                    )
-                                    cell_ids[key] = (fp, ident)
-                                    cached = store.get_result(fp)
-                                    if cached is not None:
-                                        store_hit_results[key] = cached
+                store_hits, cell_ids = fingerprints.lookup(
+                    store, _cells(config)
+                )
             telemetry.line(
                 f"result store {store.root}: "
-                f"{len(store_hit_results)}/{len(cell_ids)} cells warm "
+                f"{len(store_hits)}/{len(cell_ids)} cells warm "
                 f"in {telemetry.phase_seconds['store']:.1f}s"
             )
 
+        #: Cells with a materialized result (store and/or checkpoint):
+        #: never dispatched, so they never need their dataset rows.
+        covered: Dict[str, object] = dict(store_hits)
+        if ckpt is not None:
+            covered.update(ckpt.completed)
         datasets: Dict[Tuple[str, str], PrecollectedDataset] = {}
-        dataset_skipped = False
         if _needs_dataset(config):
-            if adaptive is None and _dataset_cells_covered(
-                config,
-                fingerprints,
-                store_hit_results,
-                ckpt.completed if ckpt is not None else {},
-            ):
-                # Every dataset-driven cell is already materialized
-                # (store and/or checkpoint) — the rows would never be
-                # read, so the whole collection pass is skipped.
-                dataset_skipped = True
+            if adaptive is None and _dataset_cells_covered(config, covered):
+                # The rows would never be read, so the whole collection
+                # pass is skipped.
                 telemetry.line(
                     "dataset collection skipped: every dataset-driven "
                     "cell is already materialized"
@@ -1124,167 +1141,40 @@ def run_study(
             executor=executor_obj,
         )
 
+        engine = _RoundEngine(
+            pool, telemetry, ckpt, store,
+            done=dict(ckpt.completed) if ckpt is not None else {},
+        )
+        task_opts = dict(
+            trace_dir=trace_dir_str,
+            landscape_cache=cache_dir,
+            trace_level=trace_level,
+            span_parent=exp_ctx,
+        )
         adaptive_meta: Optional[dict] = None
-        if adaptive is not None:
-            try:
-                with study_phase("experiments", span=exp_span):
-                    (
-                        results,
-                        failed_cells,
-                        adaptive_meta,
-                        total_cells,
-                        resumed,
-                        store_hit_count,
-                    ) = _run_adaptive(
-                        config, adaptive, datasets, optima, pool, ckpt,
-                        telemetry, registry, trace_dir_str, cache_dir,
-                        batch_replications,
-                        trace_level=trace_level, span_parent=exp_ctx,
-                        store=store, fingerprints=fingerprints,
+        telemetry.start_tasks(0)
+        try:
+            with study_phase("experiments", span=exp_span):
+                if adaptive is None:
+                    tasks = build_tasks(
+                        config, datasets, skip_data=covered, **task_opts
                     )
-            finally:
-                if ckpt is not None:
-                    ckpt.close()
-        else:
-            covered: Dict[str, object] = dict(store_hit_results)
-            if ckpt is not None:
-                covered.update(ckpt.completed)
-            tasks = build_tasks(
-                config,
-                datasets,
-                trace_dir=trace_dir_str,
-                landscape_cache=cache_dir,
-                trace_level=trace_level,
-                span_parent=exp_ctx,
-                # Only strip dataset payloads when the collection pass
-                # was skipped — covered cells are never dispatched, so
-                # their tasks are assembly placeholders either way.
-                skip_data=covered if dataset_skipped else None,
-            )
-            if ckpt is not None:
-                # The planned shape, for read-only watchers; written once
-                # per checkpoint file (no-op on resume).
-                ckpt.record_plan({"total_cells": len(tasks)})
-            done: Dict[str, object] = dict(ckpt.completed) if ckpt else {}
-            hits = {
-                k: v
-                for k, v in store_hit_results.items()
-                if k not in done
-            }
-            if ckpt is not None and hits:
-                # Store hits stream into the checkpoint in task order, so
-                # a later resume replays them without needing the store.
-                for task in tasks:
-                    if task.cell_key in hits:
-                        ckpt.record_result(
-                            task.cell_key, hits[task.cell_key]
-                        )
-            pending = [
-                t
-                for t in tasks
-                if t.cell_key not in done and t.cell_key not in hits
-            ]
-            telemetry.start_tasks(
-                len(pending), skipped=len(tasks) - len(pending)
-            )
-            if executor == "socket":
-                fleet = f"{executor_obj.worker_count()} socket worker(s)"
-            elif executor is not None:
-                fleet = f"the {executor} executor"
-            else:
-                fleet = f"{config.workers or 'all'} workers"
-            telemetry.line(
-                f"running {len(pending)} experiments on {fleet}"
-                + (
-                    f" ({len(hits)} answered by the result store)"
-                    if hits
-                    else ""
-                )
-            )
-
-            def on_outcome(outcome: TaskOutcome) -> None:
-                telemetry.task_finished(outcome.ok)
-                if ckpt is not None:
-                    if outcome.ok:
-                        ckpt.record_result(
-                            outcome.task.cell_key, outcome.result
-                        )
-                    else:
-                        ckpt.record_failure(
-                            outcome.task.cell_key,
-                            error=repr(outcome.error),
-                            error_type=outcome.error_type,
-                            traceback=outcome.traceback,
-                        )
-
-            try:
-                with study_phase("experiments", span=exp_span):
-                    if batch_replications:
-                        outcomes = pool.run_grouped(
-                            run_experiment,
-                            run_experiment_batch,
-                            pending,
-                            group_key=batch_group_key,
-                            on_outcome=on_outcome,
-                        )
-                    else:
-                        outcomes = pool.run(
-                            run_experiment, pending, on_outcome=on_outcome
-                        )
-            finally:
-                if ckpt is not None:
-                    ckpt.close()
-
-            by_key = {o.task.cell_key: o for o in outcomes}
-            results = []
-            failed_cells = []
-            for task in tasks:
-                if task.cell_key in done:
-                    results.append(done[task.cell_key])
-                    continue
-                if task.cell_key in hits:
-                    results.append(hits[task.cell_key])
-                    continue
-                outcome = by_key[task.cell_key]
-                if outcome.ok:
-                    results.append(outcome.result)
+                    if ckpt is not None:
+                        # The planned shape, for read-only watchers;
+                        # written once per checkpoint file (no-op on
+                        # resume).
+                        ckpt.record_plan({"total_cells": len(tasks)})
+                    engine.run_round(tasks, store_hits, cell_ids)
+                    keys = [task.cell_key for task in tasks]
                 else:
-                    failed_cells.append(
-                        {
-                            "cell_key": task.cell_key,
-                            "error": repr(outcome.error),
-                            "error_type": outcome.error_type,
-                            "traceback": outcome.traceback,
-                            "attempts": outcome.attempts,
-                            # Which machine produced the final failed
-                            # attempt (socket executor only) — metadata,
-                            # never checkpoint bytes.
-                            "node": outcome.node,
-                        }
+                    keys, adaptive_meta = _run_adaptive(
+                        config, adaptive, engine, datasets, optima,
+                        registry, fingerprints, task_opts,
                     )
-            if store is not None:
-                # Write back every completed cell the store has not yet
-                # materialized — including checkpoint-resumed cells, so
-                # resuming an old study migrates its results into the
-                # store for every later study and tune() request.
-                stored = set(store_hit_results)
-                for task in tasks:
-                    key = task.cell_key
-                    if key in stored:
-                        continue
-                    fp_id = cell_ids.get(key)
-                    if fp_id is None:
-                        continue
-                    cell_result = done.get(key)
-                    if cell_result is None:
-                        outcome = by_key.get(key)
-                        if outcome is None or not outcome.ok:
-                            continue
-                        cell_result = outcome.result
-                    store.put_result(fp_id[0], cell_result, fp_id[1])
-            total_cells = len(tasks)
-            resumed = sum(1 for t in tasks if t.cell_key in done)
-            store_hit_count = len(hits)
+        finally:
+            if ckpt is not None:
+                ckpt.close()
+        results, failed_cells = engine.collect(keys)
     if failed_cells:
         telemetry.line(
             f"{len(failed_cells)} cells failed: "
@@ -1314,12 +1204,11 @@ def run_study(
         "image": [config.image_x, config.image_y],
         "root_seed": config.root_seed,
         "final_repeats": config.final_repeats,
-        "total_experiments": total_cells,
+        "total_experiments": len(keys),
         "failed_cells": failed_cells,
-        "resumed_from_checkpoint": resumed,
+        "resumed_from_checkpoint": engine.resumed,
         "failure_policy": failure_policy,
         "executor": executor,
-        "batch_replications": batch_replications,
         "adaptive": adaptive_meta,
         "telemetry": telemetry.snapshot(),
         "metrics": registry.to_json(),
@@ -1327,7 +1216,7 @@ def run_study(
         "trace_level": trace_level if trace_dir is not None else None,
         "landscape_cache": cache_dir,
         "result_store": store_dir,
-        "store_hits": store_hit_count,
+        "store_hits": engine.store_hits,
     }
     if profiler is not None:
         metadata["profile"] = profiler.snapshot()

@@ -98,16 +98,17 @@ class StudyTelemetry:
             )
 
     def add_tasks(self, n: int) -> None:
-        """Grow the experiment total mid-run.
+        """Grow the experiment total by one round's dispatch.
 
-        Adaptive replication dispatches cells in rounds, so the final
-        task count is only known as stopping decisions accumulate; each
-        round's dispatch is added here instead of being fixed up front.
+        Studies dispatch cells in rounds (one for the fixed design, one
+        per look for adaptive replication), so the total is only known
+        as rounds are planned rather than fixed up front.
         """
         self.total += int(n)
 
     def add_skipped(self, n: int) -> None:
-        """Count cells satisfied by a checkpoint during adaptive rounds."""
+        """Count cells a round satisfied from the checkpoint or the
+        result store."""
         self.skipped += int(n)
 
     def group_stopped(self, saved: int) -> None:

@@ -175,7 +175,6 @@ def build_manifest(
             # Boolean, not the path: store directories differ across
             # machines while the results they produce do not.
             "result_store_used": meta.get("result_store") is not None,
-            "batch_replications": meta.get("batch_replications"),
             "adaptive": (
                 dict(adaptive_meta.get("config") or {})
                 if adaptive_meta

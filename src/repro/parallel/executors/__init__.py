@@ -1,10 +1,9 @@
 """Pluggable executor backends for :class:`~repro.parallel.ParallelMap`.
 
-One factory, four transports::
+One factory, three transports::
 
     make_executor("serial")                  # inline, zero IPC
     make_executor("process", workers=8)      # the classic process pool
-    make_executor("thread", workers=8)       # mmap-bound NumPy work
     make_executor("socket", bind="0.0.0.0:7071")  # multi-node
 
 See :mod:`repro.parallel.executors.base` for the protocol and
@@ -17,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .base import ExecutionSettings, Executor, UnitResult, WorkUnit
-from .process import ProcessExecutor, ThreadExecutor
+from .process import ProcessExecutor
 from .serial import SerialExecutor
 from .socket import SocketExecutor
 
@@ -30,12 +29,11 @@ __all__ = [
     "UnitResult",
     "SerialExecutor",
     "ProcessExecutor",
-    "ThreadExecutor",
     "SocketExecutor",
 ]
 
 #: Factory-recognized backend names, in cost order.
-EXECUTOR_NAMES = ("serial", "process", "thread", "socket")
+EXECUTOR_NAMES = ("serial", "process", "socket")
 
 
 def make_executor(
@@ -46,7 +44,7 @@ def make_executor(
 ) -> Executor:
     """Build a backend by name.
 
-    ``workers`` sizes the process/thread pools (``None`` = CPU count,
+    ``workers`` sizes the process pool (``None`` = CPU count,
     affinity-aware); ``bind`` and ``on_event`` apply to the socket
     coordinator only.
     """
@@ -54,8 +52,6 @@ def make_executor(
         return SerialExecutor()
     if name == "process":
         return ProcessExecutor(workers)
-    if name == "thread":
-        return ThreadExecutor(workers)
     if name == "socket":
         return SocketExecutor(
             bind=bind or "127.0.0.1:0", on_event=on_event

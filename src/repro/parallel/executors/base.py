@@ -5,12 +5,10 @@ chunking, grouping, retries, failure policy, metrics, and the in-input-
 order delivery of outcomes that checkpoint byte-identity rests on.  An
 :class:`Executor` owns only *transport*: ship a picklable
 :class:`WorkUnit` somewhere, run its entry point, stream a
-:class:`UnitResult` back.  Four backends implement the seam:
+:class:`UnitResult` back.  Three backends implement the seam:
 
 * ``serial`` — inline in the caller, zero IPC (``inline = True``),
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`,
-* ``thread`` — a thread pool, for mmap-bound NumPy work that releases
-  the GIL,
 * ``socket`` — a TCP coordinator feeding ``repro-worker`` processes on
   any number of machines.
 

@@ -1,37 +1,28 @@
-"""Single-host pool executors: process (the classic) and thread.
+"""Single-host process-pool executor.
 
 :class:`ProcessExecutor` is the historical ``ParallelMap`` behavior
 refactored onto the :class:`~repro.parallel.executors.base.Executor`
 seam: one :class:`concurrent.futures.ProcessPoolExecutor` per dispatch,
 units pickled across the fork/spawn boundary, results yielded in
-completion order.  :class:`ThreadExecutor` swaps in a thread pool for
-workloads dominated by mmap-backed NumPy fancy-indexing (landscape-table
-scans), where the heavy loops release the GIL and process spin-up plus
-task pickling is the larger cost.
+completion order.
 """
 
 from __future__ import annotations
 
 import traceback as _traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Iterable, Iterator, Optional
 
 from ..pool import default_worker_count
 from .base import Executor, UnitResult, WorkUnit
 
-__all__ = ["ProcessExecutor", "ThreadExecutor"]
+__all__ = ["ProcessExecutor"]
 
 
 class ProcessExecutor(Executor):
     """Ship units to a per-dispatch :class:`ProcessPoolExecutor`."""
 
     name = "process"
-    _pool_factory = ProcessPoolExecutor
 
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = (
@@ -43,7 +34,7 @@ class ProcessExecutor(Executor):
 
     def submit(self, units: Iterable[WorkUnit]) -> Iterator[UnitResult]:
         units = list(units)
-        with self._pool_factory(max_workers=self.workers) as pool:
+        with ProcessPoolExecutor(max_workers=self.workers) as pool:
             by_future = {
                 pool.submit(unit.entry, *unit.payload): unit
                 for unit in units
@@ -77,9 +68,3 @@ class ProcessExecutor(Executor):
                 for fut in pending:
                     fut.cancel()
 
-
-class ThreadExecutor(ProcessExecutor):
-    """Same dispatch over an in-process thread pool (no pickling)."""
-
-    name = "thread"
-    _pool_factory = ThreadPoolExecutor

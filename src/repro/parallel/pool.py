@@ -21,8 +21,7 @@ parallelizes trivially.  :class:`ParallelMap` is the *policy* layer:
 
 *Transport* is delegated to a pluggable
 :class:`~repro.parallel.executors.Executor` backend — ``serial``
-(inline, zero IPC), ``process`` (the classic pool), ``thread``
-(mmap-bound NumPy work that releases the GIL), or ``socket``
+(inline, zero IPC), ``process`` (the classic pool), or ``socket``
 (multi-node via ``repro-worker``).  With no explicit backend the pool
 auto-selects: inline for ``workers == 1`` or a single task, otherwise
 the process pool — the historical behavior.
@@ -408,7 +407,7 @@ class ParallelMap:
     executor:
         Transport backend: an :class:`~repro.parallel.executors.Executor`
         instance, a factory name (``"serial"``, ``"process"``,
-        ``"thread"``, ``"socket"``), or ``None`` (default) for the
+        ``"socket"``), or ``None`` (default) for the
         historical auto-selection — inline execution when ``workers ==
         1`` or there is a single task, otherwise a process pool.  A
         passed-in instance is *not* closed by the pool (the caller owns
@@ -416,7 +415,8 @@ class ParallelMap:
         name-built and auto-selected backends are per-dispatch and
         closed by the pool.
     chunk_size:
-        Tasks per worker message.  ``None`` -> balanced chunks (about 4
+        Tasks per worker message (``None`` or at least 1).  ``None`` ->
+        balanced chunks (about 4
         chunks per unit of executor parallelism); grouped dispatch
         additionally floors the target by the largest batch so no
         replication group ever splits across messages.
@@ -466,6 +466,10 @@ class ParallelMap:
             raise ValueError(
                 f"failure_policy must be 'fail_fast' or 'collect', "
                 f"got {failure_policy!r}"
+            )
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(
+                f"chunk_size must be None or >= 1, got {chunk_size!r}"
             )
         self.workers = default_worker_count() if workers is None else max(1, workers)
         self.executor = executor

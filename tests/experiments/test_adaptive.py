@@ -188,23 +188,6 @@ class TestAdaptiveStudy:
         assert a.results == b.results
         assert a.metadata["adaptive"] == b.metadata["adaptive"]
 
-    def test_batched_dispatch_is_bit_identical(self, tmp_path):
-        cache = tmp_path / "cache"
-        sequential = run_study(
-            smoke_config(), landscape_cache=cache, adaptive=loose()
-        )
-        clear_optimum_cache()
-        batched = run_study(
-            smoke_config(),
-            landscape_cache=cache,
-            adaptive=loose(),
-            batch_replications=True,
-        )
-        assert sequential.results == batched.results
-        assert (
-            sequential.metadata["adaptive"] == batched.metadata["adaptive"]
-        )
-
     def test_smbo_tuner_supported(self, tmp_path):
         # Live (non-dataset) tuners go through the same loop; their cells
         # carry no dataset slice.

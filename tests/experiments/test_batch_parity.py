@@ -1,14 +1,15 @@
-"""Batched replication engine vs per-task execution: bit-identity.
+"""``run_study`` against its reference: a plain per-task loop.
 
-The batched engine's whole contract mirrors the landscape-table one:
-``batch_replications=True`` may share setup and vectorize across a
-replication group, but every replication keeps its own cell-key-derived
-RNG streams — so results, checkpoints, and traces must be *identical* to
-the per-task path, not merely statistically equivalent.
+``run_study`` always dispatches replication groups through the batched
+engine, which may share setup and vectorize across a group — but every
+replication keeps its own cell-key-derived RNG streams.  So results,
+checkpoint bytes and traces must be *identical* to the simplest possible
+study: ``run_experiment`` called on each task of ``build_tasks`` in
+order, not merely statistically equivalent.
 
 Wall-clock timing sums in ``ExperimentResult.metrics`` are the one
-legitimately nondeterministic checkpoint payload, so ``time.perf_counter``
-is pinned for the byte-level comparisons (serial runs, so the pin covers
+legitimately nondeterministic result payload, so ``time.perf_counter``
+is pinned for the trace comparison (serial runs, so the pin covers
 every cell).
 """
 
@@ -25,6 +26,7 @@ from repro.experiments.runner import (
     run_experiment,
     run_experiment_batch,
 )
+from repro.experiments.checkpoint import StudyCheckpoint
 from repro.experiments.study import build_tasks, _collect_datasets
 from repro.gpu.landscape import LANDSCAPE_CACHE_ENV, clear_landscape_memo
 from repro.parallel import TaskFailure
@@ -63,20 +65,35 @@ def smoke_config(**kwargs):
     return StudyConfig(**defaults)
 
 
+def reference_results(config, cache=None, trace_dir=None):
+    """The per-task reference: ``run_experiment`` over ``build_tasks``."""
+    tasks = build_tasks(
+        config,
+        _collect_datasets(config),
+        trace_dir=str(trace_dir) if trace_dir is not None else None,
+        landscape_cache=str(cache) if cache is not None else None,
+    )
+    return tasks, [run_experiment(task) for task in tasks]
+
+
+def reference_checkpoint(config, path, cache=None):
+    """The checkpoint a plain loop writes: plan, then cells in order."""
+    tasks, results = reference_results(config, cache)
+    with StudyCheckpoint(path, root_seed=config.root_seed) as ckpt:
+        ckpt.record_plan({"total_cells": len(tasks)})
+        for task, result in zip(tasks, results):
+            ckpt.record_result(task.cell_key, result)
+    return path.read_bytes()
+
+
 class TestStudyParity:
     def test_all_paper_tuners_identical_with_tables(self, tmp_path):
         config = smoke_config()
         cache = tmp_path / "cache"
-        sequential = run_study(config, landscape_cache=cache)
-        clear_optimum_cache()
-        batched = run_study(
-            config, landscape_cache=cache, batch_replications=True
-        )
-        assert batched.metadata["batch_replications"] is True
-        assert sequential.metadata["batch_replications"] is False
-        assert sequential.results == batched.results
-        assert sequential.optima == batched.optima
-        for a, b in zip(sequential.results, batched.results):
+        study = run_study(config, landscape_cache=cache)
+        _, reference = reference_results(config, cache)
+        assert study.results == reference
+        for a, b in zip(study.results, reference):
             assert a.final_runtime_ms == b.final_runtime_ms
             assert a.observed_best_ms == b.observed_best_ms
             assert a.best_flat == b.best_flat
@@ -88,74 +105,47 @@ class TestStudyParity:
         config = smoke_config(
             algorithms=("random_search", "random_forest", "bo_tpe")
         )
-        sequential = run_study(config, compute_optima=False)
-        batched = run_study(
-            config, compute_optima=False, batch_replications=True
-        )
-        assert sequential.results == batched.results
+        study = run_study(config, compute_optima=False)
+        assert study.results == reference_results(config)[1]
 
     def test_workers_do_not_change_results(self, tmp_path):
-        config = smoke_config()
         cache = tmp_path / "cache"
-        serial = run_study(
-            config, landscape_cache=cache, batch_replications=True
-        )
-        clear_optimum_cache()
-        parallel = run_study(
-            smoke_config(workers=2),
-            landscape_cache=cache,
-            batch_replications=True,
-        )
-        assert serial.results == parallel.results
+        parallel = run_study(smoke_config(workers=2), landscape_cache=cache)
+        assert parallel.results == reference_results(smoke_config(), cache)[1]
 
     def test_checkpoints_byte_identical_including_mid_group_resume(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
-        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
         config = smoke_config()
         cache = tmp_path / "cache"
-
-        seq_ckpt = tmp_path / "sequential.jsonl"
-        run_study(config, checkpoint=seq_ckpt, landscape_cache=cache)
-        clear_optimum_cache()
-
-        batch_ckpt = tmp_path / "batched.jsonl"
-        run_study(
-            config,
-            checkpoint=batch_ckpt,
-            landscape_cache=cache,
-            batch_replications=True,
+        reference = reference_checkpoint(
+            config, tmp_path / "reference.jsonl", cache
         )
-        assert seq_ckpt.read_bytes() == batch_ckpt.read_bytes()
 
-        # Cell metrics survive the batched path byte-for-byte too.
-        for line in seq_ckpt.read_text().splitlines():
+        study_ckpt = tmp_path / "study.jsonl"
+        run_study(config, checkpoint=study_ckpt, landscape_cache=cache)
+        assert study_ckpt.read_bytes() == reference
+
+        # Cell metrics survive the grouped path byte-for-byte too.
+        for line in reference.decode().splitlines():
             record = json.loads(line)
             if record.get("kind") == "result":
                 assert "metrics" in record["data"]
 
         # Resume mid-group: truncate inside the first replication group
-        # (3 RS experiments form one batch) and finish with the batched
-        # engine — same results, same set of checkpoint lines.
+        # (3 RS experiments form one batch) — same results, same bytes.
         clear_optimum_cache()
-        lines = batch_ckpt.read_bytes().splitlines(keepends=True)
+        lines = reference.splitlines(keepends=True)
         assert len(lines) > 2
         resumed_ckpt = tmp_path / "resumed.jsonl"
         # Header + plan line + first completed cell.
         resumed_ckpt.write_bytes(b"".join(lines[:3]))
         resumed = run_study(
-            config,
-            checkpoint=resumed_ckpt,
-            landscape_cache=cache,
-            batch_replications=True,
+            config, checkpoint=resumed_ckpt, landscape_cache=cache
         )
         assert resumed.metadata["resumed_from_checkpoint"] == 1
-        clear_optimum_cache()
-        full = run_study(config, landscape_cache=cache)
-        assert resumed.results == full.results
-        assert sorted(resumed_ckpt.read_bytes().splitlines()) == sorted(
-            batch_ckpt.read_bytes().splitlines()
-        )
+        assert resumed.results == reference_results(config, cache)[1]
+        assert resumed_ckpt.read_bytes() == reference
 
     def test_traces_identical(self, tmp_path, monkeypatch):
         monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
@@ -176,25 +166,19 @@ class TestStudyParity:
                     events.append(doc)
             return events
 
-        seq_dir = tmp_path / "seq-traces"
-        run_study(
+        ref_dir = tmp_path / "reference-traces"
+        reference_results(config, cache, trace_dir=ref_dir)
+        study_dir = tmp_path / "study-traces"
+        study = run_study(
             config,
             compute_optima=False,
             landscape_cache=cache,
-            trace_dir=seq_dir,
+            trace_dir=study_dir,
         )
-        batch_dir = tmp_path / "batch-traces"
-        batched = run_study(
-            config,
-            compute_optima=False,
-            landscape_cache=cache,
-            trace_dir=batch_dir,
-            batch_replications=True,
-        )
-        assert batched.metadata["trace_dir"] == str(batch_dir)
-        seq_events = trace_events(seq_dir)
-        assert seq_events  # the study actually traced something
-        assert seq_events == trace_events(batch_dir)
+        assert study.metadata["trace_dir"] == str(study_dir)
+        ref_events = trace_events(ref_dir)
+        assert ref_events  # the reference actually traced something
+        assert ref_events == trace_events(study_dir)
 
 
 class TestFailuresUnderBatchedDispatch:
@@ -210,20 +194,17 @@ class TestFailuresUnderBatchedDispatch:
             compute_optima=False,
             failure_policy="collect",
             landscape_cache=cache,
-            batch_replications=True,
         )
         failed = results.failed_cells
         assert [f["cell_key"] for f in failed] == [bad_cell]
         assert failed[0]["error_type"] == "InjectedFailure"
         # The two sibling replications of the same batch completed, and
-        # their payloads match an unpoisoned sequential run exactly.
+        # their payloads match the unpoisoned per-task reference exactly.
         assert len(results.results) == 2
-        clear_optimum_cache()
         monkeypatch.delenv(FAIL_CELLS_ENV)
-        clean = run_study(
-            config, compute_optima=False, landscape_cache=cache
-        )
-        by_exp = {r.experiment: r for r in clean.results}
+        by_exp = {
+            r.experiment: r for r in reference_results(config, cache)[1]
+        }
         for r in results.results:
             assert r == by_exp[r.experiment]
 
@@ -238,7 +219,6 @@ class TestFailuresUnderBatchedDispatch:
             compute_optima=False,
             failure_policy="collect",
             landscape_cache=tmp_path / "cache",
-            batch_replications=True,
         )
         assert [f["cell_key"] for f in results.failed_cells] == [bad_cell]
         assert {r.experiment for r in results.results} == {1, 2}
@@ -254,7 +234,6 @@ class TestFailuresUnderBatchedDispatch:
                 config,
                 compute_optima=False,
                 landscape_cache=tmp_path / "cache",
-                batch_replications=True,
             )
         assert err.value.task.cell_key == bad_cell
 

@@ -78,28 +78,21 @@ def exploding_batch(tasks):
 
 class TestStudyMetricsMerge:
     def test_grouped_study_merges_identically_to_per_task(self, tmp_path):
-        cache = tmp_path / "cache"
-        # Warm the landscape cache first so neither measured run pays
-        # the one-off table-build simulator pass in its parent counters.
-        run_study(_config(), landscape_cache=cache)
-        clear_optimum_cache()
-        per_task = MetricsRegistry()
-        run_study(
-            _config(), metrics=per_task, landscape_cache=cache
+        config = _config()
+        per_task = _merge_outcomes(
+            ParallelMap(workers=2).run(
+                run_experiment, _tasks(config, tmp_path)
+            )
         )
-        clear_optimum_cache()
-        grouped = MetricsRegistry()
-        run_study(
-            _config(),
-            metrics=grouped,
-            landscape_cache=cache,
-            batch_replications=True,
-        )
-        assert _counts(per_task.flat_counters()) == _counts(
-            grouped.flat_counters()
-        )
+        study = MetricsRegistry()
+        run_study(config, metrics=study, landscape_cache=tmp_path / "cache")
+        counters = _counts(study.flat_counters())
+        # The study adds only its own pool bookkeeping on top of the
+        # cells' counters.
+        assert counters.pop("pool_tasks_total") == 6
+        assert counters == per_task
         # And the merge actually saw worker-side counters.
-        assert per_task.flat_counters()["evaluations_total"] > 0
+        assert per_task["evaluations_total"] > 0
 
 
 class TestPoolMetricsMerge:

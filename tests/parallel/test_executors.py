@@ -27,7 +27,6 @@ from repro.parallel.executors import (
     ProcessExecutor,
     SerialExecutor,
     SocketExecutor,
-    ThreadExecutor,
 )
 from repro.parallel.executors.socket import parse_bind
 from repro.parallel.executors.wire import (
@@ -172,12 +171,10 @@ class TestWire:
 
 class TestFactory:
     def test_known_names(self):
-        assert EXECUTOR_NAMES == ("serial", "process", "thread", "socket")
+        assert EXECUTOR_NAMES == ("serial", "process", "socket")
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("process", workers=2),
                           ProcessExecutor)
-        assert isinstance(make_executor("thread", workers=2),
-                          ThreadExecutor)
         sock = make_executor("socket")
         try:
             assert isinstance(sock, SocketExecutor)
@@ -187,6 +184,8 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("carrier-pigeon")
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor("thread")
 
     def test_parse_bind(self):
         assert parse_bind("0.0.0.0:7071") == ("0.0.0.0", 7071)
@@ -195,7 +194,7 @@ class TestFactory:
 
 
 class TestCrossBackendParity:
-    """One task list, four transports, identical outcomes."""
+    """One task list, three transports, identical outcomes."""
 
     TASKS = list(range(13))
 
@@ -212,16 +211,12 @@ class TestCrossBackendParity:
             ParallelMap(executor=SerialExecutor())
         )
         assert [o.index for o in ref_seen] == list(range(len(self.TASKS)))
-        for pool in (
-            ParallelMap(workers=2, executor="process"),
-            ParallelMap(workers=2, executor="thread"),
-        ):
-            outcomes, seen = self._outcomes(pool)
-            assert self._key(outcomes) == self._key(reference)
-            # hooks fire in input order on every backend
-            assert [o.index for o in seen] == [
-                o.index for o in ref_seen
-            ]
+        outcomes, seen = self._outcomes(
+            ParallelMap(workers=2, executor="process")
+        )
+        assert self._key(outcomes) == self._key(reference)
+        # hooks fire in input order on every backend
+        assert [o.index for o in seen] == [o.index for o in ref_seen]
         with socket_pool(workers=2) as pool:
             outcomes, seen = self._outcomes(pool)
             assert self._key(outcomes) == self._key(reference)
@@ -235,10 +230,8 @@ class TestCrossBackendParity:
             )
 
         reference = run(ParallelMap(executor=SerialExecutor()))
-        for pool in (
-            ParallelMap(workers=2, executor="process"),
-            ParallelMap(workers=3, executor="thread"),
-        ):
+        for workers in (2, 3):
+            pool = ParallelMap(workers=workers, executor="process")
             assert self._key(run(pool)) == self._key(reference)
 
     def test_grouped_socket_agrees(self):
@@ -257,7 +250,7 @@ class TestCrossBackendParity:
         for pool in (
             ParallelMap(executor="serial"),
             ParallelMap(workers=2, chunk_size=4, executor="process"),
-            ParallelMap(workers=2, chunk_size=2, executor="thread"),
+            ParallelMap(workers=2, chunk_size=2, executor="process"),
         ):
             with pytest.raises(TaskError) as err:
                 pool.map(failing, list(range(8)))

@@ -135,6 +135,16 @@ class TestCollectPolicy:
         with pytest.raises(ValueError):
             ParallelMap(failure_policy="ignore")
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_rejected(self, chunk_size):
+        # range(0, n, -1) is empty: a negative chunk used to drop every
+        # task silently instead of failing.
+        with pytest.raises(ValueError, match="chunk_size"):
+            ParallelMap(workers=2, chunk_size=chunk_size)
+        assert ParallelMap(workers=2, chunk_size=1).map(
+            square, [1, 2, 3]
+        ) == [1, 4, 9]
+
 
 class TestRetry:
     def test_serial_retry_transient(self, tmp_path):

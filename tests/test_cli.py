@@ -23,6 +23,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--algorithms", "hill_climbing"])
 
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_rejects_bad_chunk_size(self, value, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--chunk-size", value])
+        assert "--chunk-size" in capsys.readouterr().err
+        assert build_parser().parse_args(["--chunk-size", "3"]).chunk_size == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--batch-replications"], ["--executor", "thread"]],
+    )
+    def test_removed_options_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestMain:
     def test_tiny_run_end_to_end(self, tmp_path, capsys):
