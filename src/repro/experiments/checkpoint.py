@@ -57,7 +57,6 @@ instead.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -227,22 +226,14 @@ class StudyCheckpoint:
         self._fh.flush()
 
     def record_result(self, cell_key: str, result: ExperimentResult) -> None:
-        data = asdict(result)
-        metrics = data.get("metrics")
-        if isinstance(metrics, dict):
-            # Wall-clock histogram sums (evaluate_seconds_sum, model fit
-            # timings, …) vary run to run and backend to backend; the
-            # checkpoint keeps only deterministic metrics so the file is
-            # byte-identical across executors, worker counts, and
-            # machines.  The timing observability of *this* run still
-            # reaches the study registry through the in-memory result.
-            data["metrics"] = {
-                k: v
-                for k, v in metrics.items()
-                if not k.endswith("_seconds_sum")
-            }
+        # The line leaves out wall-clock sums; this run's timings still
+        # reach the study registry through the in-memory result.
         self._write_line(
-            {"kind": "result", "cell_key": cell_key, "data": data}
+            {
+                "kind": "result",
+                "cell_key": cell_key,
+                "data": result.to_durable_dict(),
+            }
         )
         self.completed[cell_key] = result
 

@@ -5,8 +5,9 @@ optimum* each algorithm reaches.  On real hardware the study optimum is
 the best configuration any run ever found; with the deterministic
 simulator we can do better and compute the *true* noise-free optimum of
 every (kernel, architecture) landscape by scanning all 2,097,152
-configurations — vectorized in chunks so the whole scan is a handful of
-NumPy passes.
+configurations — vectorized in blocks of
+:data:`~repro.gpu.landscape.BLOCK_ROWS` rows, small enough that each
+block's temporaries stay in cache.
 
 With a precomputed :class:`~repro.gpu.landscape.LandscapeTable` the scan
 collapses to an argmin over the table (plus the feasibility mask), so one
@@ -30,8 +31,10 @@ import numpy as np
 
 from ..gpu.arch import GpuArchitecture
 from ..gpu.landscape import (
+    BLOCK_ROWS,
     LandscapeTable,
     _space_descriptor,
+    check_block_rows,
     landscape_fingerprint,
 )
 from ..gpu.simulator import simulate_runtimes
@@ -83,7 +86,7 @@ def find_true_optimum(
     arch: GpuArchitecture,
     space: SearchSpace,
     feasible_only: bool = True,
-    chunk_size: int = 1 << 18,
+    chunk_size: int = BLOCK_ROWS,
     use_cache: bool = True,
     table: Optional[LandscapeTable] = None,
 ) -> OptimumResult:
@@ -96,8 +99,11 @@ def find_true_optimum(
 
     With ``table`` (a precomputed landscape for this exact profile, arch
     and space), runtimes come from the table instead of the simulator:
-    the scan becomes a chunked argmin, bit-identical to the live scan.
+    the scan becomes a blocked argmin over slices of the table,
+    bit-identical to the live scan.  The scan keeps the first minimum, so
+    the result does not depend on ``chunk_size``.
     """
+    chunk_size = check_block_rows(chunk_size)
     key = _cache_key(profile, arch, space, feasible_only)
     if use_cache and key in _CACHE:
         return _CACHE[key]
@@ -112,14 +118,12 @@ def find_true_optimum(
     best_flat = -1
     total = space.size
     apply_mask = feasible_only and len(space.constraints) > 0
-    mask = _space_feasible_mask(space, chunk_size) if apply_mask else None
+    mask = _space_feasible_mask(space) if apply_mask else None
     considered = int(np.count_nonzero(mask)) if mask is not None else total
     for start in range(0, total, chunk_size):
         stop = min(start + chunk_size, total)
         if table is not None:
-            runtimes = table.runtimes_at(
-                np.arange(start, stop, dtype=np.int64)
-            )
+            runtimes = table.runtime_ms[start:stop]
         else:
             idx = space.flats_to_index_matrix(
                 np.arange(start, stop, dtype=np.int64)
@@ -149,9 +153,7 @@ def find_true_optimum(
     return out
 
 
-def _space_feasible_mask(
-    space: SearchSpace, chunk_size: int
-) -> np.ndarray:
+def _space_feasible_mask(space: SearchSpace) -> np.ndarray:
     """The full-space feasibility mask, computed once per space value.
 
     Feasibility depends only on the space's parameters and constraints —
@@ -165,8 +167,8 @@ def _space_feasible_mask(
     mask = _MASK_CACHE.get(key)
     if mask is None:
         mask = np.empty(space.size, dtype=bool)
-        for start in range(0, space.size, chunk_size):
-            stop = min(start + chunk_size, space.size)
+        for start in range(0, space.size, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, space.size)
             mask[start:stop] = space.feasible_mask(
                 np.arange(start, stop, dtype=np.int64)
             )

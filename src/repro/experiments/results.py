@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -59,6 +59,35 @@ class ExperimentResult:
     #: and observability metadata must not affect result identity (the
     #: checkpoint-resume bit-identical contract).
     metrics: Dict[str, float] = field(default_factory=dict, compare=False)
+
+    def to_dict(self) -> dict:
+        """Shallow ``{field: value}`` view of this result.
+
+        ``json.dumps`` writes the same bytes for it as for
+        ``dataclasses.asdict``, whose deep copy of the convergence curve
+        costs two orders of magnitude more.  The values are shared with
+        the (frozen) result; treat them as read-only.
+        """
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
+
+    def to_durable_dict(self) -> dict:
+        """:meth:`to_dict` without the wall-clock ``*_seconds_sum`` metrics.
+
+        Those sums (evaluate_seconds_sum, model fit timings, …) vary run
+        to run and backend to backend.  Checkpoint lines and result-store
+        entries keep only deterministic metrics, so their bytes are the
+        same across executors, worker counts and machines.
+        """
+        data = self.to_dict()
+        data["metrics"] = {
+            k: v
+            for k, v in self.metrics.items()
+            if not k.endswith("_seconds_sum")
+        }
+        return data
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(ExperimentResult))
 
 
 #: (algorithm, kernel, arch, sample_size) — one population of experiments.
@@ -261,7 +290,7 @@ class StudyResults:
                 {"kernel": k, "arch": a, "runtime_ms": v}
                 for (k, a), v in self.optima.items()
             ],
-            "results": [asdict(r) for r in self._results],
+            "results": [r.to_dict() for r in self._results],
         }
         return json.dumps(doc)
 

@@ -13,7 +13,7 @@ tuning-space benchmarks make (Schoonhoven et al.'s benchmarking suite,
 Tørring et al.'s benchmark proposal): record the space once, then search
 against the recording.
 
-Tables are computed once with the existing chunked scan and persisted to
+Tables are computed once with a blocked full-space scan and persisted to
 an on-disk cache (``--landscape-cache`` / ``REPRO_LANDSCAPE_CACHE``) as
 two ``.npy`` files plus a JSON sidecar, keyed by a stable fingerprint of
 everything that determines the landscape: the profile's fields, the
@@ -52,6 +52,7 @@ from .simulator import SIMULATOR_VERSION, simulate_runtimes
 from .workload import WorkloadProfile
 
 __all__ = [
+    "BLOCK_ROWS",
     "LandscapeTable",
     "landscape_fingerprint",
     "compute_landscape",
@@ -70,9 +71,20 @@ LANDSCAPE_CACHE_ENV = "REPRO_LANDSCAPE_CACHE"
 #: On-disk layout version; bump on incompatible sidecar/array changes.
 LANDSCAPE_FORMAT_VERSION = 1
 
-#: Rows per simulator batch during a full-space scan (matches the
-#: exhaustive optimum scan's chunking).
-DEFAULT_CHUNK = 1 << 18
+#: Rows per block of every full-space pass: the landscape build, the
+#: exhaustive optimum scan and the feasibility mask.  The simulator is
+#: elementwise, so tables and optima are bit-identical at any block size.
+#: At 8,192 rows a float64 column is 64 KiB, so a block's temporaries stay
+#: in a 2 MiB L2; at 262,144 rows each column was 2 MiB, streamed through
+#: memory, and the temporaries set the study's peak RSS.
+BLOCK_ROWS = 1 << 13
+
+
+def check_block_rows(block_rows: int) -> int:
+    """``block_rows`` if it is a usable block size, else ``ValueError``."""
+    if int(block_rows) < 1:
+        raise ValueError(f"block size must be >= 1, got {block_rows!r}")
+    return int(block_rows)
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -224,15 +236,16 @@ def compute_landscape(
     profile: WorkloadProfile,
     arch: GpuArchitecture,
     space,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: int = BLOCK_ROWS,
 ) -> LandscapeTable:
     """One full-space simulator scan -> in-memory :class:`LandscapeTable`.
 
-    The scan is the exhaustive optimum scan's chunked pass; since the
-    model is elementwise-deterministic, every entry is bit-identical to
-    what a 1-row ``simulate_runtimes`` call returns for that
-    configuration — the property the measurement fast path relies on.
+    The scan runs in blocks of ``chunk_size`` rows; since the model is
+    elementwise-deterministic, every entry is bit-identical to what a
+    1-row ``simulate_runtimes`` call returns for that configuration —
+    the property the measurement fast path relies on.
     """
+    chunk_size = check_block_rows(chunk_size)
     runtimes = np.empty(space.size, dtype=np.float64)
     failures = np.zeros(space.size, dtype=bool)
     for start in range(0, space.size, chunk_size):
@@ -367,7 +380,6 @@ def load_or_compute_landscape(
     arch: GpuArchitecture,
     space,
     cache_dir=None,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> LandscapeTable:
     """The one entry point: memoized, cache-backed table acquisition.
 
@@ -384,12 +396,12 @@ def load_or_compute_landscape(
     if cache_dir is not None:
         table = load_landscape(cache_dir, profile, arch, space)
         if table is None:
-            table = compute_landscape(profile, arch, space, chunk_size)
+            table = compute_landscape(profile, arch, space)
             save_landscape(table, cache_dir, profile, arch)
             reloaded = load_landscape(cache_dir, profile, arch, space)
             if reloaded is not None:
                 table = reloaded
     else:
-        table = compute_landscape(profile, arch, space, chunk_size)
+        table = compute_landscape(profile, arch, space)
     _OPEN_TABLES[key] = table
     return table

@@ -232,14 +232,13 @@ class Objective:
                 # One wall-clock reading covers the whole batch; the
                 # per-evaluation instruments still advance once per
                 # evaluation, with the mean duration as each one's share.
+                # Instruments are registered in first-use order, as
+                # ``_record`` registers them: ``flat_counters`` follows
+                # registration order, and checkpoint bytes follow it.
                 per_eval = (time.perf_counter() - t0) / take.size
                 ev_counter = fail_counter = hist = None
                 if self.metrics is not None:
                     ev_counter = self.metrics.counter("evaluations_total")
-                    fail_counter = self.metrics.counter(
-                        "launch_failures_total"
-                    )
-                    hist = self.metrics.histogram("evaluate_seconds")
                 for config, runtime in zip(configs, runtimes):
                     runtime = float(runtime)
                     self.configs.append(config)
@@ -252,7 +251,13 @@ class Objective:
                     if ev_counter is not None:
                         ev_counter.inc()
                         if not math.isfinite(runtime):
+                            if fail_counter is None:
+                                fail_counter = self.metrics.counter(
+                                    "launch_failures_total"
+                                )
                             fail_counter.inc()
+                        if hist is None:
+                            hist = self.metrics.histogram("evaluate_seconds")
                         hist.observe(per_eval)
                     if self.tracer.enabled:
                         self.tracer.event(

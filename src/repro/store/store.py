@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -216,17 +215,7 @@ class ResultStore:
 
     def put_result(self, fingerprint: str, result, identity: dict) -> Path:
         """Store one :class:`ExperimentResult` under ``fingerprint``."""
-        data = asdict(result)
-        metrics = data.get("metrics")
-        if isinstance(metrics, dict):
-            # Same scrubbing as StudyCheckpoint.record_result: wall-clock
-            # histogram sums vary run to run, entry bytes must not.
-            data["metrics"] = {
-                k: v
-                for k, v in metrics.items()
-                if not k.endswith("_seconds_sum")
-            }
-        return self.put(fingerprint, identity, data)
+        return self.put(fingerprint, identity, result.to_durable_dict())
 
     # -- maintenance -----------------------------------------------------------
     def entries(self) -> Iterator[Tuple[Path, Optional[dict], str]]:

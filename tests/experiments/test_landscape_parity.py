@@ -106,6 +106,26 @@ class TestStudyParity:
             live_ckpt.read_bytes().splitlines()
         )
 
+    def test_checkpoints_byte_identical_with_late_launch_failure(
+        self, tmp_path, monkeypatch
+    ):
+        # A harris GA run whose first launch failure comes after its first
+        # evaluation: the per-cell metrics must keep one key order on
+        # both measurement routes.
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+        config = smoke_config(
+            algorithms=("genetic_algorithm",), kernels=("harris",)
+        )
+        live_ckpt = tmp_path / "live.jsonl"
+        run_study(config, checkpoint=live_ckpt)
+        clear_optimum_cache()
+        backed_ckpt = tmp_path / "backed.jsonl"
+        run_study(
+            config, checkpoint=backed_ckpt, landscape_cache=tmp_path / "cache"
+        )
+        assert b'"launch_failures_total": 1.0' in live_ckpt.read_bytes()
+        assert live_ckpt.read_bytes() == backed_ckpt.read_bytes()
+
     def test_env_var_enables_tables(self, tmp_path, monkeypatch):
         config = smoke_config(algorithms=("genetic_algorithm",))
         live = run_study(config)

@@ -5,8 +5,14 @@ import pytest
 
 from repro.experiments import clear_optimum_cache, find_true_optimum
 from repro.gpu import TITAN_V, simulate_runtimes
+from repro.gpu.landscape import BLOCK_ROWS, compute_landscape
 from repro.kernels import get_kernel
-from repro.searchspace import IntegerParameter, SearchSpace, paper_search_space
+from repro.searchspace import (
+    IntegerParameter,
+    SearchSpace,
+    paper_search_space,
+    workgroup_product_limit,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +37,22 @@ def small_space():
     )
 
 
+@pytest.fixture
+def blocked_space():
+    """20,480 configurations under a workgroup limit: two full
+    :data:`BLOCK_ROWS` blocks, a short tail block and a feasibility mask."""
+    return SearchSpace(
+        [
+            IntegerParameter("thread_x", 1, 5),
+            IntegerParameter("thread_y", 1, 4),
+            IntegerParameter("thread_z", 1, 4),
+            IntegerParameter("wg_x", 1, 8),
+            IntegerParameter("wg_y", 1, 8),
+            IntegerParameter("wg_z", 1, 4),
+        ]
+    ).with_constraints(workgroup_product_limit(("wg_x", "wg_y", "wg_z"), 64))
+
+
 class TestScan:
     def test_matches_brute_force_on_small_space(self, small_space):
         profile = get_kernel("add", 512, 512).profile()
@@ -49,10 +71,34 @@ class TestScan:
         profile = get_kernel("harris", 512, 512).profile()
         a = find_true_optimum(profile, TITAN_V, small_space,
                               chunk_size=100, use_cache=False)
-        b = find_true_optimum(profile, TITAN_V, small_space,
-                              chunk_size=4096, use_cache=False)
-        assert a.flat_index == b.flat_index
-        assert a.runtime_ms == b.runtime_ms
+        for chunk_size in (4096, BLOCK_ROWS, 1 << 18):
+            b = find_true_optimum(profile, TITAN_V, small_space,
+                                  chunk_size=chunk_size, use_cache=False)
+            assert a.flat_index == b.flat_index
+            assert a.runtime_ms == b.runtime_ms
+
+    @pytest.mark.parametrize("kernel", ["add", "harris"])
+    def test_live_and_table_scans_agree_across_blocks(
+        self, blocked_space, kernel
+    ):
+        profile = get_kernel(kernel, 512, 512).profile()
+        table = compute_landscape(profile, TITAN_V, blocked_space)
+        scans = [
+            find_true_optimum(profile, TITAN_V, blocked_space,
+                              chunk_size=chunk_size, use_cache=False,
+                              table=table if tabled else None)
+            for chunk_size in (BLOCK_ROWS, 1 << 18, 3000)
+            for tabled in (False, True)
+        ]
+        assert len({(o.flat_index, o.runtime_ms, o.scanned)
+                    for o in scans}) == 1
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_block_size_below_one_rejected(self, small_space, chunk_size):
+        profile = get_kernel("add", 512, 512).profile()
+        with pytest.raises(ValueError, match="block size"):
+            find_true_optimum(profile, TITAN_V, small_space,
+                              chunk_size=chunk_size, use_cache=False)
 
     def test_optimum_is_feasible(self):
         space = paper_search_space()

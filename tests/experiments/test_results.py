@@ -1,5 +1,8 @@
 """Unit tests for result containers, persistence, and derived metrics."""
 
+import json
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,18 @@ class TestPersistence:
         doc = StudyResults([r]).to_json()
         loaded = StudyResults.from_json(doc)
         assert loaded.results[0] == r
+
+    def test_shallow_dicts_serialise_like_asdict(self):
+        r = replace(
+            make_result(),
+            convergence=[float("inf"), 1.5, 1.25],
+            metrics={"evaluations_total": 25.0, "fit_seconds_sum": 0.3},
+        )
+        assert json.dumps(r.to_dict()) == json.dumps(asdict(r))
+        durable = r.to_durable_dict()
+        assert durable["metrics"] == {"evaluations_total": 25.0}
+        assert list(durable) == list(asdict(r))
+        assert r.metrics["fit_seconds_sum"] == 0.3
 
     def test_pre_observability_files_still_load(self):
         # Files written before convergence/metrics existed lack both keys.

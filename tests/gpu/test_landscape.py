@@ -8,6 +8,7 @@ import pytest
 from repro.gpu import GTX_980, TITAN_V, simulate_runtimes
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.landscape import (
+    BLOCK_ROWS,
     LANDSCAPE_CACHE_ENV,
     clear_landscape_memo,
     compute_landscape,
@@ -90,6 +91,21 @@ class TestComputedTable:
         out = table.runtimes_at(np.array([0, 5, 9], dtype=np.int64))
         assert out.dtype == np.float64
         assert not isinstance(out, np.memmap)
+
+    @pytest.mark.parametrize("block", [BLOCK_ROWS, 1 << 18, 1000, 7])
+    def test_bytes_independent_of_block_size(
+        self, profile, small_space, table, block
+    ):
+        # 1000 and 7 do not divide the 4,096-row space: the last block
+        # is a short one.
+        blocked = compute_landscape(profile, TITAN_V, small_space, block)
+        assert blocked.runtime_ms.tobytes() == table.runtime_ms.tobytes()
+        assert blocked.failure_bits.tobytes() == table.failure_bits.tobytes()
+
+    @pytest.mark.parametrize("block", [0, -1])
+    def test_block_size_below_one_rejected(self, profile, small_space, block):
+        with pytest.raises(ValueError, match="block size"):
+            compute_landscape(profile, TITAN_V, small_space, block)
 
 
 class TestFingerprint:

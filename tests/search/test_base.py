@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.search import BudgetExhausted, Objective, TuningResult
 from repro.searchspace import IntegerParameter, SearchSpace
 
@@ -65,6 +66,35 @@ class TestObjective:
         obj.evaluate(cfg)
         cfg["x"] = 9
         assert obj.configs[0]["x"] == 3
+
+
+class TestMetricRegistrationOrder:
+    """Checkpoint lines list a cell's metrics in registration order, so
+    the batched route must register them in the per-evaluation order."""
+
+    @pytest.mark.parametrize(
+        "runtimes",
+        [
+            [3.0, float("inf"), 2.0, float("inf")],  # first failure later
+            [float("inf"), 3.0, 2.0],  # first evaluation fails
+            [3.0, 2.0, 1.0],  # no failure
+        ],
+    )
+    def test_evaluate_flats_matches_evaluate_loop(self, space, runtimes):
+        table = dict(enumerate(runtimes))
+        looped = MetricsRegistry()
+        obj = Objective(space, lambda c: table[c["x"]], len(runtimes),
+                        metrics=looped)
+        for x in range(len(runtimes)):
+            obj.evaluate({"x": x})
+        batched = MetricsRegistry()
+        obj = Objective(
+            space, lambda c: table[c["x"]], len(runtimes), metrics=batched,
+            measure_flats=lambda flats: np.array([table[f] for f in flats]),
+        )
+        obj.evaluate_flats(np.arange(len(runtimes)))
+        assert list(batched.flat_counters()) == list(looped.flat_counters())
+        assert batched.flat_counters()["evaluations_total"] == len(runtimes)
 
 
 class TestTuningResult:
