@@ -176,22 +176,23 @@ def build_parser() -> argparse.ArgumentParser:
              "`python -m repro.obs.read DIR --validate --cells`)",
     )
     parser.add_argument(
-        "--trace-level", choices=["events", "spans", "full"],
-        default="events",
-        help="what --trace-dir records: trajectory events (default), "
-             "hierarchical spans (study/phase/worker/group/cell; view "
-             "with `python -m repro.obs.read DIR --spans`), or both",
+        "--trace-level", choices=["spans", "full"], default="full",
+        help="what --trace-dir records: hierarchical spans "
+             "(study/phase/worker/group/cell; view with "
+             "`python -m repro.obs.read DIR --spans`) plus trajectory "
+             "events (full, the default), or spans only",
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="sample wall/CPU/RSS per study phase and print a "
-             "flamegraph-style profile report to stderr at the end",
+        help="print the per-phase/per-worker wall/CPU/RSS attribution "
+             "of the study's spans to stderr at the end",
     )
     parser.add_argument(
         "--profile-out", metavar="PATH",
-        help="also write the profile: JSON when PATH ends in .json, "
-             "flamegraph SVG when it ends in .svg (needs span events "
-             "from --trace-level spans/full), text otherwise",
+        help="also write the profile: span attribution JSON when PATH "
+             "ends in .json, a flamegraph SVG when it ends in .svg, the "
+             "--profile text otherwise (from the trace dir's spans when "
+             "--trace-dir is set)",
     )
     parser.add_argument(
         "--run-ledger", metavar="DIR",
@@ -248,6 +249,36 @@ def build_parser() -> argparse.ArgumentParser:
              "data still print to stdout)",
     )
     return parser
+
+
+def _write_profile(args, results, status) -> None:
+    """``--profile`` / ``--profile-out``: one span attribution, built from
+    the trace dir's spans when the study was traced and from the study's
+    own spans (``metadata["spans"]``) otherwise."""
+    import json
+
+    from .obs import build_span_forest, render_attribution, span_attribution
+    from .obs.read import iter_trace_events
+    from .reporting import flame_svg
+
+    if args.trace_dir:
+        events = list(iter_trace_events([Path(args.trace_dir)]))
+    else:
+        events = results.metadata["spans"]
+    attr = span_attribution(events)
+    text = render_attribution(attr)
+    if args.profile:
+        print(text, file=sys.stderr)
+    if args.profile_out:
+        out = Path(args.profile_out)
+        if out.suffix == ".json":
+            body = json.dumps(attr, indent=2, sort_keys=True) + "\n"
+        elif out.suffix == ".svg":
+            body = flame_svg(build_span_forest(events))
+        else:
+            body = text + "\n"
+        atomic_write_text(out, body)
+        status(f"wrote profile to {out}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -317,7 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             landscape_cache=args.landscape_cache,
             adaptive=adaptive,
             trace_level=args.trace_level,
-            profile=args.profile or bool(args.profile_out),
             run_ledger=args.run_ledger,
             run_argv=list(argv) if argv is not None else sys.argv[1:],
             executor=args.executor,
@@ -399,39 +429,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"(read with `python -m repro.obs.read {args.trace_dir}`)"
         )
 
-    profile_snapshot = results.metadata.get("profile")
-    if args.profile and profile_snapshot:
-        from .obs import render_profile
-
-        print(render_profile(profile_snapshot), file=sys.stderr)
-    if args.profile_out and profile_snapshot:
-        import json as _json
-
-        from .obs import render_profile
-
-        out = Path(args.profile_out)
-        if out.suffix == ".json":
-            atomic_write_text(
-                out,
-                _json.dumps(profile_snapshot, indent=2, sort_keys=True)
-                + "\n",
-            )
-        elif out.suffix == ".svg":
-            from .obs import build_span_forest
-            from .obs.read import iter_trace_events
-            from .reporting import flame_svg
-
-            events = (
-                list(iter_trace_events([Path(args.trace_dir)]))
-                if args.trace_dir
-                else []
-            )
-            atomic_write_text(out, flame_svg(build_span_forest(events)))
-        else:
-            atomic_write_text(
-                out, render_profile(profile_snapshot) + "\n"
-            )
-        status(f"wrote profile to {out}")
+    if args.profile or args.profile_out:
+        _write_profile(args, results, status)
     if results.metadata.get("run_id"):
         status(
             f"run {results.metadata['run_id']} recorded in "

@@ -124,10 +124,10 @@ class ExperimentTask:
     #: measurement becomes a table lookup.  A string for picklability.
     landscape_cache: Optional[str] = None
     #: What the trace stream records when ``trace_dir`` is set:
-    #: ``"events"`` (default, v1 behavior) — trajectory events only;
     #: ``"spans"`` — hierarchical spans only (cheap enough to leave the
-    #: vectorized batch paths enabled); ``"full"`` — both.
-    trace_level: str = "events"
+    #: vectorized batch paths enabled); ``"full"`` (default) — spans
+    #: plus trajectory events.
+    trace_level: str = "full"
     #: Parent span for this cell's span, propagated by value from the
     #: study process (see :mod:`repro.obs.spans`).  Frozen/hashable so
     #: grouped dispatch can key on it.
@@ -168,15 +168,7 @@ def batch_group_key(task: ExperimentTask) -> tuple:
 
 
 def _events_enabled(task: ExperimentTask) -> bool:
-    return task.trace_dir is not None and task.trace_level in (
-        "events", "full",
-    )
-
-
-def _spans_enabled(task: ExperimentTask) -> bool:
-    return task.trace_dir is not None and task.trace_level in (
-        "spans", "full",
-    )
+    return task.trace_dir is not None and task.trace_level == "full"
 
 
 @dataclass
@@ -215,7 +207,7 @@ def run_experiment(task: ExperimentTask) -> ExperimentResult:
     layer records a failed cell instead of propagating ``inf`` into the
     statistics.
     """
-    if _spans_enabled(task):
+    if task.trace_dir is not None:
         with _cell_span(task):
             return _run_cell(task, _context_for(task))
     return _run_cell(task, _context_for(task))
@@ -448,7 +440,7 @@ def run_experiment_batch(tasks: Sequence[ExperimentTask]) -> List[BatchItem]:
 def _run_group(tasks: List[ExperimentTask]) -> List[BatchItem]:
     """One homogeneous replication group -> per-task results/failures."""
     first = tasks[0]
-    if _spans_enabled(first):
+    if first.trace_dir is not None:
         # The group key drops the per-replication experiment index.
         subject = (
             f"{first.algorithm}/{first.kernel}/{first.arch}/"
@@ -497,7 +489,7 @@ def _run_group_inner(
         if isinstance(tuner, DatasetTuner)
         else {}
     )
-    spans_on = _spans_enabled(first)
+    spans_on = first.trace_dir is not None
     out: List[BatchItem] = []
     for i, task in enumerate(tasks):
         configs, features = shared.get(i, (None, None))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -50,8 +50,7 @@ from ..gpu.landscape import (
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
 from ..kernels import PAPER_KERNEL_NAMES, get_kernel
 from ..obs import NULL_TRACER, MetricsRegistry, global_registry, tracer_for_dir
-from ..obs.profile import PhaseProfiler
-from ..obs.spans import SpanContext, SpanScope, child_span
+from ..obs.spans import SpanContext, SpanScope
 from ..parallel import (
     EXECUTOR_NAMES,
     ParallelMap,
@@ -321,7 +320,7 @@ def _task_for(
     cell: _Cell,
     trace_dir: Optional[str] = None,
     landscape_cache: Optional[str] = None,
-    trace_level: str = "events",
+    trace_level: str = "full",
     span_parent: Optional[SpanContext] = None,
 ) -> ExperimentTask:
     """One cell's :class:`ExperimentTask`, dataset slice attached."""
@@ -357,7 +356,7 @@ def build_tasks(
     datasets: Dict[Tuple[str, str], PrecollectedDataset],
     trace_dir: Optional[str] = None,
     landscape_cache: Optional[str] = None,
-    trace_level: str = "events",
+    trace_level: str = "full",
     span_parent: Optional[SpanContext] = None,
     skip_data: Optional[Dict[str, object]] = None,
 ) -> List[ExperimentTask]:
@@ -606,8 +605,7 @@ def _run_adaptive(
     trace_level = task_opts["trace_level"]
     span_parent = task_opts["span_parent"]
     rngs = RngFactory(config.root_seed)
-    events_on = trace_dir is not None and trace_level in ("events", "full")
-    spans_on = trace_dir is not None and trace_level in ("spans", "full")
+    events_on = trace_dir is not None and trace_level == "full"
     tracer = tracer_for_dir(trace_dir) if events_on else NULL_TRACER
     needs_data = _needs_data(config)
 
@@ -722,7 +720,7 @@ def _run_adaptive(
                 continue
             group.look += 1
             with ExitStack() as look_stack:
-                if spans_on:
+                if trace_dir is not None:
                     look_stack.enter_context(
                         SpanScope(
                             trace_dir,
@@ -820,8 +818,7 @@ def run_study(
     metrics: Optional[MetricsRegistry] = None,
     landscape_cache: Optional[object] = None,
     adaptive: Optional[AdaptiveConfig] = None,
-    trace_level: str = "events",
-    profile: bool = False,
+    trace_level: str = "full",
     run_ledger: Optional[object] = None,
     run_argv: Optional[List[str]] = None,
     executor: Optional[str] = None,
@@ -892,18 +889,14 @@ def run_study(
         study is bit-identical to an uninterrupted one.  ``None``
         (default) runs the fixed design unchanged.
     trace_level:
-        What lands in ``trace_dir``: ``"events"`` (default) — trajectory
-        events, exactly the v1 behavior; ``"spans"`` — hierarchical
-        spans only (study → phase → worker-chunk → replication-group →
-        cell → adaptive-look; cheap enough that the vectorized batch
-        paths stay enabled); ``"full"`` — both.  Ignored without a
-        ``trace_dir``.  Never affects results.
-    profile:
-        Attach a :class:`~repro.obs.profile.PhaseProfiler`: every phase
-        is sampled for wall/CPU seconds and peak RSS, and the snapshot
-        lands in ``StudyResults.metadata["profile"]`` (workers are
-        profiled through their span events when ``trace_level`` enables
-        spans).  Never affects results.
+        What lands in ``trace_dir``: ``"spans"`` — hierarchical spans
+        only (study → phase → worker-chunk → replication-group → cell →
+        adaptive-look; cheap enough that the vectorized batch paths stay
+        enabled); ``"full"`` (default) — spans plus trajectory events.
+        Ignored without a ``trace_dir``.  The study and phase spans run
+        either way: their docs land in
+        ``StudyResults.metadata["spans"]`` and time the telemetry's
+        phases.  Never affects results.
     run_ledger:
         Directory of the content-addressed run ledger.  When set, the
         finished study writes a provenance manifest (config,
@@ -952,10 +945,9 @@ def run_study(
         count lands in ``StudyResults.metadata["store_hits"]``.
     """
     config.validate()
-    if trace_level not in ("events", "spans", "full"):
+    if trace_level not in ("spans", "full"):
         raise ValueError(
-            f"trace_level must be 'events', 'spans' or 'full', "
-            f"got {trace_level!r}"
+            f"trace_level must be 'spans' or 'full', got {trace_level!r}"
         )
     if adaptive is not None and not compute_optima:
         raise ValueError(
@@ -968,10 +960,7 @@ def run_study(
             f"executor must be one of {EXECUTOR_NAMES}, got {executor!r}"
         )
     emit = print if progress is True else (progress or None)
-    profiler = PhaseProfiler() if profile else None
-    telemetry = StudyTelemetry(
-        emit=emit if callable(emit) else None, profiler=profiler
-    )
+    telemetry = StudyTelemetry(emit=emit if callable(emit) else None)
     registry = metrics if metrics is not None else MetricsRegistry()
     # Dataset collection and optimum scans run in *this* process and hit
     # the process-global simulator counters; snapshot them so the delta
@@ -982,39 +971,16 @@ def run_study(
         landscape_cache = default_cache_dir()
     cache_dir = str(landscape_cache) if landscape_cache is not None else None
     trace_dir_str = str(trace_dir) if trace_dir is not None else None
-    spans_on = trace_dir_str is not None and trace_level in (
-        "spans", "full",
-    )
 
     with ExitStack() as span_stack:
-        # The study root span brackets the whole pipeline; its context
-        # exists before any phase so children parent on it.
-        study_ctx: Optional[SpanContext] = None
-        if spans_on:
-            study_ctx = span_stack.enter_context(
-                SpanScope(
-                    trace_dir_str,
-                    "study",
-                    subject=f"seed={config.root_seed}",
-                )
-            )
-
-        @contextmanager
-        def study_phase(name: str, span: Optional[SpanScope] = None):
-            """Telemetry phase + (optional) phase span, as one block."""
-            with telemetry.phase(name):
-                if span is not None:
-                    with span:
-                        yield
-                elif study_ctx is not None:
-                    with child_span(study_ctx, "phase", subject=name):
-                        yield
-                else:
-                    yield
-
+        # The study root span brackets the whole pipeline; every phase
+        # span parents on it.
+        span_stack.enter_context(
+            telemetry.study(trace_dir_str, f"seed={config.root_seed}")
+        )
         tables: Optional[Dict[Tuple[str, str], LandscapeTable]] = None
         if cache_dir is not None:
-            with study_phase("landscapes"):
+            with telemetry.phase("landscapes"):
                 tables = _load_landscapes(config, cache_dir)
             telemetry.line(
                 f"prepared {len(tables)} landscape tables in {cache_dir} "
@@ -1054,7 +1020,7 @@ def run_study(
         store_hits: Dict[str, object] = {}
         cell_ids: Dict[str, Tuple[str, dict]] = {}
         if fingerprints is not None and adaptive is None:
-            with study_phase("store"):
+            with telemetry.phase("store"):
                 store_hits, cell_ids = fingerprints.lookup(
                     store, _cells(config)
                 )
@@ -1079,7 +1045,7 @@ def run_study(
                     "cell is already materialized"
                 )
             else:
-                with study_phase("dataset"):
+                with telemetry.phase("dataset"):
                     datasets = _collect_datasets(config, tables)
                 telemetry.line(
                     f"collected {len(datasets)} datasets "
@@ -1089,7 +1055,7 @@ def run_study(
 
         optima: Dict[Tuple[str, str], float] = {}
         if compute_optima:
-            with study_phase("optima"):
+            with telemetry.phase("optima"):
                 optima = _compute_optima(config, tables)
             telemetry.line(
                 f"scanned {len(optima)} landscapes for true optima "
@@ -1097,16 +1063,10 @@ def run_study(
             )
 
         # The experiments-phase span is constructed (not yet entered)
-        # here so its context can ride inside every task across the
-        # process-pool boundary.
-        exp_span: Optional[SpanScope] = None
-        exp_ctx: Optional[SpanContext] = None
-        if spans_on:
-            exp_span = SpanScope(
-                trace_dir_str, "phase", subject="experiments",
-                parent=study_ctx,
-            )
-            exp_ctx = exp_span.ctx
+        # here so a traced study's context can ride inside every task
+        # across the process-pool boundary.
+        exp_span = telemetry.phase("experiments")
+        exp_ctx = exp_span.ctx if trace_dir_str is not None else None
         executor_obj = None
         if executor is not None:
             executor_obj = make_executor(
@@ -1154,7 +1114,7 @@ def run_study(
         adaptive_meta: Optional[dict] = None
         telemetry.start_tasks(0)
         try:
-            with study_phase("experiments", span=exp_span):
+            with exp_span:
                 if adaptive is None:
                     tasks = build_tasks(
                         config, datasets, skip_data=covered, **task_opts
@@ -1211,6 +1171,7 @@ def run_study(
         "executor": executor,
         "adaptive": adaptive_meta,
         "telemetry": telemetry.snapshot(),
+        "spans": telemetry.span_docs(),
         "metrics": registry.to_json(),
         "trace_dir": str(trace_dir) if trace_dir is not None else None,
         "trace_level": trace_level if trace_dir is not None else None,
@@ -1218,8 +1179,6 @@ def run_study(
         "result_store": store_dir,
         "store_hits": engine.store_hits,
     }
-    if profiler is not None:
-        metadata["profile"] = profiler.snapshot()
     study_results = StudyResults(
         results=results, optima=optima, metadata=metadata
     )

@@ -4,6 +4,7 @@ A multi-hour study run is opaque without progress signals.
 :class:`StudyTelemetry` tracks
 
 * per-phase wall time (dataset collection, optimum scans, experiments),
+  read from the study's phase spans (:mod:`repro.obs.spans`),
 * completed / failed / skipped (resumed-from-checkpoint) cell counts,
 * experiment throughput and a simple remaining-work ETA,
 
@@ -16,8 +17,9 @@ numbers as a dict for structured logging and for
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional
+
+from ..obs.spans import SpanScope, span_clock
 
 __all__ = ["StudyTelemetry"]
 
@@ -34,33 +36,25 @@ class StudyTelemetry:
         Emit an experiment-progress line every N completed tasks (in
         addition to one final line).
     clock:
-        Monotonic time source, injectable for deterministic tests.
-    profiler:
-        Optional :class:`~repro.obs.profile.PhaseProfiler`.  When set,
-        every :meth:`phase` block also enters a profiler phase of the
-        same name, so the profile picks up CPU seconds and peak RSS
-        alongside the telemetry's wall clock.  ``None`` (default) costs
-        one ``is None`` check per phase.
+        Time source of the telemetry and of its spans, injectable for
+        deterministic tests.
     """
 
     def __init__(
         self,
         emit: Optional[Callable[[str], None]] = None,
         report_every: int = 25,
-        clock: Callable[[], float] = time.monotonic,
-        profiler: Optional[object] = None,
+        clock: Callable[[], float] = span_clock,
     ) -> None:
         self._emit = emit
         self._report_every = max(1, int(report_every))
         self._clock = clock
-        self.profiler = profiler
         self._started = clock()
-        self.phase_seconds: Dict[str, float] = {}
-        #: Ordered phase records: ``{"name", "started_at", "seconds"}``,
-        #: where ``started_at`` is monotonic seconds since telemetry
-        #: construction (one entry per ``phase(...)`` block, so repeated
-        #: phases each appear).
-        self.phases: List[dict] = []
+        #: The study span (see :meth:`study`) and every phase span, in
+        #: the order they were opened.
+        self._spans: List[SpanScope] = []
+        self._trace_dir: Optional[str] = None
+        self._parent = None
         self.completed = 0
         self.failed = 0
         self.skipped = 0
@@ -79,10 +73,44 @@ class StudyTelemetry:
         if self._emit is not None:
             self._emit(message)
 
-    # -- phases ---------------------------------------------------------------
-    def phase(self, name: str) -> "_PhaseTimer":
-        """Context manager timing one named phase's wall clock."""
-        return _PhaseTimer(self, name)
+    # -- spans ----------------------------------------------------------------
+    def study(self, trace_dir: Optional[str], subject: str) -> SpanScope:
+        """The study's root span; phases opened after it are its
+        children.  ``trace_dir=None`` keeps every span in memory."""
+        scope = SpanScope(
+            trace_dir, "study", subject=subject, clock=self._clock
+        )
+        self._trace_dir = trace_dir
+        self._parent = scope.ctx
+        self._spans.append(scope)
+        return scope
+
+    def phase(self, name: str) -> SpanScope:
+        """The span of one named phase (a context manager).  Its
+        :attr:`~repro.obs.spans.SpanScope.ctx` exists before it is
+        entered, so child tasks can carry it."""
+        scope = SpanScope(
+            self._trace_dir, "phase", subject=name, parent=self._parent,
+            clock=self._clock,
+        )
+        self._spans.append(scope)
+        return scope
+
+    def span_docs(self) -> List[dict]:
+        """The finished study and phase span docs, in opening order."""
+        return [s.doc for s in self._spans if s.doc is not None]
+
+    def _phase_docs(self) -> List[dict]:
+        return [d for d in self.span_docs() if d["name"] == "phase"]
+
+    @property
+    def phase_seconds(self) -> Dict[str, float]:
+        """Wall seconds per phase name, summed over repeated phases."""
+        acc: Dict[str, float] = {}
+        for doc in self._phase_docs():
+            name = doc["subject"]
+            acc[name] = acc.get(name, 0.0) + doc["duration_s"]
+        return acc
 
     # -- experiment progress ---------------------------------------------------
     def start_tasks(self, total: int, skipped: int = 0) -> None:
@@ -178,38 +206,17 @@ class StudyTelemetry:
             "phase_seconds": {
                 k: round(v, 3) for k, v in self.phase_seconds.items()
             },
-            "phases": [dict(p) for p in self.phases],
+            # One entry per phase span, so repeated phases each appear;
+            # ``started_at`` is seconds since telemetry construction.
+            "phases": [
+                {
+                    "name": doc["subject"],
+                    "started_at": round(doc["start"] - self._started, 3),
+                    "seconds": round(doc["duration_s"], 3),
+                }
+                for doc in self._phase_docs()
+            ],
         }
-
-
-class _PhaseTimer:
-    def __init__(self, telemetry: StudyTelemetry, name: str) -> None:
-        self._telemetry = telemetry
-        self._name = name
-        self._t0 = 0.0
-        self._profile_phase = None
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._t0 = self._telemetry._clock()
-        if self._telemetry.profiler is not None:
-            self._profile_phase = self._telemetry.profiler.phase(self._name)
-            self._profile_phase.__enter__()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._profile_phase is not None:
-            self._profile_phase.__exit__(*exc_info)
-            self._profile_phase = None
-        elapsed = self._telemetry._clock() - self._t0
-        acc = self._telemetry.phase_seconds
-        acc[self._name] = acc.get(self._name, 0.0) + elapsed
-        self._telemetry.phases.append(
-            {
-                "name": self._name,
-                "started_at": round(self._t0 - self._telemetry._started, 3),
-                "seconds": round(elapsed, 3),
-            }
-        )
 
 
 def _format_seconds(seconds: float) -> str:

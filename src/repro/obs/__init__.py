@@ -5,7 +5,7 @@ cell; everything the paper argues about — how each search technique
 spends its sample budget — happened invisibly inside a tuner run.  This
 package makes that trajectory first-class:
 
-* :mod:`repro.obs.trace` — structured span/event tracing to append-only
+* :mod:`repro.obs.trace` — structured event tracing to append-only
   JSONL, with a no-op implementation whose disabled-path overhead is a
   single attribute check;
 * :mod:`repro.obs.metrics` — a process-local metrics registry (counters,
@@ -15,9 +15,8 @@ package makes that trajectory first-class:
   validating, and live-tailing (``--follow``) trace files;
 * :mod:`repro.obs.spans` — hierarchical span tracing (study → phase →
   replication-group → cell → adaptive-look) with cross-process context
-  propagation and tree/timeline readers;
-* :mod:`repro.obs.profile` — per-phase/per-worker wall/CPU/RSS profiling
-  with a flamegraph-style report;
+  propagation, tree/timeline readers and the per-phase/per-worker
+  wall/CPU/RSS attribution; spans are the study's only region timer;
 * :mod:`repro.obs.runs` — the content-addressed run ledger and the
   ``repro-runs`` list/show/diff CLI;
 * :mod:`repro.obs.live` — read-only live monitoring of an in-flight
@@ -25,10 +24,14 @@ package makes that trajectory first-class:
 
 Everything here is dependency-free and import-light so the hot paths
 (``Objective.evaluate``, the GPU simulator) can reference it without
-cost when observability is off.
+cost when observability is off.  The CLI modules (:mod:`~repro.obs.read`
+and :mod:`~repro.obs.runs`, and :mod:`~repro.obs.live` on top of
+``read``) load on first use of their names, so ``python -m`` can run
+them without the package having imported them first.
 """
 
-from .live import StudyWatch, watch_study
+import importlib
+
 from .metrics import (
     Counter,
     Gauge,
@@ -37,8 +40,6 @@ from .metrics import (
     global_registry,
     reset_global_registry,
 )
-from .profile import PhaseProfiler, profile_from_events, render_profile
-from .runs import build_manifest, diff_runs, list_runs, load_run, record_run
 from .schema import (
     TRACE_SCHEMA_VERSION,
     validate_event,
@@ -50,6 +51,7 @@ from .spans import (
     SpanScope,
     build_span_forest,
     child_span,
+    render_attribution,
     render_span_tree,
     span_attribution,
     worker_timeline,
@@ -83,11 +85,9 @@ __all__ = [
     "child_span",
     "build_span_forest",
     "span_attribution",
+    "render_attribution",
     "render_span_tree",
     "worker_timeline",
-    "PhaseProfiler",
-    "profile_from_events",
-    "render_profile",
     "build_manifest",
     "record_run",
     "list_runs",
@@ -96,3 +96,17 @@ __all__ = [
     "StudyWatch",
     "watch_study",
 ]
+
+#: Lazily imported names -> the submodule that defines them.
+_LAZY = dict.fromkeys(("StudyWatch", "watch_study"), "live")
+_LAZY.update(dict.fromkeys(
+    ("build_manifest", "record_run", "list_runs", "load_run", "diff_runs"),
+    "runs",
+))
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

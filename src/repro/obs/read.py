@@ -257,6 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.spans:
         from .spans import (
             build_span_forest,
+            render_attribution,
             render_span_tree,
             span_attribution,
             worker_timeline,
@@ -265,25 +266,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         events = list(iter_trace_events(paths))
         forest = build_span_forest(events)
         if not forest:
-            print("spans: none recorded (run with trace_level='spans' "
-                  "or 'full')")
+            print("spans: none recorded")
         else:
             print()
             print(render_span_tree(forest))
-            attr = span_attribution(events)
             print()
-            print(f"total: {attr['total_s']:.3f}s")
-            for phase, st in attr["phases"].items():
-                print(
-                    f"  phase {phase:<14} wall {st['wall_s']:>9.3f}s  "
-                    f"cpu {st['cpu_s']:>9.3f}s"
-                )
-            for pid, st in attr["workers"].items():
-                print(
-                    f"  pid {pid:<10} busy {st['busy_s']:>9.3f}s  "
-                    f"cpu {st['cpu_s']:>9.3f}s  spans {st['spans']:>4}  "
-                    f"rss {st['rss_kb_peak']} KiB"
-                )
+            print(render_attribution(span_attribution(events)))
             print()
             print(worker_timeline(events))
     if args.validate:

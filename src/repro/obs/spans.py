@@ -28,9 +28,15 @@ span_id)`` that the study attaches to each
 :class:`~repro.experiments.runner.ExperimentTask` and hands to
 :class:`~repro.parallel.ParallelMap`; workers open spans parented on it
 through their own process-local tracer.  Every span also samples CPU
-time and peak RSS on exit, which is what the phase profiler
-(:mod:`repro.obs.profile`) aggregates into per-phase / per-worker
-attribution.
+time and peak RSS on exit, which :func:`span_attribution` aggregates
+into per-phase / per-worker attribution and :func:`render_attribution`
+prints.
+
+Spans are the study's only region timer.  A scope without a trace
+directory still measures and keeps its finished :attr:`SpanScope.doc`
+but writes nothing, so the study's phase spans always run and feed its
+telemetry (:class:`~repro.experiments.telemetry.StudyTelemetry`) and
+``StudyResults.metadata["spans"]``.
 
 Emission never consumes RNG (span ids come from :mod:`uuid`, i.e.
 ``os.urandom``) and never feeds back into results, so span-traced runs
@@ -56,23 +62,27 @@ __all__ = [
     "SpanContext",
     "SpanScope",
     "SpanNode",
+    "span_clock",
     "new_span_id",
     "child_span",
     "build_span_forest",
     "span_attribution",
+    "render_attribution",
     "render_span_tree",
     "worker_timeline",
 ]
 
-#: Span names the study pipeline emits, in hierarchy order.
-SPAN_NAMES = (
-    "study",
-    "phase",
-    "worker-chunk",
-    "replication-group",
-    "cell",
-    "adaptive-look",
-)
+#: Epoch seconds at this process's performance-counter origin.
+_EPOCH_OFFSET = time.time() - time.perf_counter()  # repro: noqa[REP002] one wall-clock read anchors span starts to the epoch so spans from different processes line up; durations come from the monotonic counter
+
+
+def span_clock() -> float:
+    """Epoch seconds read from the monotonic performance counter.
+
+    One clock gives both a span's ``start`` (comparable across
+    processes) and its ``duration_s`` (monotonic, high resolution).
+    """
+    return _EPOCH_OFFSET + time.perf_counter()
 
 
 def new_span_id() -> str:
@@ -92,30 +102,32 @@ class SpanContext:
     """Picklable handle for parenting spans across process boundaries.
 
     ``trace_dir`` names the shared trace directory (each process appends
-    to its own file inside it), ``trace_id`` identifies the whole study
-    trace, and ``span_id`` is the parent span new children attach to.
+    to its own file inside it; ``None`` for in-memory spans),
+    ``trace_id`` identifies the whole study trace, and ``span_id`` is
+    the parent span new children attach to.
     Frozen and hashable so it can ride inside frozen task dataclasses
     and grouped-dispatch keys.
     """
 
-    trace_dir: str
+    trace_dir: Optional[str]
     trace_id: str
     span_id: str
 
 
 class SpanScope:
-    """Context manager that times a block and emits one ``span`` event.
+    """Context manager that times a block into one ``span`` doc.
 
     The span's identity (:attr:`ctx`) exists from construction — before
     ``__enter__`` — so a caller can mint the context, hand it to child
-    tasks, and only then start the clock.  On exit one event is appended
-    to this process's trace file with wall start/duration, CPU seconds,
-    peak RSS, and the ancestry fields.
+    tasks, and only then start the clock.  On exit the finished doc —
+    wall start/duration, CPU seconds, peak RSS, and the ancestry fields —
+    is kept as :attr:`doc` and, with a ``trace_dir``, appended to this
+    process's trace file as a ``span`` event.
     """
 
     __slots__ = (
         "trace_dir", "name", "subject", "parent_id", "trace_id",
-        "span_id", "ctx", "_fields", "_start", "_p0", "_c0", "_clock",
+        "span_id", "ctx", "doc", "_fields", "_start", "_c0", "_clock",
     )
 
     def __init__(
@@ -127,9 +139,9 @@ class SpanScope:
         trace_id: Optional[str] = None,
         span_id: Optional[str] = None,
         fields: Optional[dict] = None,
-        clock=time.time,
+        clock=span_clock,
     ) -> None:
-        self.trace_dir = str(trace_dir)
+        self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.name = name
         self.subject = subject
         self.parent_id = parent.span_id if parent is not None else None
@@ -142,20 +154,22 @@ class SpanScope:
         self.ctx = SpanContext(self.trace_dir, self.trace_id, self.span_id)
         self._fields = dict(fields or {})
         self._clock = clock
+        #: The finished span (``kind == "span"``), set on exit.
+        self.doc: Optional[dict] = None
 
     def __enter__(self) -> SpanContext:
         self._start = self._clock()
-        self._p0 = time.perf_counter()
         self._c0 = time.process_time()
         return self.ctx
 
     def __exit__(self, exc_type, exc, tb) -> None:
         doc = dict(
+            kind="span",
             span_id=self.span_id,
             trace_id=self.trace_id,
             name=self.name,
             start=round(self._start, 6),
-            duration_s=round(time.perf_counter() - self._p0, 6),
+            duration_s=round(self._clock() - self._start, 6),
             cpu_s=round(time.process_time() - self._c0, 6),
             pid=os.getpid(),
         )
@@ -169,7 +183,9 @@ class SpanScope:
         if exc_type is not None:
             doc["error"] = exc_type.__name__
         doc.update(self._fields)
-        tracer_for_dir(self.trace_dir).event("span", **doc)
+        self.doc = doc
+        if self.trace_dir is not None:
+            tracer_for_dir(self.trace_dir).event(**doc)
 
 
 def child_span(
@@ -284,9 +300,13 @@ def span_attribution(events: Iterable[dict]) -> dict:
          "study_pid": <pid of the study root span, if present>}
 
     ``nodes`` aggregates socket-executor spans by machine (a node may
-    host many worker pids); it is empty for local-only traces.
+    host many worker pids); it is empty for local-only traces.  A pid's
+    ``cpu_s`` sums only its outermost spans — those whose parent is
+    absent or ran in another process — because a nested span's CPU is
+    already inside its parent's.
     """
     spans = [e for e in events if e.get("kind") == "span"]
+    pid_of = {str(e.get("span_id")): e.get("pid") for e in spans}
     phases: Dict[str, dict] = {}
     per_pid: Dict[int, dict] = {}
     per_node: Dict[str, dict] = {}
@@ -328,7 +348,8 @@ def span_attribution(events: Iterable[dict]) -> dict:
             pid, {"busy_s": 0.0, "cpu_s": 0.0, "spans": 0, "rss_kb_peak": 0}
         )
         stats["spans"] += 1
-        stats["cpu_s"] += cpu
+        if pid_of.get(str(doc.get("parent_id"))) != pid:
+            stats["cpu_s"] += cpu
         rss = doc.get("rss_kb")
         if isinstance(rss, (int, float)):
             stats["rss_kb_peak"] = max(stats["rss_kb_peak"], int(rss))
@@ -363,6 +384,26 @@ def span_attribution(events: Iterable[dict]) -> dict:
         },
         "study_pid": study_pid,
     }
+
+
+def render_attribution(attr: dict) -> str:
+    """The text block of :func:`span_attribution`'s result: the study
+    total, then one line per phase and per worker pid."""
+    total = attr["total_s"]
+    lines = [f"profile: {total:.3f}s total"]
+    for phase, st in attr["phases"].items():
+        share = 100.0 * st["wall_s"] / total if total > 0 else 0.0
+        lines.append(
+            f"  phase {phase:<14} wall {st['wall_s']:>9.3f}s  "
+            f"cpu {st['cpu_s']:>9.3f}s  {share:5.1f}%"
+        )
+    for pid, st in attr["workers"].items():
+        lines.append(
+            f"  pid {pid:<10} busy {st['busy_s']:>9.3f}s  "
+            f"cpu {st['cpu_s']:>9.3f}s  spans {st['spans']:>4}  "
+            f"rss {st['rss_kb_peak']} KiB"
+        )
+    return "\n".join(lines)
 
 
 def render_span_tree(

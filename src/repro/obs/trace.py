@@ -34,46 +34,8 @@ __all__ = [
     "NullTracer",
     "JsonlTracer",
     "NULL_TRACER",
-    "Span",
     "tracer_for_dir",
 ]
-
-
-class Span:
-    """Times a block and emits one event (with ``duration_s``) on exit."""
-
-    __slots__ = ("_tracer", "_kind", "_fields", "_t0")
-
-    def __init__(self, tracer: "Tracer", kind: str, fields: dict) -> None:
-        self._tracer = tracer
-        self._kind = kind
-        self._fields = fields
-
-    def __enter__(self) -> "Span":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._tracer.event(
-            self._kind,
-            duration_s=round(time.perf_counter() - self._t0, 6),
-            **self._fields,
-        )
-
-
-class _NullSpan:
-    """Reusable do-nothing context manager (no per-use allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class Tracer:
@@ -89,10 +51,6 @@ class Tracer:
     def event(self, kind: str, **fields) -> None:
         raise NotImplementedError
 
-    def span(self, kind: str, **fields):
-        """Context manager emitting ``kind`` with ``duration_s`` on exit."""
-        return Span(self, kind, fields)
-
     def close(self) -> None:
         pass
 
@@ -104,9 +62,6 @@ class NullTracer(Tracer):
 
     def event(self, kind: str, **fields) -> None:
         return None
-
-    def span(self, kind: str, **fields):
-        return _NULL_SPAN
 
 
 NULL_TRACER = NullTracer()

@@ -21,6 +21,7 @@ configuration is what counts.  The machinery here enforces that contract:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -327,11 +328,9 @@ class Objective:
         ``<kind>_seconds`` histogram.  Tuners wrap model fits and
         candidate proposals in this — a no-op when observability is off.
         """
-        if self.metrics is not None:
+        if self.metrics is not None or self.tracer.enabled:
             return _InstrumentedSpan(self, kind, fields)
-        if self.tracer.enabled:
-            return self.tracer.span(kind, cell=self.cell, **fields)
-        return NULL_TRACER.span(kind)
+        return _NO_SPAN
 
     def best_observed(self) -> tuple:
         """(best_config, best_runtime) among valid evaluations so far."""
@@ -345,6 +344,11 @@ class Objective:
             return self.configs[0], float("inf")
         idx = int(np.flatnonzero(finite)[np.argmin(arr[finite])])
         return self.configs[idx], float(arr[idx])
+
+
+#: The unobserved span: one shared no-op, so the disabled path never
+#: allocates.
+_NO_SPAN = contextlib.nullcontext()
 
 
 class _InstrumentedSpan:

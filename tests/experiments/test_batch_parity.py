@@ -155,13 +155,17 @@ class TestStudyParity:
         cache = tmp_path / "cache"
 
         def trace_events(trace_dir):
-            # The "t" wall-clock field is the only nondeterministic part
-            # of a trace event (perf_counter is pinned, so spans carry
-            # duration_s == 0.0); strip it and compare everything else.
+            # The trajectory events: their "t" wall-clock field is the
+            # only nondeterministic part (perf_counter is pinned, so
+            # durations are 0.0); strip it and compare everything else.
+            # Spans carry random ids and wall starts, and the study adds
+            # its own study/phase/group spans, so they are left out.
             events = []
             for path in sorted(trace_dir.glob("trace-*.jsonl")):
                 for line in path.read_text().splitlines():
                     doc = json.loads(line)
+                    if doc["kind"] == "span":
+                        continue
                     doc.pop("t", None)
                     events.append(doc)
             return events

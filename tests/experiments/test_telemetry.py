@@ -119,3 +119,82 @@ class TestProgress:
         # started_at values are monotonically non-decreasing.
         starts = [p["started_at"] for p in phases]
         assert starts == sorted(starts)
+
+
+class TestStudyPhaseSpans:
+    """The study's phase spans are its only phase clock."""
+
+    def _config(self):
+        from repro.experiments import ExperimentDesign, StudyConfig
+
+        return StudyConfig(
+            design=ExperimentDesign(
+                sample_sizes=(25,), experiments_at_largest=2
+            ),
+            algorithms=("random_search",),
+            kernels=("add",),
+            archs=("titan_v",),
+            image_x=512,
+            image_y=512,
+            workers=1,
+        )
+
+    @staticmethod
+    def _summed(docs):
+        acc = {}
+        for doc in docs:
+            if doc.get("kind") == "span" and doc.get("name") == "phase":
+                acc[doc["subject"]] = (
+                    acc.get(doc["subject"], 0.0) + doc["duration_s"]
+                )
+        return {k: round(v, 3) for k, v in acc.items()}
+
+    def test_traced_phase_seconds_are_the_phase_spans(self, tmp_path):
+        from repro.experiments import run_study
+        from repro.obs.read import iter_trace_events
+
+        results = run_study(
+            self._config(),
+            landscape_cache=tmp_path / "cache",
+            trace_dir=tmp_path / "trace",
+            trace_level="spans",
+        )
+        events = list(iter_trace_events([tmp_path / "trace"]))
+        phase_seconds = results.metadata["telemetry"]["phase_seconds"]
+        assert set(phase_seconds) >= {"landscapes", "optima", "experiments"}
+        assert phase_seconds == self._summed(events)
+        # The study's own span docs are the ones it wrote to the trace.
+        written = {e["span_id"] for e in events}
+        assert {d["span_id"] for d in results.metadata["spans"]} <= written
+
+    def test_untraced_study_keeps_its_spans_in_metadata(self, tmp_path):
+        from repro.experiments import run_study
+
+        results = run_study(self._config(), landscape_cache=tmp_path / "c")
+        telemetry = results.metadata["telemetry"]
+        spans = results.metadata["spans"]
+        assert telemetry["phase_seconds"] == self._summed(spans)
+        assert [p["name"] for p in telemetry["phases"]] == [
+            d["subject"] for d in spans if d["name"] == "phase"
+        ]
+        (study,) = [d for d in spans if d["name"] == "study"]
+        assert all(
+            d["parent_id"] == study["span_id"]
+            for d in spans
+            if d["name"] == "phase"
+        )
+
+    def test_events_trace_level_is_rejected(self, tmp_path):
+        import pytest
+
+        from repro.experiments import run_study
+
+        with pytest.raises(ValueError) as err:
+            run_study(
+                self._config(),
+                landscape_cache=tmp_path / "cache",
+                trace_dir=tmp_path / "trace",
+                trace_level="events",
+            )
+        assert "'spans'" in str(err.value)
+        assert "'full'" in str(err.value)

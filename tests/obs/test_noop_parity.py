@@ -100,7 +100,6 @@ class TestStudyLevelParity:
             landscape_cache=cache,
             trace_dir=tmp_path / "trace",
             trace_level="full",
-            profile=True,
             run_ledger=tmp_path / "ledger",
             metrics=MetricsRegistry(),
         )
@@ -111,7 +110,9 @@ class TestStudyLevelParity:
         assert observed.optima == bare.optima
         # And the observability artifacts all materialized.
         assert "run_id" in observed.metadata
-        assert observed.metadata["profile"]["phases"]
+        assert {d["name"] for d in observed.metadata["spans"]} == {
+            "study", "phase",
+        }
         spans = [
             json.loads(line)
             for f in (tmp_path / "trace").glob("*.jsonl")

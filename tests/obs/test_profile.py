@@ -1,55 +1,57 @@
-"""Phase profiler: accumulation, trace-derived profiles, rendering."""
+"""Phase profiling from spans: the telemetry's phase spans, their
+per-phase/per-worker attribution, and the rendered profile report."""
 
 import json
 
-import pytest
-
-from repro.obs.profile import (
-    PhaseProfiler,
-    main as profile_main,
-    profile_from_events,
-    render_profile,
-)
+from repro.experiments.telemetry import StudyTelemetry
+from repro.obs.spans import render_attribution, span_attribution
 
 
 class TestPhaseProfiler:
     def test_accumulates_in_entry_order(self):
-        prof = PhaseProfiler()
-        with prof.phase("landscapes"):
-            pass
-        with prof.phase("experiments"):
-            pass
-        with prof.phase("experiments"):
-            pass
-        snap = prof.snapshot()
-        assert list(snap["phases"]) == ["landscapes", "experiments"]
-        assert snap["phases"]["experiments"]["calls"] == 2
-        assert snap["phases"]["landscapes"]["wall_s"] >= 0
-        assert snap["rss_kb_peak"] > 0
+        telemetry = StudyTelemetry()
+        with telemetry.study(None, "seed=1"):
+            with telemetry.phase("landscapes"):
+                pass
+            with telemetry.phase("experiments"):
+                pass
+            with telemetry.phase("experiments"):
+                pass
+        docs = telemetry.span_docs()
+        assert [d["name"] for d in docs] == [
+            "study", "phase", "phase", "phase",
+        ]
+        assert list(telemetry.phase_seconds) == ["landscapes", "experiments"]
+        assert [p["name"] for p in telemetry.snapshot()["phases"]] == [
+            "landscapes", "experiments", "experiments",
+        ]
+        assert all(d["rss_kb"] > 0 for d in docs)
+        assert all(d["duration_s"] >= 0 for d in docs)
+        study = docs[0]
+        assert all(d["parent_id"] == study["span_id"] for d in docs[1:])
 
     def test_snapshot_is_json_serializable(self):
-        prof = PhaseProfiler()
-        with prof.phase("optima"):
+        telemetry = StudyTelemetry()
+        with telemetry.phase("optima"):
             pass
-        json.dumps(prof.snapshot())
+        json.dumps(telemetry.span_docs())
+        json.dumps(telemetry.snapshot())
 
     def test_nested_phases_attribute_to_both(self):
-        prof = PhaseProfiler()
-        with prof.phase("outer"):
-            with prof.phase("inner"):
+        telemetry = StudyTelemetry()
+        with telemetry.phase("outer"):
+            with telemetry.phase("inner"):
                 pass
-        snap = prof.snapshot()
-        assert snap["phases"]["outer"]["calls"] == 1
-        assert snap["phases"]["inner"]["calls"] == 1
+        seconds = telemetry.phase_seconds
+        assert seconds["inner"] <= seconds["outer"]
+        phases = span_attribution(telemetry.span_docs())["phases"]
+        assert set(phases) == {"outer", "inner"}
 
     def test_telemetry_drives_profiler_phases(self):
-        from repro.experiments.telemetry import StudyTelemetry
-
-        prof = PhaseProfiler()
-        telemetry = StudyTelemetry(profiler=prof)
+        telemetry = StudyTelemetry()
         with telemetry.phase("dataset"):
             pass
-        assert "dataset" in prof.snapshot()["phases"]
+        assert "dataset" in span_attribution(telemetry.span_docs())["phases"]
         assert "dataset" in telemetry.phase_seconds
 
 
@@ -67,48 +69,19 @@ SPAN_EVENTS = [
 
 class TestProfileFromEvents:
     def test_merges_phases_and_workers(self):
-        profile = profile_from_events(SPAN_EVENTS)
-        assert profile["total_s"] == 8.0
-        assert profile["phases"]["experiments"]["wall_s"] == 6.0
-        assert profile["workers"][2]["busy_s"] == 5.0
-        assert profile["rss_kb_peak"] == 2048
+        attr = span_attribution(SPAN_EVENTS)
+        assert attr["total_s"] == 8.0
+        assert attr["phases"]["experiments"]["wall_s"] == 6.0
+        assert attr["workers"][2]["busy_s"] == 5.0
+        assert attr["workers"][2]["rss_kb_peak"] == 2048
 
     def test_render_mentions_every_phase_and_worker(self):
-        text = render_profile(profile_from_events(SPAN_EVENTS))
+        text = render_attribution(span_attribution(SPAN_EVENTS))
+        assert text.startswith("profile: 8.000s total")
         assert "experiments" in text
         assert "pid 2" in text
-        assert "peak RSS: 2048 KiB" in text
-        # CPU-heavy worker bar is mostly '#', waiting shows as '-'.
-        worker_row = next(l for l in text.splitlines() if "pid 2" in l)
-        assert "#" in worker_row
+        assert "rss 2048 KiB" in text
 
     def test_render_handles_empty_profile(self):
-        text = render_profile({"phases": {}, "workers": {}})
+        text = render_attribution(span_attribution([]))
         assert text.startswith("profile:")
-
-
-class TestProfileCli:
-    def _write_trace(self, tmp_path):
-        trace = tmp_path / "trace"
-        trace.mkdir()
-        with (trace / "trace-1.jsonl").open("w") as fh:
-            for doc in SPAN_EVENTS:
-                fh.write(json.dumps(doc) + "\n")
-        return trace
-
-    def test_json_output(self, tmp_path, capsys):
-        trace = self._write_trace(tmp_path)
-        assert profile_main([str(trace), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["phases"]["experiments"]["wall_s"] == 6.0
-
-    def test_svg_output(self, tmp_path, capsys):
-        trace = self._write_trace(tmp_path)
-        svg = tmp_path / "flame.svg"
-        assert profile_main([str(trace), "--svg", str(svg)]) == 0
-        text = svg.read_text()
-        assert text.startswith("<svg")
-        assert "study" in text
-
-    def test_missing_path_exits_2(self, tmp_path, capsys):
-        assert profile_main([str(tmp_path / "nope")]) == 2

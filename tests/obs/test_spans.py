@@ -4,7 +4,7 @@ Covers the span lifecycle end to end — :class:`SpanScope` event
 emission and schema validity, cross-process propagation of
 :class:`SpanContext` through :class:`~repro.parallel.ParallelMap`
 workers, forest reconstruction from the merged event stream, and the
-per-phase/per-worker attribution the profiler builds on.
+per-phase/per-worker attribution the profile report prints.
 """
 
 import json
@@ -209,6 +209,28 @@ class TestForest:
         assert w["busy_s"] == 5.0
         assert w["spans"] == 2
         assert w["rss_kb_peak"] == 1024
+
+    def test_attribution_counts_pid_cpu_once(self):
+        # One process: study -> phase -> cell.  The nested spans' CPU is
+        # inside the study span's, so the pid's CPU is the study's.
+        events = [
+            {"kind": "span", "span_id": "s", "name": "study",
+             "start": 0.0, "duration_s": 2.0, "cpu_s": 1.5, "pid": 7},
+            {"kind": "span", "span_id": "p", "parent_id": "s",
+             "name": "phase", "subject": "experiments",
+             "start": 0.5, "duration_s": 1.4, "cpu_s": 1.2, "pid": 7},
+            {"kind": "span", "span_id": "c", "parent_id": "p",
+             "name": "cell", "subject": "rs/add/titan_v/25/0",
+             "start": 0.6, "duration_s": 1.0, "cpu_s": 0.9, "pid": 7},
+        ]
+        attr = span_attribution(events)
+        assert attr["workers"][7]["cpu_s"] == 1.5
+        assert attr["workers"][7]["spans"] == 3
+        # Across processes each pid keeps its outermost spans' CPU.
+        two = span_attribution(_forest_events())
+        assert two["workers"][100]["cpu_s"] == 4.0
+        assert two["workers"][200]["cpu_s"] == 4.5
+        assert two["workers"][300]["cpu_s"] == 0.4
 
     def test_worker_timeline_shades_by_busy_fraction(self):
         text = worker_timeline(_forest_events(), width=20)

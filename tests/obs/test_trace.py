@@ -2,6 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 from repro.obs import (
     NULL_TRACER,
@@ -13,6 +17,14 @@ from repro.obs import (
     validate_trace_path,
 )
 from repro.obs.read import iter_trace_events, main as read_main, summarize_events
+from repro.search import Objective
+from repro.searchspace import IntegerParameter, SearchSpace
+
+
+def _objective(tracer=None):
+    space = SearchSpace([IntegerParameter("thread_x", 1, 2)])
+    return Objective(space, lambda config: 1.0, budget=1, tracer=tracer,
+                     cell="x")
 
 
 class TestJsonlTracer:
@@ -43,16 +55,20 @@ class TestJsonlTracer:
         tracer.close()
         assert path.exists()
 
-    def test_span_emits_duration(self, tmp_path):
+    def test_objective_span_without_metrics_emits_duration(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = JsonlTracer(path)
-        with tracer.span("model_fit", cell="x", n_obs=7):
+        objective = _objective(tracer=tracer)
+        assert objective.metrics is None
+        with objective.span("model_fit", n_obs=7):
             pass
         tracer.close()
         doc = json.loads(path.read_text())
         assert doc["kind"] == "model_fit"
+        assert doc["cell"] == "x"
         assert doc["n_obs"] == 7
         assert doc["duration_s"] >= 0.0
+        assert validate_event(doc) == []
 
     def test_appends_across_instances(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -67,13 +83,14 @@ class TestNullTracer:
     def test_everything_is_a_noop(self, tmp_path):
         assert NULL_TRACER.enabled is False
         NULL_TRACER.event("evaluate", cell="x")  # no error, no output
-        with NULL_TRACER.span("model_fit"):
-            pass
         NULL_TRACER.close()
 
-    def test_span_is_a_shared_singleton(self):
+    def test_unobserved_objective_span_is_a_shared_singleton(self):
         # The disabled path must not allocate per call.
-        assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
+        objective = _objective()
+        with objective.span("model_fit"):
+            pass
+        assert objective.span("a") is objective.span("b")
 
     def test_subclass_relationship(self):
         assert isinstance(NULL_TRACER, NullTracer)
@@ -196,3 +213,17 @@ class TestReader:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["events"] == 4
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["repro.obs.read", "repro.obs.runs"])
+    def test_runs_without_runtime_warning(self, module):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+             "--help"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr

@@ -294,6 +294,29 @@ class TestObservabilityV2Flags:
         assert rc == 0
         assert out.read_text().startswith("<svg")
 
+    def test_profile_out_svg_without_trace_dir_has_phases(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "flame.svg"
+        rc = main(self.ARGS + ["--profile-out", str(out)])
+        assert rc == 0
+        svg = out.read_text()
+        assert svg.startswith("<svg")
+        assert "no spans" not in svg
+        for phase in ("optima", "experiments"):
+            assert phase in svg
+
+    def test_profile_out_svg_at_default_trace_level(self, tmp_path, capsys):
+        trace = tmp_path / "trace"
+        out = tmp_path / "flame.svg"
+        rc = main(self.ARGS + [
+            "--trace-dir", str(trace), "--profile-out", str(out),
+        ])
+        assert rc == 0
+        svg = out.read_text()
+        assert "no spans" not in svg
+        assert "experiments" in svg
+
     def test_run_ledger_records_manifest(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
         rc = main(self.ARGS + ["--run-ledger", str(ledger)])
