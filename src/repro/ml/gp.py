@@ -9,10 +9,15 @@ The substrate behind the paper's BO GP tuner (scikit-optimize's
   L-BFGS-B restarts,
 * Cholesky-based posterior mean/std prediction.
 
-The likelihood is evaluated thousands of times per study, so the Cholesky
-factorization and solves call LAPACK's ``dpotrf``/``dpotrs`` directly —
-the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap, minus the
-wrappers' per-call checks.
+The likelihood is evaluated thousands of times per study.  L-BFGS-B
+needs its gradient, and the gradient is the forward difference scipy
+would take itself without a ``jac``: the same steps, bit for bit, but
+the base point and its neighbours are built as one stack of covariance
+matrices, in one call, with the signal and noise steps reusing the base
+point's correlation matrix.  The Cholesky factorizations and solves
+call LAPACK's ``dpotrf``/``dpotrs`` directly — the routines
+``scipy.linalg.cho_factor``/``cho_solve`` wrap, minus the wrappers'
+per-call checks.
 
 Runtimes are heavy-tailed, so callers should model ``log(runtime)`` (the
 tuners in :mod:`repro.search.bo_gp` do); ``normalize_y`` handles the
@@ -29,6 +34,9 @@ from scipy.optimize import minimize
 
 __all__ = ["Matern52", "RBF", "GaussianProcessRegressor"]
 
+#: L-BFGS-B's default finite-difference step (scipy's ``eps``).
+_FD_STEP = 1e-8
+
 
 def _sq_dists(X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     """Pairwise squared distances after per-dimension scaling."""
@@ -36,8 +44,12 @@ def _sq_dists(X1: np.ndarray, X2: np.ndarray, lengthscales: np.ndarray) -> np.nd
     B = X2 / lengthscales
     aa = (A * A).sum(axis=1)[:, None]
     bb = (B * B).sum(axis=1)[None, :]
-    sq = aa + bb - 2.0 * (A @ B.T)
-    return np.maximum(sq, 0.0)
+    # aa + bb - 2.0 * (A @ B.T), evaluated in place.
+    cross = A @ B.T
+    cross *= 2.0
+    sq = aa + bb
+    sq -= cross
+    return np.maximum(sq, 0.0, out=sq)
 
 
 class RBF:
@@ -47,7 +59,8 @@ class RBF:
 
     @staticmethod
     def correlation(sq_dists: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * sq_dists)
+        out = -0.5 * sq_dists
+        return np.exp(out, out=out)
 
 
 class Matern52:
@@ -57,8 +70,17 @@ class Matern52:
 
     @staticmethod
     def correlation(sq_dists: np.ndarray) -> np.ndarray:
-        r = np.sqrt(5.0 * sq_dists)
-        return (1.0 + r + r * r / 3.0) * np.exp(-r)
+        # (1.0 + r + r * r / 3.0) * exp(-r), evaluated in place.
+        r = 5.0 * sq_dists
+        np.sqrt(r, out=r)
+        decay = np.negative(r)
+        np.exp(decay, out=decay)
+        quad = r * r
+        quad /= 3.0
+        r += 1.0
+        r += quad
+        r *= decay
+        return r
 
 
 _KERNELS = {"rbf": RBF, "matern52": Matern52}
@@ -119,15 +141,76 @@ class GaussianProcessRegressor:
         K.flat[:: K.shape[0] + 1] += noise + self.alpha
         return K
 
-    def _nlml(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        chol, info = dpotrf(self._kmatrix(theta, X), lower=1, clean=0)
-        if info > 0:  # not positive definite
-            return 1e25
-        alpha_vec = dpotrs(chol, y, lower=1)[0]
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        n = y.size
-        val = 0.5 * float(y @ alpha_vec) + 0.5 * logdet + 0.5 * n * np.log(2 * np.pi)
-        return val if np.isfinite(val) else 1e25
+    def _kmatrices(
+        self, theta: np.ndarray, steps: np.ndarray, X: np.ndarray
+    ) -> np.ndarray:
+        """Covariances at ``theta`` and at ``theta + steps[i] * e_i``.
+
+        Returns the ``(len(theta) + 1, n, n)`` stack ``[K(theta),
+        K(theta + steps[0] e_0), ...]``, each matrix bitwise equal to
+        :meth:`_kmatrix` at its point.  The signal and noise steps share
+        the base point's correlation matrix.
+        """
+        n = X.shape[0]
+        stepped = theta + np.diag(steps)  # row i: theta + steps[i] e_i
+        signal = np.exp([theta[0], stepped[0, 0]])
+        noise = np.exp([theta[1], stepped[1, 1]])
+        ls = np.exp(np.concatenate([theta[None, 2:], stepped[2:, 2:]]))
+        K = np.empty((theta.size + 1, n, n))
+        base = self._corr.correlation(_sq_dists(X, X, ls[0]))
+        np.multiply(signal[0], base, out=K[0])
+        np.multiply(signal[1], base, out=K[1])
+        K[2] = K[0]
+        # One cache-sized matrix at a time: a whole-stack pass is slower
+        # once the stack outgrows the cache (n ~ 64 and up).
+        for Ki, ls_i in zip(K[3:], ls[1:]):
+            corr = self._corr.correlation(_sq_dists(X, X, ls_i))
+            np.multiply(signal[0], corr, out=Ki)
+        diag = np.arange(n)
+        nugget = np.full(theta.size + 1, noise[0])
+        nugget[2] = noise[1]
+        K[:, diag, diag] += nugget[:, None] + self.alpha
+        return K
+
+    @staticmethod
+    def _nlml_stack(K: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Negative log marginal likelihood of ``y`` under each covariance.
+
+        One ``dpotrf``/``dpotrs`` per matrix; a matrix that is not
+        positive definite, or whose value is not finite, scores 1e25.
+        """
+        constant = 0.5 * y.size * np.log(2 * np.pi)
+        out = np.full(K.shape[0], 1e25)
+        for i, Ki in enumerate(K):
+            chol, info = dpotrf(Ki, lower=1, clean=0)
+            if info > 0:  # not positive definite
+                continue
+            alpha_vec = dpotrs(chol, y, lower=1)[0]
+            logdet = 2.0 * np.log(np.diag(chol)).sum()
+            val = 0.5 * float(y @ alpha_vec) + 0.5 * logdet + constant
+            if np.isfinite(val):
+                out[i] = val
+        return out
+
+    def _nlml(
+        self, theta: np.ndarray, X: np.ndarray, y: np.ndarray, hi: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        """NLML at ``theta`` and its forward-difference gradient.
+
+        The gradient is, bit for bit, the one L-BFGS-B computes itself
+        when given no ``jac`` (scipy's 2-point ``approx_derivative`` with
+        absolute step ``eps``): one step of ``_FD_STEP`` per coordinate,
+        flipped to a backward step where the forward one would pass the
+        upper bound ``hi``, and the difference quotient taken over the
+        step as represented, ``(theta + h) - theta``.  Every box here is
+        far wider than a step, so scipy's shrunken-step branch never
+        applies.
+        The base point and its neighbours are evaluated as one stack.
+        """
+        h = np.full(theta.size, _FD_STEP)
+        h[theta + h > hi] *= -1
+        values = self._nlml_stack(self._kmatrices(theta, h, X), y)
+        return values[0], (values[1:] - values[0]) / ((theta + h) - theta)
 
     # -- API ----------------------------------------------------------------
     def fit(
@@ -171,7 +254,8 @@ class GaussianProcessRegressor:
         if not optimize and self._fitted:
             best_theta = self._theta
         else:
-            best_theta, best_val = theta0, self._nlml(theta0, X, yn)
+            best_val = self._nlml_stack(self._kmatrix(theta0, X)[None], yn)[0]
+            best_theta = theta0
             if self._fitted:
                 # Warm refit: continue from the previous optimum only —
                 # the landscape changed a little, not wholesale.
@@ -184,8 +268,9 @@ class GaussianProcessRegressor:
                 res = minimize(
                     self._nlml,
                     start,
-                    args=(X, yn),
+                    args=(X, yn, hi),
                     method="L-BFGS-B",
+                    jac=True,
                     bounds=bounds,
                     options={"maxiter": 50},
                 )

@@ -266,23 +266,15 @@ class BohbTuner(HyperbandTuner):
         order = np.argsort(losses, kind="stable")
         good, bad = obs[order[:n_good]], obs[order[n_good:]]
 
+        # The densities read no randomness: fit once, draw per proposal.
+        highs = np.array([p.cardinality - 1 for p in space.parameters])
+        l_est = AdaptiveParzenEstimator1D(0, highs).fit(good)
+        g_est = AdaptiveParzenEstimator1D(0, highs).fit(bad)
         out: List[Configuration] = []
         for _ in range(n):
-            draws = np.empty(
-                (self.n_ei_candidates, space.dimensions), dtype=np.int64
-            )
-            score = np.zeros(self.n_ei_candidates)
-            for d, param in enumerate(space.parameters):
-                l_est = AdaptiveParzenEstimator1D(
-                    0, param.cardinality - 1
-                ).fit(good[:, d])
-                g_est = AdaptiveParzenEstimator1D(
-                    0, param.cardinality - 1
-                ).fit(bad[:, d])
-                col = l_est.sample(rng, self.n_ei_candidates)
-                score += l_est.log_prob(col) - g_est.log_prob(col)
-                draws[:, d] = col
-            out.append(
-                space.indices_to_config(draws[int(np.argmax(score))].tolist())
-            )
+            draws = l_est.sample(rng, self.n_ei_candidates)
+            ratio = l_est.log_prob(draws) - g_est.log_prob(draws)
+            # Summed dimension by dimension, left to right.
+            best = int(np.argmax(np.cumsum(ratio, axis=1)[:, -1]))
+            out.append(space.indices_to_config(draws[best].tolist()))
         return out

@@ -64,10 +64,16 @@ class TestFactorizationFailure:
     def test_nlml_penalizes_indefinite_covariance(self, monkeypatch):
         X, y = make_1d(10)
         gp = GaussianProcessRegressor(rng=np.random.default_rng(0))
-        theta = np.zeros(3)
-        assert np.isfinite(gp._nlml(theta, X, y))
-        monkeypatch.setattr(gp, "_kmatrix", self.indefinite)
-        assert gp._nlml(theta, X, y) == 1e25
+        theta, hi = np.zeros(3), np.full(3, 5.0)
+        value, grad = gp._nlml(theta, X, y, hi)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        monkeypatch.setattr(
+            gp, "_kmatrices",
+            lambda theta, steps, X: np.stack(
+                [self.indefinite(theta, X)] * (theta.size + 1)
+            ),
+        )
+        assert gp._nlml(theta, X, y, hi)[0] == 1e25
 
     def test_fit_raises_when_final_factorization_fails(self, monkeypatch):
         X, y = make_1d(10)

@@ -157,3 +157,28 @@ class TestMatchesReference:
             draws.append(int(np.clip(round(draw), low, high)))
         assert est.sample(fast, 30).tolist() == draws
         assert fast.integers(2**62) == slow.integers(2**62)
+
+    def test_sample_fallback_bit_identical(self):
+        """Picks that hit the 100-rejection uniform fallback, in a batch:
+        the chunked draws rewind so the generator matches the reference
+        loop's normal-then-uniform sequence exactly."""
+        est = AdaptiveParzenEstimator1D(0, np.array([7, 15])).fit(
+            np.array([[1, 4], [3, 9], [3, 9], [6, 15]])
+        )
+        est._sigmas = est._sigmas.copy()
+        est._sigmas[:, 2] = 1e7  # accepts about one draw in 10**6
+        fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+        columns = []
+        for mus, sigmas, high in zip(est._mus, est._sigmas, (7, 15)):
+            col = []
+            for c in slow.choice(mus.size, size=30, p=est._weights):
+                for _ in range(100):
+                    draw = slow.normal(mus[c], sigmas[c])
+                    if -0.5 <= draw <= high + 0.5:
+                        break
+                else:
+                    draw = slow.uniform(-0.5, high + 0.5)
+                col.append(int(np.clip(round(draw), 0, high)))
+            columns.append(col)
+        assert est.sample(fast, 30).T.tolist() == columns
+        assert fast.integers(2**62) == slow.integers(2**62)

@@ -1,5 +1,7 @@
 """Tests for the extension tuners: SA, PSO, HyperBand, BOHB."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,8 +85,7 @@ class TestParticleSwarm:
             ParticleSwarmTuner(inertia=-0.1)
 
 
-@pytest.fixture
-def mf_objective():
+def make_mf_objective(budget_units):
     measure = make_fidelity_measure(
         "add", TITAN_V, full_x=2048, full_y=2048,
         rng_factory=RngFactory(7),
@@ -92,8 +93,25 @@ def mf_objective():
     return MultiFidelityObjective(
         space=make_sim_objective(1).space,
         measure=measure,
-        budget_units=12.0,
+        budget_units=budget_units,
     )
+
+
+@pytest.fixture
+def mf_objective():
+    return make_mf_objective(12.0)
+
+
+def index_digest(objective, configs, *arrays) -> str:
+    """sha256 over the configurations' index rows and extra arrays."""
+    rows = np.array([objective.space.config_to_indices(c) for c in configs])
+    h = hashlib.sha256()
+    for a in (rows, *arrays):
+        a = np.asarray(a)
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 class TestMultiFidelityObjective:
@@ -186,3 +204,25 @@ class TestHyperband:
         assert len(proposals) == 3
         for p in proposals:
             mf_objective.space.validate_config(p)
+
+    def test_bohb_proposals_pinned(self):
+        """BOHB's TPE proposals, and a whole run, at fixed seeds.  The
+        digests were recorded when every proposal refitted a scalar
+        estimator per dimension; the shared batched fit must not move
+        them."""
+        objective = make_mf_objective(40.0)
+        rng = np.random.default_rng(5)
+        for cfg in objective.space.sample(rng, 20, feasible_only=True):
+            objective.evaluate(cfg, fidelity=1.0)
+        proposals = BohbTuner()._propose(6, objective, rng)
+        assert index_digest(
+            objective, proposals, rng.integers(0, 2**31, 4)
+        ) == "82bb1db14b89207cfef2a19f49b60b73e5a8624a94b64d6b9639c6d65d1788e8"
+
+        objective = make_mf_objective(30.0)
+        result = BohbTuner(s_max=2, min_points=4).tune_mf(
+            objective, np.random.default_rng(9)
+        )
+        assert index_digest(
+            objective, result.history_configs, objective.fidelities
+        ) == "2e2017009a764c37803047a22cdb16387e62ccf287a45effcd364ed7e82cd992"
