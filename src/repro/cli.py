@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--chunk-size", type=_chunk_size, default=None, metavar="N",
-        help="tasks per worker message (default: balanced automatic "
-             "chunking; replication groups never split regardless)",
+        help="tasks per worker message, i.e. per replication-group batch "
+             "(default: batches sized by sample-size cost)",
     )
     parser.add_argument("--paper-scale", action="store_true",
                         help="run the paper's full design (slow!)")

@@ -452,6 +452,7 @@ class _RoundEngine:
             pending,
             group_key=batch_group_key,
             on_outcome=self._on_outcome,
+            cost=lambda task: task.sample_size,
         )
         if self.store is not None:
             # Resumed cells are written back too, so resuming an old
@@ -927,9 +928,10 @@ def run_study(
         connected before dispatching (default 0: start immediately and
         let workers join elastically).
     chunk_size:
-        Tasks per worker message (``None`` = balanced automatic
-        chunking; grouped dispatch never splits a replication group
-        regardless).
+        Tasks per worker message.  Each message carries one batch of a
+        replication group, so this caps the batch size; ``None`` sizes
+        batches by cost instead (each at most 1/8 of a worker's share
+        of the round's total sample count).
     result_store:
         A :class:`~repro.store.ResultStore`, a store directory path,
         ``None`` (use ``$REPRO_RESULT_STORE``; unset disables the

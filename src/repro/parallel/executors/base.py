@@ -14,7 +14,7 @@ order delivery of outcomes that checkpoint byte-identity rests on.  An
 
 Every backend runs the **same** worker entry points
 (:func:`~repro.parallel.pool._run_chunk` /
-:func:`~repro.parallel.pool._run_batches`), so retry, backoff, span and
+:func:`~repro.parallel.pool._run_batch`), so retry, backoff, span and
 per-task attribution semantics are identical everywhere; only where the
 bytes travel differs.  Results therefore cannot depend on the backend —
 per-cell RNG is derived from task keys, never from execution placement.
@@ -36,7 +36,7 @@ from typing import (
     Type,
 )
 
-from ..pool import TaskOutcome, _run_batches, _run_chunk
+from ..pool import TaskOutcome, _run_batch, _run_chunk
 
 __all__ = ["ExecutionSettings", "WorkUnit", "UnitResult", "Executor"]
 
@@ -91,7 +91,7 @@ class Executor:
 
     The two concrete dispatch methods mirror the two shapes
     :class:`~repro.parallel.pool.ParallelMap` produces: plain index
-    chunks (:meth:`submit_chunks`) and grouped batch messages
+    chunks (:meth:`submit_chunks`) and replication-group batches
     (:meth:`run_grouped`).  Both build :class:`WorkUnit` records around
     the shared worker entry points and delegate transport to
     :meth:`submit`, which yields :class:`UnitResult` records in
@@ -143,35 +143,29 @@ class Executor:
         self,
         fn: Callable[[Any], Any],
         batch_fn: Callable[[Sequence[Any]], Sequence[Any]],
-        messages: Sequence[Sequence[Tuple[Sequence[int], Sequence[Any]]]],
+        batches: Sequence[Tuple[Sequence[int], Sequence[Any]]],
         settings: ExecutionSettings,
     ) -> Iterator[UnitResult]:
-        """Dispatch grouped batch messages through ``batch_fn``.
+        """Dispatch ``(indices, batch)`` pairs through ``batch_fn``, one
+        batch per message.
 
-        Each message is a list of ``(indices, batch)`` pairs — whole
-        replication groups, packed by the pool so no group ever splits
-        across workers.
+        The pool has already cut each replication group into batches
+        small enough to spread over the workers; a batch never mixes
+        groups, but a group may span several batches and workers.
         """
         units = [
             WorkUnit(
                 uid=uid,
-                entry=_run_batches,
+                entry=_run_batch,
                 payload=(
-                    fn, batch_fn, [
-                        (list(indices), list(batch))
-                        for indices, batch in message
-                    ],
+                    fn, batch_fn, list(indices), list(batch),
                     settings.retries, settings.backoff,
                     settings.backoff_cap, settings.retryable,
                     settings.span_context,
                 ),
-                members=tuple(
-                    (index, task)
-                    for indices, batch in message
-                    for index, task in zip(indices, batch)
-                ),
+                members=tuple(zip(indices, batch)),
             )
-            for uid, message in enumerate(messages)
+            for uid, (indices, batch) in enumerate(batches)
         ]
         return self.submit(units)
 

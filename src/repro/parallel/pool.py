@@ -324,16 +324,30 @@ def _run_batch(
     backoff: float,
     backoff_cap: float,
     retryable: Tuple[Type[BaseException], ...],
+    span_context: Any = None,
 ) -> List[TaskOutcome]:
-    """Execute one batch with per-task attribution.
+    """Worker entry point for grouped dispatch: one batch with per-task
+    attribution.
 
     ``batch_fn`` returns one entry per task — a result, or a
     :class:`TaskFailure` recording that task's own error.  Retryable
     per-task failures re-run individually through ``fn``; a ``batch_fn``
     that raises wholesale (or returns the wrong arity) falls back to
     per-task ``fn`` execution, so a batch-engine defect can cost
-    throughput but never attribution or results.
+    throughput but never attribution or results.  ``span_context`` wraps
+    the batch in a ``worker-chunk`` span, as in :func:`_run_chunk`.
     """
+    if span_context is not None:
+        from ..obs.spans import child_span
+
+        with child_span(
+            span_context,
+            "worker-chunk",
+            subject=f"batch of {len(batch)} tasks",
+            **_span_fields(tasks=len(batch)),
+        ):
+            return _run_batch(fn, batch_fn, indices, batch, retries,
+                              backoff, backoff_cap, retryable)
     try:
         items = batch_fn(batch)
         if len(items) != len(batch):
@@ -345,55 +359,18 @@ def _run_batch(
         # The batch execution counts as each task's first attempt, so the
         # fallback runs report attempts >= 2 and retry metrics include
         # the attempt the broken engine consumed.
-        return [
+        return _stamp_node([
             _run_one(fn, index, task, retries, backoff, backoff_cap,
                      retryable, prior_attempts=1)
             for index, task in zip(indices, batch)
-        ]
-    outcomes: List[TaskOutcome] = []
-    for index, task, item in zip(indices, batch, items):
-        if isinstance(item, TaskFailure):
-            outcomes.append(
-                _finish_failed(fn, index, task, item, retries, backoff,
-                               backoff_cap, retryable)
-            )
-        else:
-            outcomes.append(TaskOutcome(index=index, task=task, result=item))
-    return outcomes
-
-
-def _run_batches(
-    fn: Callable[[Any], Any],
-    batch_fn: Callable[[Sequence[Any]], Sequence[Any]],
-    batches: Sequence[Tuple[Sequence[int], Sequence[Any]]],
-    retries: int,
-    backoff: float,
-    backoff_cap: float,
-    retryable: Tuple[Type[BaseException], ...],
-    span_context: Any = None,
-) -> List[TaskOutcome]:
-    """Worker entry point for grouped dispatch: many batches per message."""
-    if span_context is not None:
-        from ..obs.spans import child_span
-
-        n_tasks = sum(len(batch) for _, batch in batches)
-        with child_span(
-            span_context,
-            "worker-chunk",
-            subject=f"{len(batches)} batches, {n_tasks} tasks",
-            **_span_fields(tasks=n_tasks),
-        ):
-            return _run_batches(
-                fn, batch_fn, batches, retries, backoff, backoff_cap,
-                retryable,
-            )
-    out: List[TaskOutcome] = []
-    for indices, batch in batches:
-        out.extend(
-            _run_batch(fn, batch_fn, indices, batch, retries, backoff,
+        ])
+    return _stamp_node([
+        _finish_failed(fn, index, task, item, retries, backoff,
                        backoff_cap, retryable)
-        )
-    return _stamp_node(out)
+        if isinstance(item, TaskFailure)
+        else TaskOutcome(index=index, task=task, result=item)
+        for index, task, item in zip(indices, batch, items)
+    ])
 
 
 class ParallelMap:
@@ -416,10 +393,9 @@ class ParallelMap:
         closed by the pool.
     chunk_size:
         Tasks per worker message (``None`` or at least 1).  ``None`` ->
-        balanced chunks (about 4
-        chunks per unit of executor parallelism); grouped dispatch
-        additionally floors the target by the largest batch so no
-        replication group ever splits across messages.
+        balanced chunks (about 4 chunks per unit of executor
+        parallelism).  Grouped dispatch sends one batch per message, so
+        there it caps the tasks per batch (see :meth:`run_grouped`).
     failure_policy:
         ``"fail_fast"`` (default): :meth:`run` raises :class:`TaskError`
         naming the exact failing task as soon as its failure is observed.
@@ -713,9 +689,10 @@ class ParallelMap:
         group_key: Callable[[Any], Any],
         on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
         batch_size: Optional[int] = None,
+        cost: Optional[Callable[[Any], float]] = None,
     ) -> List[TaskOutcome]:
         """Like :meth:`run`, but tasks sharing a ``group_key`` are handed
-        to ``batch_fn`` together (in batches of at most ``batch_size``).
+        to ``batch_fn`` together, one batch per worker message.
 
         ``batch_fn(batch)`` must return one entry per task: a result, or a
         :class:`TaskFailure` for that task's own error.  Failed tasks fall
@@ -724,9 +701,13 @@ class ParallelMap:
         runs — attribution, retries, the ``on_outcome`` hook, and the
         failure policy behave exactly as in :meth:`run`.
 
-        Outcomes are returned in input order; grouping never reorders or
-        drops tasks, it only changes how they are packed into worker
-        messages.
+        A group splits, members in input order, into batches of at most
+        ``batch_size`` tasks (default :data:`DEFAULT_GROUP_BATCH`).  On a
+        non-inline executor a set ``chunk_size`` replaces that cap;
+        otherwise a batch also holds at most ``1 / (8 * parallelism)`` of
+        the total ``cost`` (``cost(task)``, default 1 per task), so the
+        expensive groups spread over every worker.  Batches dispatch in
+        input order; outcomes are returned in input order.
         """
         tasks = list(tasks)
         if not tasks:
@@ -745,48 +726,34 @@ class ParallelMap:
                 )
                 on_outcome = self._metered(on_outcome)
 
-            size = batch_size or DEFAULT_GROUP_BATCH
+            costs = [cost(t) for t in tasks] if cost else [1] * len(tasks)
+            size, cap = batch_size or DEFAULT_GROUP_BATCH, math.inf
+            if not executor.inline:
+                if self.chunk_size:
+                    size = self.chunk_size
+                else:
+                    cap = sum(costs) / (8 * executor.parallelism())
             groups: dict = {}
             for i, task in enumerate(tasks):
-                groups.setdefault(group_key(task), []).append((i, task))
-            batches: List[Tuple[List[int], List[Any]]] = []
+                groups.setdefault(group_key(task), []).append(i)
+            batches: List[List[int]] = []
             for members in groups.values():
-                for lo in range(0, len(members), size):
-                    part = members[lo : lo + size]
-                    batches.append(
-                        ([i for i, _ in part], [t for _, t in part])
-                    )
-
-            if executor.inline:
-                # One batch per unit: lazy pull keeps fail-fast from
-                # running the batches behind a failure.
-                messages = [[batch] for batch in batches]
-            else:
-                # Pack whole batches into worker messages of roughly
-                # the same task count as plain chunks, floored by the
-                # largest batch so no replication group — the unit of
-                # vectorized execution — ever splits across messages
-                # (a short grouped tail must not shatter into
-                # per-task-sized fragments).
-                target = self.chunk_size or max(
-                    math.ceil(len(tasks) / (executor.parallelism() * 4)),
-                    max(len(batch) for _, batch in batches),
-                )
-                messages = []
-                current: List[Tuple[List[int], List[Any]]] = []
-                current_n = 0
-                for indices, batch in batches:
-                    current.append((indices, batch))
-                    current_n += len(batch)
-                    if current_n >= target:
-                        messages.append(current)
-                        current = []
-                        current_n = 0
-                if current:
-                    messages.append(current)
+                part: List[int] = []
+                part_cost = 0.0
+                for i in members:
+                    if part and (
+                        len(part) == size or part_cost + costs[i] > cap
+                    ):
+                        batches.append(part)
+                        part, part_cost = [], 0.0
+                    part.append(i)
+                    part_cost += costs[i]
+                batches.append(part)
 
             stream = executor.run_grouped(
-                fn, batch_fn, messages, self._settings(executor.inline)
+                fn, batch_fn,
+                [(part, [tasks[i] for i in part]) for part in batches],
+                self._settings(executor.inline),
             )
             return self._drain_stream(
                 stream, fail_fast, on_outcome, len(tasks)

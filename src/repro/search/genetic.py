@@ -20,13 +20,28 @@ population -> evaluate -> keep the best -> crossover + mutate -> repeat.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import bisect
+import math
+from functools import lru_cache
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .base import BudgetExhausted, Objective, SequentialTuner, TuningResult
 
 __all__ = ["GeneticAlgorithmTuner"]
+
+
+@lru_cache(maxsize=None)
+def _rank_cdf(survivors: int) -> Tuple[float, ...]:
+    """The CDF ``Generator.choice(survivors, p=w)`` bisects, built the
+    same way (``p = w / w.sum()``, ``cdf = p.cumsum()``,
+    ``cdf /= cdf[-1]``), so a right-side bisection of one ``random()``
+    draw picks the same index from the same stream position."""
+    weights = np.arange(survivors, 0, -1, dtype=np.float64)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
 
 
 class GeneticAlgorithmTuner(SequentialTuner):
@@ -71,52 +86,58 @@ class GeneticAlgorithmTuner(SequentialTuner):
         )[0]
         return tuple(row.tolist())
 
+    @staticmethod
     def _uniform_crossover(
-        self,
         a: Tuple[int, ...],
         b: Tuple[int, ...],
-        rng: np.random.Generator,
+        random: Callable[[int], np.ndarray],
     ) -> List[Tuple[int, ...]]:
         """Two complementary children: each gene from one parent or the
-        other, chosen by a fair coin (Kernel Tuner's ``uniform`` method)."""
-        mask = rng.random(len(a)) < 0.5
+        other, chosen by a fair coin (Kernel Tuner's ``uniform`` method).
+        ``random`` is the bound ``Generator.random``."""
+        mask = (random(len(a)) < 0.5).tolist()
         child1 = tuple(x if m else y for x, y, m in zip(a, b, mask))
         child2 = tuple(y if m else x for x, y, m in zip(a, b, mask))
         return [child1, child2]
 
+    @staticmethod
     def _mutate(
-        self,
         genes: Tuple[int, ...],
-        objective: Objective,
-        rng: np.random.Generator,
+        cards: Sequence[int],
+        threshold: float,
+        random: Callable[[], float],
+        integers: Callable[[int], int],
     ) -> Tuple[int, ...]:
-        """Per-gene uniform re-draw with probability 1/mutation_chance."""
-        params = objective.space.parameters
+        """Per-gene uniform re-draw with probability ``threshold``
+        (``1 / mutation_chance``); ``random`` and ``integers`` are the
+        bound ``Generator`` methods."""
         out = list(genes)
-        for i, p in enumerate(params):
-            if rng.random() < 1.0 / self.mutation_chance:
-                out[i] = int(rng.integers(p.cardinality))
+        for i, card in enumerate(cards):
+            if random() < threshold:
+                out[i] = int(integers(card))
         return tuple(out)
 
     @staticmethod
     def _rank_weighted_choice(
         ranked: List[Tuple[Tuple[int, ...], float]], rng: np.random.Generator
     ) -> Tuple[int, ...]:
-        """Pick a parent with probability proportional to inverse rank.
+        """Pick a parent with linearly rank-weighted probability.
 
         Selection happens among the *surviving* top half (Section III-B2
         step 3: "The best chromosomes are kept, the rest discarded"), with
-        better survivors still favoured.
+        weights ``s, s-1, ..., 1`` from the best of the ``s`` survivors
+        down.  Draws exactly as ``rng.choice(s, p=weights)`` would.
         """
-        survivors = max(2, len(ranked) // 2)
-        weights = np.arange(survivors, 0, -1, dtype=np.float64)
-        weights /= weights.sum()
-        return ranked[int(rng.choice(survivors, p=weights))][0]
+        cdf = _rank_cdf(max(2, len(ranked) // 2))
+        return ranked[bisect.bisect_right(cdf, rng.random())][0]
 
     # -- main loop -----------------------------------------------------------
     def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
         space = objective.space
         cache: Dict[Tuple[int, ...], float] = {}
+        random, integers = rng.random, rng.integers
+        cards = [p.cardinality for p in space.parameters]
+        threshold = 1.0 / self.mutation_chance
 
         def score_generation(
             population: List[Tuple[int, ...]],
@@ -154,15 +175,17 @@ class GeneticAlgorithmTuner(SequentialTuner):
                 before = objective.evaluations
                 scored = score_generation(population)
                 # Rank best-first; launch failures (inf) sink to the back.
-                scored.sort(key=lambda t: (not np.isfinite(t[1]), t[1]))
+                scored.sort(key=lambda t: (not math.isfinite(t[1]), t[1]))
 
                 children: List[Tuple[int, ...]] = []
                 while len(children) < self.pop_size:
                     p1 = self._rank_weighted_choice(scored, rng)
                     p2 = self._rank_weighted_choice(scored, rng)
-                    for child in self._uniform_crossover(p1, p2, rng):
+                    for child in self._uniform_crossover(p1, p2, random):
                         children.append(
-                            self._mutate(child, objective, rng)
+                            self._mutate(
+                                child, cards, threshold, random, integers
+                            )
                         )
                 population = children[: self.pop_size]
                 if objective.evaluations == before:

@@ -5,12 +5,15 @@ function; these tests pin the contract the batched study engine relies
 on: outcomes stay in input order, a failure inside a batch is attributed
 to exactly the task that failed (its batch-mates' results survive), only
 the failed task is re-run on retry, and a batch function that raises
-wholesale degrades to per-task execution without losing anything.
+wholesale degrades to per-task execution without losing anything.  On a
+non-inline executor every message is one batch, capped by ``chunk_size``
+or, without it, by the default batch size and a share of the total cost.
 """
 
 import pytest
 
 from repro.parallel import ParallelMap, TaskError, TaskFailure, TransientError
+from repro.parallel.executors.base import Executor, UnitResult
 from repro.parallel.pool import DEFAULT_GROUP_BATCH, _run_batch
 
 # Module-level functions so the workers>1 paths can pickle them.
@@ -303,3 +306,126 @@ class TestWholesaleFallbackAccounting:
         assert not outcome.ok
         assert outcome.attempts == 2  # batch + one per-task attempt
         assert calls == [7]
+
+
+class RecordingExecutor(Executor):
+    """A non-inline executor that runs units in the caller, recording
+    each one; ``reverse`` completes them last-submitted-first."""
+
+    name = "recording"
+
+    def __init__(self, workers=2, reverse=False):
+        self.workers = workers
+        self.reverse = reverse
+        self.units = []
+
+    def worker_count(self):
+        return self.workers
+
+    def submit(self, units):
+        units = list(units)
+        self.units.extend(units)
+        for unit in reversed(units) if self.reverse else units:
+            yield UnitResult(unit=unit, outcomes=unit.entry(*unit.payload))
+
+    def batches(self):
+        """``(indices, batch)`` of every recorded message."""
+        return [(unit.payload[2], unit.payload[3]) for unit in self.units]
+
+
+def _cost(task):
+    return task[1]
+
+
+def _group(task):
+    return task[0]
+
+
+#: (group, cost) tasks shaped like a study round: many cheap cells in
+#: the small-S groups, a few expensive ones in the large-S groups.
+COSTED = (
+    [("s25", 25)] * 64 + [("s50", 50)] * 32 + [("s100", 100)] * 16
+    + [("s200", 200)] * 8 + [("s400", 400)] * 4
+)
+
+
+def _cost_batch(batch):
+    return [c for _, c in batch]
+
+
+class TestOneBatchPerMessage:
+    def _run(self, executor, tasks, **kw):
+        chunk_size = kw.pop("chunk_size", None)
+        pool = ParallelMap(executor=executor, chunk_size=chunk_size)
+        return pool.run_grouped(
+            _cost, _cost_batch, tasks, _group, **kw
+        )
+
+    def test_every_message_is_one_batch_of_one_group(self):
+        executor = RecordingExecutor()
+        self._run(executor, COSTED, cost=_cost)
+        assert all(unit.entry is _run_batch for unit in executor.units)
+        for indices, batch in executor.batches():
+            assert len(indices) == len(batch) >= 1
+            assert len({_group(t) for t in batch}) == 1
+            assert [COSTED[i] for i in indices] == batch
+
+    def test_batches_cover_tasks_once_in_input_order(self):
+        executor = RecordingExecutor()
+        self._run(executor, COSTED, cost=_cost)
+        flat = [i for indices, _ in executor.batches() for i in indices]
+        # Groups are contiguous here, so dispatch order is input order.
+        assert flat == list(range(len(COSTED)))
+
+    def test_interleaved_groups_keep_member_order(self):
+        executor = RecordingExecutor()
+        tasks = list(range(40))
+        ParallelMap(executor=executor).run_grouped(
+            square, square_batch, tasks, group_of
+        )
+        flat = []
+        for indices, batch in executor.batches():
+            assert indices == sorted(indices)
+            assert batch == [tasks[i] for i in indices]
+            flat.extend(indices)
+        assert sorted(flat) == tasks
+
+    def test_no_batch_exceeds_the_cost_cap(self):
+        executor = RecordingExecutor(workers=2)
+        outcomes = self._run(executor, COSTED, cost=_cost)
+        cap = sum(c for _, c in COSTED) / (8 * 2)
+        costs = [sum(c for _, c in batch) for _, batch in executor.batches()]
+        assert max(costs) <= cap
+        # The expensive groups spread over several messages.
+        assert len(executor.batches()) > len({_group(t) for t in COSTED})
+        assert [o.result for o in outcomes] == [c for _, c in COSTED]
+
+    def test_count_cap_without_cost(self):
+        executor = RecordingExecutor()
+        self._run(executor, [("g", 1)] * 150)
+        sizes = [len(batch) for _, batch in executor.batches()]
+        # Unit costs: the cap is 150 / 16 tasks, below the default batch.
+        assert max(sizes) <= min(DEFAULT_GROUP_BATCH, 150 / 16)
+        assert sum(sizes) == 150
+
+    def test_chunk_size_caps_batches(self):
+        executor = RecordingExecutor()
+        self._run(executor, COSTED, cost=_cost, chunk_size=5)
+        sizes = [len(batch) for _, batch in executor.batches()]
+        assert max(sizes) == 5
+        assert sum(sizes) == len(COSTED)
+
+    def test_one_group_with_chunk_size_one_is_one_message_per_task(self):
+        executor = RecordingExecutor()
+        self._run(executor, [("bo_tpe", 400)] * 8, cost=_cost, chunk_size=1)
+        assert [len(batch) for _, batch in executor.batches()] == [1] * 8
+
+    def test_on_outcome_in_input_order_despite_reversed_completion(self):
+        executor = RecordingExecutor(reverse=True)
+        seen = []
+        outcomes = self._run(
+            executor, COSTED, cost=_cost, on_outcome=seen.append
+        )
+        assert len(executor.batches()) > 1
+        assert [o.index for o in seen] == list(range(len(COSTED)))
+        assert [o.index for o in outcomes] == list(range(len(COSTED)))
