@@ -2,8 +2,6 @@
 
 Records to ``BENCH_cache.json`` and asserts the headline claims:
 
-* a **warm** ``tune()`` request — answered from the content-addressed
-  store — is **>= 50x** faster than the cold request that populated it;
 * a **warm** study — every cell a store hit, dataset collection
   skipped — is **>= 5x** faster wall-clock than the same study cold;
 * the store changes nothing when cold: a store-attached-but-empty run
@@ -20,12 +18,10 @@ import pytest
 from repro.experiments import ExperimentDesign, StudyConfig, run_study
 from repro.experiments.optimum import clear_optimum_cache
 from repro.gpu.landscape import clear_landscape_memo
-from repro.serve import tune
 from repro.store import STORE_ENV
 
 BENCH_CACHE_PATH = Path(__file__).parent.parent / "BENCH_cache.json"
 
-TUNE_SPEEDUP_THRESHOLD = 50.0
 STUDY_SPEEDUP_THRESHOLD = 5.0
 
 
@@ -48,53 +44,6 @@ def isolated(monkeypatch):
     yield
     clear_landscape_memo()
     clear_optimum_cache()
-
-
-class TestWarmTune:
-    def test_warm_tune_50x_faster(self, tmp_path):
-        store = tmp_path / "store"
-        # A model-based tuner: the cold request pays dataset collection
-        # plus per-iteration surrogate fits, while the warm answer is a
-        # single store lookup whose cost does not grow with the search.
-        budget = 500
-        kwargs = dict(
-            kernel="add",
-            arch="titan_v",
-            tuner="random_forest",
-            budget=budget,
-            store=store,
-            landscape_cache=tmp_path / "cache",
-        )
-        t0 = time.perf_counter()
-        cold = tune(**kwargs)
-        cold_seconds = time.perf_counter() - t0
-        assert cold.cached is False
-
-        warm_seconds = float("inf")
-        for _ in range(5):
-            t0 = time.perf_counter()
-            warm = tune(**kwargs)
-            warm_seconds = min(warm_seconds, time.perf_counter() - t0)
-            assert warm.cached is True
-            assert warm.best_flat == cold.best_flat
-            assert warm.final_runtime_ms == cold.final_runtime_ms
-
-        speedup = cold_seconds / max(warm_seconds, 1e-9)
-        _record_bench(
-            "warm_tune",
-            {
-                "cold_seconds": round(cold_seconds, 6),
-                "warm_seconds": round(warm_seconds, 6),
-                "speedup": round(speedup, 1),
-                "threshold": TUNE_SPEEDUP_THRESHOLD,
-                "tuner": "random_forest",
-                "budget": budget,
-            },
-        )
-        assert speedup >= TUNE_SPEEDUP_THRESHOLD, (
-            f"warm tune() only {speedup:.1f}x faster than cold "
-            f"({warm_seconds:.6f}s vs {cold_seconds:.6f}s)"
-        )
 
 
 class TestWarmStudy:

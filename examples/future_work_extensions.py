@@ -1,33 +1,21 @@
 #!/usr/bin/env python
-"""The paper's future work, runnable today: SA, PSO, HyperBand and BOHB.
+"""The paper's future work, runnable today: SA and PSO.
 
 Section VIII of the paper asks for comparisons against a wider range of
-search algorithms, naming HyperBand and BOHB specifically.  This example
-runs the extension tuners this library adds:
+search algorithms.  This example runs the two extension metaheuristics
+this library adds, Simulated Annealing and Particle Swarm Optimization,
+next to three of the paper's algorithms under the paper's
+fixed-sample-budget rules.
 
-* Simulated Annealing and Particle Swarm Optimization compete under the
-  paper's fixed-sample-budget rules;
-* HyperBand and BOHB use *problem-size fidelities* (smaller images as
-  cheap approximate measurements) under a cost-equal budget counted in
-  full-evaluation units.
-
-Run:  python examples/future_work_extensions.py   (~1-2 minutes)
+Run:  python examples/future_work_extensions.py
 """
 
 import numpy as np
 
 from repro import SimulatedDevice, TITAN_V, get_kernel
-from repro.experiments.fidelity import make_fidelity_measure
-from repro.parallel import RngFactory
-from repro.search import (
-    BohbTuner,
-    HyperbandTuner,
-    MultiFidelityObjective,
-    Objective,
-    make_tuner,
-)
+from repro.search import Objective, make_tuner
 
-BUDGET = 50          # full measurements / full-evaluation units
+BUDGET = 50          # measurements per search
 REPEATS = 5
 KERNEL = "harris"
 
@@ -48,7 +36,6 @@ def main() -> None:
 
     rows = {}
 
-    # Fixed-sample-budget algorithms (paper rules).
     for name in ("random_search", "genetic_algorithm", "bo_tpe",
                  "simulated_annealing", "particle_swarm"):
         finals = []
@@ -65,29 +52,9 @@ def main() -> None:
             finals.append(final_eval(result.best_config, profile, seed))
         rows[name] = float(np.median(finals))
 
-    # Multi-fidelity algorithms (equal cost in full-evaluation units).
-    for tuner_cls in (HyperbandTuner, BohbTuner):
-        finals = []
-        launches = 0
-        for seed in range(REPEATS):
-            measure = make_fidelity_measure(
-                KERNEL, TITAN_V, rng_factory=RngFactory(seed)
-            )
-            mf = MultiFidelityObjective(space, measure, float(BUDGET))
-            result = tuner_cls().tune_mf(
-                mf, np.random.default_rng(200 + seed)
-            )
-            launches = len(mf.runtimes)
-            finals.append(final_eval(result.best_config, profile, seed))
-        rows[tuner_cls.name] = float(np.median(finals))
-        print(
-            f"({tuner_cls.label} turned {BUDGET} units into "
-            f"{launches} kernel launches across fidelities)"
-        )
-
     print(
-        f"\n{KERNEL}/titan_v at a budget of {BUDGET} full-evaluation "
-        f"units (median of {REPEATS} repeats, 10x-re-evaluated finals):"
+        f"\n{KERNEL}/titan_v at a budget of {BUDGET} measurements "
+        f"(median of {REPEATS} repeats, 10x-re-evaluated finals):"
     )
     for name, med in sorted(rows.items(), key=lambda t: t[1]):
         print(f"  {name:20s} {med:8.3f} ms")

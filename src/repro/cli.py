@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(kernel profile, arch, space, tuner+config, budget, seed "
              "policy, simulator version) is already materialized are "
              "answered without running; completed cells are written "
-             "back for later studies and tune() requests (defaults to "
+             "back for later studies (defaults to "
              "$REPRO_RESULT_STORE when set; inspect with "
              "`repro-store ls/stats/gc`)",
     )

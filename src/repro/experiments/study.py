@@ -457,7 +457,7 @@ class _RoundEngine:
         if self.store is not None:
             # Resumed cells are written back too, so resuming an old
             # study migrates its results into the store for every later
-            # study and tune() request.
+            # study.
             for task in tasks:
                 key = task.cell_key
                 if key in self.results and key not in hits:

@@ -2,20 +2,9 @@
 
 from .add import AddKernel
 from .base import PAPER_IMAGE_SIZE, KernelSpec
-from .convolution import ConvolutionKernel
 from .harris import HarrisKernel, box_filter_3x3, sobel_gradients
 from .mandelbrot import IterationStats, MandelbrotKernel, iteration_statistics
-from .reduction import ReductionKernel
-from .stencil3d import Stencil3DKernel
-from .suite import (
-    EXTENDED_KERNEL_NAMES,
-    KERNEL_TYPES,
-    PAPER_KERNEL_NAMES,
-    extended_suite,
-    get_kernel,
-    paper_suite,
-)
-from .transpose import TransposeKernel
+from .suite import KERNEL_TYPES, PAPER_KERNEL_NAMES, get_kernel, paper_suite
 
 __all__ = [
     "KernelSpec",
@@ -27,14 +16,8 @@ __all__ = [
     "MandelbrotKernel",
     "iteration_statistics",
     "IterationStats",
-    "ConvolutionKernel",
-    "TransposeKernel",
-    "ReductionKernel",
-    "Stencil3DKernel",
     "KERNEL_TYPES",
     "PAPER_KERNEL_NAMES",
-    "EXTENDED_KERNEL_NAMES",
     "get_kernel",
     "paper_suite",
-    "extended_suite",
 ]

@@ -4,10 +4,6 @@ The paper evaluates exactly three ImageCL benchmarks (Section V-D): Add,
 Harris and Mandelbrot, each at ``X = Y = 8192``.  :func:`paper_suite`
 builds them at paper scale; :func:`get_kernel` constructs a single
 benchmark at any problem size (tests and examples use small images).
-
-The extension suite (convolution, transpose, reduction, stencil3d)
-follows the paper's future-work call for wider benchmarks [BAT, LS-CAT];
-``extended_suite`` builds those.
 """
 
 from __future__ import annotations
@@ -16,37 +12,24 @@ from typing import Dict, List, Type
 
 from .add import AddKernel
 from .base import PAPER_IMAGE_SIZE, KernelSpec
-from .convolution import ConvolutionKernel
 from .harris import HarrisKernel
 from .mandelbrot import MandelbrotKernel
-from .reduction import ReductionKernel
-from .stencil3d import Stencil3DKernel
-from .transpose import TransposeKernel
 
 __all__ = [
     "KERNEL_TYPES",
     "PAPER_KERNEL_NAMES",
-    "EXTENDED_KERNEL_NAMES",
     "get_kernel",
     "paper_suite",
-    "extended_suite",
 ]
 
 KERNEL_TYPES: Dict[str, Type[KernelSpec]] = {
     AddKernel.name: AddKernel,
     HarrisKernel.name: HarrisKernel,
     MandelbrotKernel.name: MandelbrotKernel,
-    ConvolutionKernel.name: ConvolutionKernel,
-    TransposeKernel.name: TransposeKernel,
-    ReductionKernel.name: ReductionKernel,
-    Stencil3DKernel.name: Stencil3DKernel,
 }
 
 #: Benchmark order used throughout figures, matching the paper.
 PAPER_KERNEL_NAMES = ("add", "harris", "mandelbrot")
-
-#: The future-work extension suite.
-EXTENDED_KERNEL_NAMES = ("convolution", "transpose", "reduction", "stencil3d")
 
 
 def get_kernel(
@@ -68,11 +51,3 @@ def paper_suite() -> List[KernelSpec]:
     """All three paper benchmarks at the paper's 8192x8192 problem size."""
     return [get_kernel(name) for name in PAPER_KERNEL_NAMES]
 
-
-def extended_suite() -> List[KernelSpec]:
-    """The four extension benchmarks at their default problem sizes."""
-    out: List[KernelSpec] = []
-    for name in EXTENDED_KERNEL_NAMES:
-        cls = KERNEL_TYPES[name]
-        out.append(cls())  # each extension kernel carries sane defaults
-    return out

@@ -20,7 +20,6 @@ from .annealing import SimulatedAnnealingTuner
 from .bo_gp import BayesianGpTuner, expected_improvement
 from .bo_tpe import BayesianTpeTuner
 from .genetic import GeneticAlgorithmTuner
-from .multifidelity import BohbTuner, HyperbandTuner, MultiFidelityObjective
 from .pso import ParticleSwarmTuner
 from .random_forest import RandomForestTuner
 from .random_search import RandomSearchTuner
@@ -35,9 +34,6 @@ from .registry import (
 __all__ = [
     "SimulatedAnnealingTuner",
     "ParticleSwarmTuner",
-    "MultiFidelityObjective",
-    "HyperbandTuner",
-    "BohbTuner",
     "EXTENSION_ALGORITHM_NAMES",
     "Objective",
     "BudgetExhausted",

@@ -3,9 +3,7 @@
 The paper's five (``PAPER_ALGORITHM_NAMES``) plus the extension
 metaheuristics from its related work (Simulated Annealing and Particle
 Swarm Optimization, ``EXTENSION_ALGORITHM_NAMES``) — any of which can be
-dropped into a study.  The multi-fidelity tuners (HyperBand/BOHB) live in
-:mod:`repro.search.multifidelity` and use their own objective type, so
-they are not registered here.
+dropped into a study.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Content-addressed result store and cross-study tuning cache.
 
 See DESIGN.md §13 for the on-disk layout, the key schema, and the
-invalidation rules.  :mod:`repro.serve` builds the one-call ``tune()``
-facade on top of this package, and ``run_study`` short-circuits whole
-cells through it.
+invalidation rules.  ``run_study(result_store=...)`` (the CLI's
+``--result-store``) short-circuits whole cells through it.
 """
 
 from .keys import canonical_json, cell_identity, fingerprint_of

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import parameter_importance
-from repro.gpu import TITAN_V
-from repro.kernels import Stencil3DKernel, get_kernel
+from repro.gpu import TITAN_V, WorkloadProfile
+from repro.kernels import get_kernel
+from repro.searchspace import paper_search_space
 
 
 class TestParameterImportance:
@@ -35,9 +36,13 @@ class TestParameterImportance:
 
     def test_z_parameters_alive_on_3d_kernel(self):
         """On a deep grid, the z-axis parameters carry real variance."""
-        kernel = Stencil3DKernel(256, 256, 256)
+        stencil_3d = WorkloadProfile(
+            name="stencil3d", x_size=256, y_size=256, z_size=256,
+            stencil_radius=1, flops_per_element=8.0, divergence_cv=0.0,
+            base_registers=30.0, registers_per_element=5.0,
+        )
         imp = parameter_importance(
-            kernel.profile(), TITAN_V, kernel.space(),
+            stencil_3d, TITAN_V, paper_search_space(),
             n_samples=2048, n_estimators=20,
             rng=np.random.default_rng(0),
         )

@@ -1,5 +1,7 @@
 """Unit and property tests for the composed GPU performance model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from repro.gpu import (
     GTX_980,
     RTX_TITAN,
     TITAN_V,
+    WorkloadProfile,
     simulate_runtimes,
 )
 from repro.kernels import get_kernel
@@ -20,6 +23,24 @@ MANDEL = get_kernel("mandelbrot").profile()
 GOOD = np.array([[1, 1, 1, 8, 4, 1]])
 TINY_BLOCK = np.array([[1, 1, 1, 1, 1, 1]])
 OVER_LIMIT = np.array([[1, 1, 1, 8, 8, 8]])  # wg product 512 > 256
+
+# Synthetic profiles for model branches the paper's three kernels leave
+# off: column-major output, per-thread shared memory and a deep z axis.
+TRANSPOSE = WorkloadProfile(
+    name="transpose", x_size=4096, y_size=4096,
+    reads_per_element=1.0, writes_per_element=1.0, writes_transposed=True,
+    flops_per_element=0.5, base_registers=14.0, registers_per_element=2.0,
+)
+REDUCTION = WorkloadProfile(
+    name="reduction", x_size=4096, y_size=4096,
+    reads_per_element=1.0, writes_per_element=0.0, flops_per_element=1.0,
+    base_registers=16.0, registers_per_element=1.0,
+)
+STENCIL_3D = WorkloadProfile(
+    name="stencil3d", x_size=256, y_size=256, z_size=256,
+    stencil_radius=1, flops_per_element=8.0, divergence_cv=0.0,
+    base_registers=30.0, registers_per_element=5.0,
+)
 
 
 config_strategy = st.tuples(
@@ -130,3 +151,69 @@ class TestPhysicalSanity:
             assert np.isfinite(r.runtime_ms[0])
             assert r.runtime_ms[0] > 0
             assert 0.0 <= r.occupancy[0] <= 1.0
+
+
+class TestWorkloadFeatures:
+    def test_transposed_writes_cost_more(self):
+        """Strided column-major writes make a transpose slower than the
+        equivalent copy."""
+        copy = dataclasses.replace(
+            TRANSPOSE, name="copy", writes_transposed=False
+        )
+        t_ms = simulate_runtimes(TRANSPOSE, TITAN_V, GOOD).runtime_ms[0]
+        c_ms = simulate_runtimes(copy, TITAN_V, GOOD).runtime_ms[0]
+        assert t_ms > 1.2 * c_ms
+
+    def test_older_arch_punished_harder(self):
+        """Relative to each arch's bandwidth floor, Maxwell pays more for
+        transposed writes than Volta."""
+        ratios = {}
+        for arch in (GTX_980, TITAN_V):
+            floor_ms = TRANSPOSE.elements * 8 / (arch.dram_bandwidth_gbs * 1e6)
+            runtime = simulate_runtimes(TRANSPOSE, arch, GOOD).runtime_ms[0]
+            ratios[arch.codename] = runtime / floor_ms
+        assert ratios["gtx_980"] > ratios["titan_v"]
+
+    @pytest.mark.parametrize(
+        "block", [(8, 8), (16, 8), (16, 16)], ids=["8x8", "16x8", "16x16"]
+    )
+    def test_shared_memory_limits_occupancy(self, block):
+        """96 B of shared memory per thread caps an SM at 1,024 resident
+        threads (half of Volta's warp slots) whatever the block shape;
+        twice that overflows a 256-thread block's limit."""
+        cfg = np.array([[1, 1, 1, *block, 1]])
+        free = simulate_runtimes(REDUCTION, TITAN_V, cfg)
+        assert free.occupancy[0] == pytest.approx(1.0)
+        capped = dataclasses.replace(REDUCTION, shared_bytes_per_thread=96.0)
+        assert simulate_runtimes(capped, TITAN_V, cfg).occupancy[0] == (
+            pytest.approx(0.5)
+        )
+        too_big = dataclasses.replace(
+            REDUCTION, shared_bytes_per_thread=200.0
+        )
+        failed = simulate_runtimes(too_big, TITAN_V, cfg).launch_failure[0]
+        assert failed == (block[0] * block[1] * 200 >
+                          TITAN_V.shared_mem_per_block_bytes)
+
+    def test_z_parameters_matter(self):
+        """On a deep grid, varying wg_z changes runtime materially —
+        unlike on the paper's 2-D kernels where z is nearly dead."""
+        base = np.array([[1, 1, 1, 8, 4, 1]])
+        deep = np.array([[1, 1, 1, 8, 4, 4]])
+        t_base = simulate_runtimes(STENCIL_3D, TITAN_V, base).runtime_ms[0]
+        t_deep = simulate_runtimes(STENCIL_3D, TITAN_V, deep).runtime_ms[0]
+        assert abs(t_deep - t_base) / t_base > 0.05
+
+        # Contrast: on a 2-D kernel the same change only dilutes
+        # occupancy...
+        add = get_kernel("add", 4096, 4096).profile()
+        b2 = simulate_runtimes(add, TITAN_V, base).runtime_ms[0]
+        d2 = simulate_runtimes(add, TITAN_V, deep).runtime_ms[0]
+        assert d2 > b2
+        # ...but the 3-D grid's z axis is a useful one: some deeper
+        # work-group improves on the flat one somewhere.
+        zs = np.array(
+            [[1, 1, z, 8, 4, w] for z in (1, 2, 4) for w in (1, 2, 4)]
+        )
+        t = simulate_runtimes(STENCIL_3D, TITAN_V, zs).runtime_ms
+        assert t.min() < t_base * 1.01
