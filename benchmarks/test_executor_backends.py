@@ -175,7 +175,6 @@ def _socket_study(n_workers: int, cache):
             executor="socket",
             executor_bind=address,
             min_workers=n_workers,
-            chunk_size=1,
         )
         elapsed = time.perf_counter() - t0
     return results, elapsed

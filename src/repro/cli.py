@@ -48,13 +48,6 @@ from .search import PAPER_ALGORITHM_NAMES
 __all__ = ["main", "build_parser"]
 
 
-def _chunk_size(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-study",
@@ -108,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --executor socket: wait for N connected workers "
              "before dispatching (default 0: start immediately, "
              "workers join elastically)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=_chunk_size, default=None, metavar="N",
-        help="tasks per worker message, i.e. per replication-group batch "
-             "(default: batches sized by sample-size cost)",
     )
     parser.add_argument("--paper-scale", action="store_true",
                         help="run the paper's full design (slow!)")
@@ -353,7 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             executor=args.executor,
             executor_bind=args.bind,
             min_workers=args.min_workers,
-            chunk_size=args.chunk_size,
             result_store=args.result_store,
         )
     except TaskError as err:

@@ -45,11 +45,11 @@ File format (one JSON object per line)::
 
 Checkpoint bytes are a **cross-backend invariant**: lines are written
 parent-side in task-input order (the pool buffers out-of-order
-completions — see :meth:`repro.parallel.ParallelMap.run`), contain no
-timestamps, and deliberately exclude worker identity — which pid, node,
-or executor backend produced a result must never change the file.  The
-same study run serially, on a process pool, or sharded over N
-``repro-worker`` machines produces the identical checkpoint; per-node
+completions — see :meth:`repro.parallel.ParallelMap.run_grouped`),
+contain no timestamps, and deliberately exclude worker identity — which
+pid, node, or executor backend produced a result must never change the
+file.  The same study run serially, on a process pool, or sharded over
+N ``repro-worker`` machines produces the identical checkpoint; per-node
 failure attribution lives in ``StudyResults.metadata["failed_cells"]``
 instead.
 """

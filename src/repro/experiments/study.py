@@ -825,7 +825,6 @@ def run_study(
     executor: Optional[str] = None,
     executor_bind: Optional[str] = None,
     min_workers: int = 0,
-    chunk_size: Optional[int] = None,
     result_store: Optional[object] = None,
 ) -> StudyResults:
     """Run the full study described by ``config``.
@@ -927,11 +926,6 @@ def run_study(
         With the socket executor, block until this many workers have
         connected before dispatching (default 0: start immediately and
         let workers join elastically).
-    chunk_size:
-        Tasks per worker message.  Each message carries one batch of a
-        replication group, so this caps the batch size; ``None`` sizes
-        batches by cost instead (each at most 1/8 of a worker's share
-        of the round's total sample count).
     result_store:
         A :class:`~repro.store.ResultStore`, a store directory path,
         ``None`` (use ``$REPRO_RESULT_STORE``; unset disables the
@@ -1095,7 +1089,6 @@ def run_study(
         telemetry.executor = executor
         pool = ParallelMap(
             workers=config.workers,
-            chunk_size=chunk_size,
             failure_policy=failure_policy,
             retries=retries,
             metrics=registry,

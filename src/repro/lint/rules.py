@@ -392,11 +392,11 @@ class UnorderedIterationRule(Rule):
 
 # -- REP006 ------------------------------------------------------------------
 
+#: Pool dispatch methods -> positions of the callables they pickle.
+#: ``run_grouped`` is also the executor protocol's dispatch method.
 _DISPATCH_METHODS = {
     "run": (0,),
     "run_grouped": (0, 1),
-    # Executor-protocol dispatch ships fn over the same pickle boundary.
-    "submit_chunks": (0,),
 }
 _DISPATCH_KEYWORDS = ("fn", "batch_fn")
 

@@ -1,20 +1,21 @@
 """The executor protocol: transport-agnostic dispatch of work units.
 
 :class:`~repro.parallel.pool.ParallelMap` owns execution *policy* —
-chunking, grouping, retries, failure policy, metrics, and the in-input-
-order delivery of outcomes that checkpoint byte-identity rests on.  An
+batching, retries, failure policy, metrics, and the in-input-order
+delivery of outcomes that checkpoint byte-identity rests on.  An
 :class:`Executor` owns only *transport*: ship a picklable
 :class:`WorkUnit` somewhere, run its entry point, stream a
-:class:`UnitResult` back.  Three backends implement the seam:
+:class:`UnitResult` back.  There is one dispatch shape: a unit is one
+batch of one replication group, built by :meth:`Executor.run_grouped`
+around the worker entry point :func:`~repro.parallel.pool._run_batch`.
+Three backends implement the seam:
 
 * ``serial`` — inline in the caller, zero IPC (``inline = True``),
 * ``process`` — a :class:`concurrent.futures.ProcessPoolExecutor`,
 * ``socket`` — a TCP coordinator feeding ``repro-worker`` processes on
   any number of machines.
 
-Every backend runs the **same** worker entry points
-(:func:`~repro.parallel.pool._run_chunk` /
-:func:`~repro.parallel.pool._run_batch`), so retry, backoff, span and
+Every backend runs the same entry point, so retry, backoff, span and
 per-task attribution semantics are identical everywhere; only where the
 bytes travel differs.  Results therefore cannot depend on the backend —
 per-cell RNG is derived from task keys, never from execution placement.
@@ -36,7 +37,7 @@ from typing import (
     Type,
 )
 
-from ..pool import TaskOutcome, _run_batch, _run_chunk
+from ..pool import TaskOutcome, _run_batch
 
 __all__ = ["ExecutionSettings", "WorkUnit", "UnitResult", "Executor"]
 
@@ -89,11 +90,9 @@ class UnitResult:
 class Executor:
     """Abstract transport backend.  Subclasses implement :meth:`submit`.
 
-    The two concrete dispatch methods mirror the two shapes
-    :class:`~repro.parallel.pool.ParallelMap` produces: plain index
-    chunks (:meth:`submit_chunks`) and replication-group batches
-    (:meth:`run_grouped`).  Both build :class:`WorkUnit` records around
-    the shared worker entry points and delegate transport to
+    :meth:`run_grouped` is the one dispatch method: it wraps each batch
+    :class:`~repro.parallel.pool.ParallelMap` cut in a :class:`WorkUnit`
+    around the shared worker entry point and delegates transport to
     :meth:`submit`, which yields :class:`UnitResult` records in
     **completion order** — the pool re-orders them for delivery.
     """
@@ -111,38 +110,14 @@ class Executor:
         return 1
 
     def parallelism(self) -> int:
-        """Concurrency to size chunks for (never less than 1)."""
+        """Concurrency to size batches for (never less than 1)."""
         return max(1, self.worker_count())
 
     # -- dispatch -------------------------------------------------------------
-    def submit_chunks(
-        self,
-        fn: Callable[[Any], Any],
-        chunks: Sequence[Tuple[int, Sequence[Any]]],
-        settings: ExecutionSettings,
-    ) -> Iterator[UnitResult]:
-        """Dispatch ``(start_index, tasks)`` chunks through ``fn``."""
-        units = [
-            WorkUnit(
-                uid=uid,
-                entry=_run_chunk,
-                payload=(
-                    fn, start, list(chunk), settings.retries,
-                    settings.backoff, settings.backoff_cap,
-                    settings.retryable, settings.span_context,
-                ),
-                members=tuple(
-                    (start + i, task) for i, task in enumerate(chunk)
-                ),
-            )
-            for uid, (start, chunk) in enumerate(chunks)
-        ]
-        return self.submit(units)
-
     def run_grouped(
         self,
         fn: Callable[[Any], Any],
-        batch_fn: Callable[[Sequence[Any]], Sequence[Any]],
+        batch_fn: Optional[Callable[[Sequence[Any]], Sequence[Any]]],
         batches: Sequence[Tuple[Sequence[int], Sequence[Any]]],
         settings: ExecutionSettings,
     ) -> Iterator[UnitResult]:

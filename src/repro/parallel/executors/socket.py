@@ -3,30 +3,26 @@
 The coordinator listens on ``--bind HOST:PORT`` and hands
 :class:`~repro.parallel.executors.base.WorkUnit` frames to however many
 workers are connected (``repro-worker connect HOST:PORT``, possibly on
-other machines).  Scheduling is pull-based: each worker holds at most
-one in-flight dispatch and takes the next from a shared queue the
-moment it finishes, so heterogeneous nodes load-balance themselves.
-
-A dispatch is one unit — or, to workers that advertised
-``result_batching`` in their hello, up to ``batch_window`` queued units
-in a single ``unitbatch`` frame (never more than a fair
-``ceil(pending / workers)`` share, so the queue tail still spreads
-across nodes).  Batched workers coalesce small per-unit results into
-``results`` frames on a flush interval, cutting per-result frame
-overhead for sub-millisecond units; non-batching workers keep the
-classic one-``unit``/one-``result`` exchange, and the two dialects
-interoperate on one coordinator.
+other machines).  Every exchange has one shape: the coordinator sends
+one ``unit`` frame — one replication-group batch — and the worker
+answers it with one ``result`` or ``error`` frame carrying the unit's
+id (frame kinds: :mod:`repro.parallel.executors.wire`).  Scheduling is
+pull-based: each worker holds one in-flight unit and takes the next
+from a shared queue the moment it answers, so heterogeneous nodes
+load-balance themselves.
 
 Elastic-worker semantics — the invariants the study relies on:
 
 * workers may **join at any time** (the accept loop never closes while
   the executor lives); queued units start flowing to them immediately;
-* a worker that **dies mid-dispatch** has exactly its unanswered
-  in-flight units requeued at the *front* of the queue in their
-  original order (each bounded by :data:`MAX_REQUEUES`, after which
+* a worker that **dies mid-unit**, or answers with a frame that is not
+  a reply to its unit, is dropped and its in-flight unit requeued at the
+  *front* of the queue (bounded by :data:`MAX_REQUEUES`, after which
   the unit is reported as an infrastructure failure) — completed units
   were already streamed back, so nothing is lost and nothing runs
   twice;
+* a unit whose payload will not pickle is reported failed at once,
+  since every worker would fail it identically;
 * results are **attributed to a node**: every outcome carries the
   worker's (deduplicated) node name, and the handshake rejects workers
   whose protocol or simulator version differs from the coordinator's.
@@ -44,7 +40,7 @@ import threading
 import traceback as _traceback
 from collections import deque
 from queue import Queue
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .base import Executor, UnitResult, WorkUnit
 from .wire import PROTOCOL_VERSION, WireError, encode, recv_msg, send_frame, send_msg
@@ -84,10 +80,6 @@ class SocketExecutor(Executor):
     on_event:
         Optional sink for human-readable join/leave lines (the study
         wires its telemetry in here).
-    batch_window:
-        Max queued units handed to one batching-capable worker per
-        dispatch (1 disables batching; the fair-share cap still
-        applies).
     """
 
     name = "socket"
@@ -96,7 +88,6 @@ class SocketExecutor(Executor):
         self,
         bind: str = "127.0.0.1:0",
         on_event=None,
-        batch_window: int = 4,
     ) -> None:
         host, port = parse_bind(bind)
         self._listener = _socket.create_server(
@@ -113,7 +104,6 @@ class SocketExecutor(Executor):
         self._results: "Queue[Tuple[int, UnitResult]]" = Queue()
         self._epoch = 0
         self._closed = False
-        self._batch_window = max(1, int(batch_window))
         self._counters: Dict[str, float] = {}
         self._sim_version = _coordinator_simulator_version()
         self._accept_thread = threading.Thread(
@@ -202,8 +192,8 @@ class SocketExecutor(Executor):
                 daemon=True,
             ).start()
 
-    def _handshake(self, conn, addr) -> Optional[Tuple[str, bool]]:
-        """Returns ``(node_name, result_batching)``, or None on reject."""
+    def _handshake(self, conn, addr) -> Optional[str]:
+        """Returns the worker's node name, or None on reject."""
         hello = recv_msg(conn)
         if not isinstance(hello, dict) or hello.get("kind") != "hello":
             send_msg(conn, {"kind": "reject", "reason": "expected hello"})
@@ -245,7 +235,7 @@ class SocketExecutor(Executor):
                 suffix += 1
             self._taken_names.add(node)
         send_msg(conn, {"kind": "welcome", "node": node})
-        return node, bool(hello.get("result_batching"))
+        return node
 
     def _count(self, name: str, value: float = 1.0) -> None:
         self._counters[name] = self._counters.get(name, 0.0) + value
@@ -254,95 +244,46 @@ class SocketExecutor(Executor):
         if self._on_event is not None:
             self._on_event(message)
 
-    def _pop_batch(self, batching: bool) -> List[Tuple[int, WorkUnit]]:
-        """Pop the next dispatch for one worker.  Lock held by caller.
+    def _reply_result(self, conn, node, unit: WorkUnit) -> UnitResult:
+        """Receive the worker's reply to ``unit``.
 
-        Batching workers take up to ``batch_window`` same-epoch units,
-        capped at a fair ``ceil(pending / workers)`` share so the queue
-        tail spreads across nodes instead of draining into one batch.
+        Anything but a ``result``/``error`` frame carrying ``unit``'s id
+        raises :class:`WireError`, which drops the worker and requeues
+        the unit.
         """
-        window = self._batch_window if batching else 1
-        fair = -(-len(self._pending) // max(1, len(self._workers)))
-        limit = max(1, min(window, fair))
-        epoch0 = self._pending[0][0]
-        batch = [self._pending.popleft()]
-        while (
-            self._pending
-            and len(batch) < limit
-            and self._pending[0][0] == epoch0
-        ):
-            batch.append(self._pending.popleft())
-        return batch
-
-    def _entry_result(self, entry: dict, unit: WorkUnit, node) -> UnitResult:
-        """One reply entry (``outcomes`` or ``error``) -> UnitResult."""
-        if "outcomes" in entry and entry.get("error") is None:
+        reply = recv_msg(conn)
+        if reply is None:
+            raise WireError(f"worker {node!r} vanished mid-unit")
+        kind = reply.get("kind")
+        if kind not in ("result", "error"):
+            raise WireError(
+                f"worker {node!r} sent unexpected {kind!r} frame"
+            )
+        if reply.get("id") != unit.uid:
+            raise WireError(
+                f"worker {node!r} answered unit {reply.get('id')!r}, "
+                f"expected {unit.uid!r}"
+            )
+        if kind == "result":
             return UnitResult(
-                unit=unit, outcomes=list(entry["outcomes"]), node=node
+                unit=unit, outcomes=list(reply["outcomes"]), node=node
             )
         return UnitResult(
             unit=unit,
-            error=RuntimeError(str(entry.get("error", "worker error"))),
-            traceback=str(entry.get("traceback", "")),
+            error=RuntimeError(str(reply.get("error", "worker error"))),
+            traceback=str(reply.get("traceback", "")),
             node=node,
         )
 
-    def _await_replies(self, conn, node, expected, inflight) -> None:
-        """Deliver replies until every ``expected`` unit is answered.
-
-        Accepts coalesced ``results`` frames and the classic
-        ``result``/``error`` frames interchangeably.  Each delivered
-        item is removed from ``inflight`` so a worker death mid-batch
-        requeues exactly the unanswered remainder.
-        """
-        index = {unit.uid: (epoch, unit) for epoch, unit in expected}
-        while index:
-            reply = recv_msg(conn)
-            if reply is None:
-                raise WireError(f"worker {node!r} vanished mid-unit")
-            kind = reply.get("kind")
-            if kind == "results":
-                entries = list(reply.get("entries") or [])
-                self._count("executor_result_frames_total")
-                if len(entries) > 1:
-                    # Results that shared a frame instead of paying for
-                    # their own — the batching win, made observable.
-                    self._count(
-                        "executor_results_coalesced_total",
-                        len(entries) - 1,
-                    )
-            elif kind in ("result", "error"):
-                self._count("executor_result_frames_total")
-                entries = [reply]
-            else:
-                raise WireError(
-                    f"worker {node!r} sent unexpected {kind!r} frame"
-                )
-            for entry in entries:
-                uid = entry.get("id")
-                if uid is None and len(index) == 1:
-                    uid = next(iter(index))
-                item = index.pop(uid, None)
-                if item is None:
-                    raise WireError(
-                        f"worker {node!r} answered unknown unit {uid!r}"
-                    )
-                if item in inflight:
-                    inflight.remove(item)
-                self._results.put(
-                    (item[0], self._entry_result(entry, item[1], node))
-                )
-
     def _serve_worker(self, conn, addr) -> None:
         try:
-            shake = self._handshake(conn, addr)
+            node = self._handshake(conn, addr)
         except Exception:  # repro: noqa[REP008] a malformed client at handshake has no task to attribute a failure to; the connection is simply dropped
             conn.close()
             return
-        if shake is None:
+        if node is None:
             conn.close()
             return
-        node, batching = shake
         with self._cond:
             self._workers[node] = conn
             self._count("executor_workers_joined_total")
@@ -350,7 +291,7 @@ class SocketExecutor(Executor):
         self._event(
             f"worker {node!r} joined ({len(self._workers)} connected)"
         )
-        current: List[Tuple[int, WorkUnit]] = []
+        item: Optional[Tuple[int, WorkUnit]] = None
         try:
             while True:
                 with self._cond:
@@ -358,67 +299,34 @@ class SocketExecutor(Executor):
                         self._cond.wait()
                     if self._closed:
                         return
-                    current = self._pop_batch(batching)
-                if len(current) > 1:
-                    try:
-                        blob = encode(
-                            {
-                                "kind": "unitbatch",
-                                "units": [
-                                    {
-                                        "id": unit.uid,
-                                        "entry": unit.entry,
-                                        "payload": unit.payload,
-                                    }
-                                    for _epoch, unit in current
-                                ],
-                            }
-                        )
-                    except Exception:  # repro: noqa[REP008] deliberate fallback: the per-unit loop below re-encodes each unit and attributes the pickling failure to exactly the culprit unit
-                        # Some unit in the batch won't pickle; fall back
-                        # to per-unit frames so the culprit is isolated
-                        # and the healthy units still run.
-                        blob = None
-                    if blob is not None:
-                        send_frame(conn, blob)
-                        self._await_replies(
-                            conn, node, list(current), current
-                        )
-                        continue
-                for item in list(current):
-                    epoch, unit = item
-                    try:
-                        blob = encode(
-                            {
-                                "kind": "unit",
-                                "id": unit.uid,
-                                "entry": unit.entry,
-                                "payload": unit.payload,
-                            }
-                        )
-                    except Exception as exc:  # noqa: BLE001
-                        # The payload itself won't pickle: requeueing
-                        # would fail identically on every worker, so
-                        # report the infrastructure failure and move on.
-                        current.remove(item)
-                        self._results.put(
-                            (
-                                epoch,
-                                UnitResult(
-                                    unit=unit,
-                                    error=exc,
-                                    traceback=_traceback.format_exc(),
-                                    node=node,
-                                ),
-                            )
-                        )
-                        continue
+                    item = self._pending.popleft()
+                epoch, unit = item
+                try:
+                    blob = encode(
+                        {
+                            "kind": "unit",
+                            "id": unit.uid,
+                            "entry": unit.entry,
+                            "payload": unit.payload,
+                        }
+                    )
+                except Exception as exc:  # noqa: BLE001
+                    # The payload itself won't pickle: requeueing would
+                    # fail identically on every worker, so report the
+                    # infrastructure failure and move on.
+                    result = UnitResult(
+                        unit=unit,
+                        error=exc,
+                        traceback=_traceback.format_exc(),
+                        node=node,
+                    )
+                else:
                     send_frame(conn, blob)
-                    self._await_replies(conn, node, [item], current)
+                    result = self._reply_result(conn, node, unit)
+                item = None
+                self._results.put((epoch, result))
         except Exception as exc:  # noqa: BLE001 - worker loss is survivable
-            # Reversed so appendleft restores the original queue order:
-            # the oldest unanswered unit ends up at the front.
-            for item in reversed(current):
+            if item is not None:
                 self._requeue(item, exc)
         finally:
             with self._cond:

@@ -2,30 +2,24 @@
 
 Frames are ``b"REPX" + uint64(len) + pickle(payload)`` — big-endian,
 versioned by :data:`PROTOCOL_VERSION` in the handshake rather than the
-frame, so one stream never mixes protocol dialects.  Messages are plain
-dicts with a ``"kind"`` key:
+frame.  Messages are plain dicts with a ``"kind"`` key.  After the
+handshake the exchange is one request and one reply: the coordinator
+sends one ``unit`` and the worker answers it with one ``result`` or
+``error`` before it gets the next.
 
 * ``hello``   (worker → coordinator): ``protocol``, ``node``, ``pid``,
   ``simulator_version`` — the coordinator rejects protocol or simulator
   mismatches outright, the socket-level analogue of the landscape
   cache's fingerprint validation (a worker with a different simulator
-  would silently produce different numbers).  An optional
-  ``result_batching`` flag advertises that this worker accepts
-  ``unitbatch`` frames.
+  would silently produce different numbers).
 * ``welcome`` (coordinator → worker): the (deduplicated) ``node`` name
   the coordinator will attribute this worker's outcomes to.
 * ``reject``  (coordinator → worker): handshake refusal + ``reason``.
 * ``unit``    (coordinator → worker): ``id``, ``entry`` (a module-level
-  callable, pickled by qualified name), ``payload`` (its args).
-* ``unitbatch`` (coordinator → worker): ``units``, a list of ``unit``
-  bodies dispatched in one frame — sent only to workers whose hello
-  carried ``result_batching``.
-* ``result`` / ``error`` (worker → coordinator): ``id`` plus
+  callable, pickled by qualified name), ``payload`` (its args — one
+  replication-group batch).
+* ``result`` / ``error`` (worker → coordinator): the unit's ``id`` plus
   ``outcomes`` or ``error``/``traceback``.
-* ``results`` (worker → coordinator): ``entries`` — per-unit reply
-  bodies (``id`` plus ``outcomes`` or ``error``/``traceback``)
-  coalesced over the worker's flush interval; the batched counterpart
-  of ``result``/``error``.
 * ``shutdown`` (coordinator → worker): drain and exit.
 
 Pickle is acceptable here for the same reason it is across the process

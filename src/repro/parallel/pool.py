@@ -3,16 +3,19 @@
 The paper's study is a large cross-product of independent experiments
 (Section VII: ~3 million kernel samples).  Each cell is pure —
 ``f(task) -> result`` with reproducible per-cell RNG — so the study
-parallelizes trivially.  :class:`ParallelMap` is the *policy* layer:
+parallelizes trivially.  :class:`ParallelMap` is the *policy* layer,
+with one dispatch shape: :meth:`ParallelMap.run_grouped` cuts the tasks
+into batches, each from one replication group and capped by count and
+by cost, and every batch travels to a worker as one message
+(:meth:`ParallelMap.run` is the case of one task per group).  It
 
 * preserves input order in the output **and** in ``on_outcome`` hook
   delivery (outcomes buffer until their input-order turn), so
   checkpoint files are byte-identical across every backend and worker
   count,
-* chunks tasks to amortize per-message overhead,
 * captures a **per-task outcome** (result, or exception + traceback
   string) inside the worker, so a failure is always attributed to the
-  exact task that raised — never to an innocent chunk-mate,
+  exact task that raised — never to an innocent batch-mate,
 * supports two failure policies: ``"fail_fast"`` (raise
   :class:`TaskError` on the first failure) and ``"collect"`` (run every
   task to completion and report failures alongside successes), and
@@ -33,6 +36,7 @@ stay vectorized inside a single process.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -105,7 +109,7 @@ class TaskError(RuntimeError):
     """A task failed; carries the offending task for diagnosis.
 
     ``task`` is the exact task whose function call raised (not merely the
-    first task of the chunk it was shipped in), ``cause`` the exception,
+    first task of the batch it was shipped in), ``cause`` the exception,
     and ``traceback`` the worker-side formatted traceback when the
     failure happened in a worker process.
     """
@@ -125,7 +129,7 @@ class TaskOutcome:
 
     Outcomes are plain picklable records so workers can report failures
     without re-raising across the process boundary (which would discard
-    the chunk-mates' finished results).
+    the batch-mates' finished results).
     """
 
     index: int
@@ -236,44 +240,6 @@ def _span_fields(**fields: Any) -> dict:
     return fields
 
 
-def _run_chunk(
-    fn: Callable[[Any], Any],
-    start: int,
-    chunk: Sequence[Any],
-    retries: int,
-    backoff: float,
-    backoff_cap: float,
-    retryable: Tuple[Type[BaseException], ...],
-    span_context: Any = None,
-) -> List[TaskOutcome]:
-    """Worker entry point: per-task outcomes, never a chunk-wide raise.
-
-    ``span_context`` is an opaque parent handle
-    (:class:`repro.obs.spans.SpanContext`); when set, the whole chunk is
-    wrapped in a ``worker-chunk`` span so the span-tree reader can
-    attribute wall time to this worker process (and, under the socket
-    executor, to its node).
-    """
-    if span_context is not None:
-        from ..obs.spans import child_span
-
-        with child_span(
-            span_context,
-            "worker-chunk",
-            subject=f"tasks[{start}:{start + len(chunk)}]",
-            **_span_fields(tasks=len(chunk)),
-        ):
-            return _stamp_node([
-                _run_one(fn, start + i, task, retries, backoff,
-                         backoff_cap, retryable)
-                for i, task in enumerate(chunk)
-            ])
-    return _stamp_node([
-        _run_one(fn, start + i, task, retries, backoff, backoff_cap, retryable)
-        for i, task in enumerate(chunk)
-    ])
-
-
 def _finish_failed(
     fn: Callable[[Any], Any],
     index: int,
@@ -317,7 +283,7 @@ def _finish_failed(
 
 def _run_batch(
     fn: Callable[[Any], Any],
-    batch_fn: Callable[[Sequence[Any]], Sequence[Any]],
+    batch_fn: Optional[Callable[[Sequence[Any]], Sequence[Any]]],
     indices: Sequence[int],
     batch: Sequence[Any],
     retries: int,
@@ -326,16 +292,19 @@ def _run_batch(
     retryable: Tuple[Type[BaseException], ...],
     span_context: Any = None,
 ) -> List[TaskOutcome]:
-    """Worker entry point for grouped dispatch: one batch with per-task
-    attribution.
+    """Worker entry point: one batch with per-task attribution.
 
     ``batch_fn`` returns one entry per task — a result, or a
     :class:`TaskFailure` recording that task's own error.  Retryable
     per-task failures re-run individually through ``fn``; a ``batch_fn``
     that raises wholesale (or returns the wrong arity) falls back to
     per-task ``fn`` execution, so a batch-engine defect can cost
-    throughput but never attribution or results.  ``span_context`` wraps
-    the batch in a ``worker-chunk`` span, as in :func:`_run_chunk`.
+    throughput but never attribution or results.  ``batch_fn=None``
+    runs every task through ``fn``.  ``span_context``
+    (:class:`repro.obs.spans.SpanContext`) wraps the batch in a
+    ``worker-chunk`` span, so the span-tree reader can attribute wall
+    time to this worker process (and, under the socket executor, to its
+    node).
     """
     if span_context is not None:
         from ..obs.spans import child_span
@@ -348,33 +317,37 @@ def _run_batch(
         ):
             return _run_batch(fn, batch_fn, indices, batch, retries,
                               backoff, backoff_cap, retryable)
-    try:
-        items = batch_fn(batch)
-        if len(items) != len(batch):
-            raise RuntimeError(
-                f"batch_fn returned {len(items)} entries for "
-                f"{len(batch)} tasks"
-            )
-    except Exception:  # repro: noqa[REP008] engine failure falls through to per-task execution, which attributes every error
-        # The batch execution counts as each task's first attempt, so the
-        # fallback runs report attempts >= 2 and retry metrics include
-        # the attempt the broken engine consumed.
-        return _stamp_node([
-            _run_one(fn, index, task, retries, backoff, backoff_cap,
-                     retryable, prior_attempts=1)
-            for index, task in zip(indices, batch)
-        ])
+    prior_attempts = 0
+    if batch_fn is not None:
+        try:
+            items = batch_fn(batch)
+            if len(items) != len(batch):
+                raise RuntimeError(
+                    f"batch_fn returned {len(items)} entries for "
+                    f"{len(batch)} tasks"
+                )
+        except Exception:  # repro: noqa[REP008] engine failure falls through to per-task execution, which attributes every error
+            # The batch execution counts as each task's first attempt, so
+            # the fallback runs report attempts >= 2 and retry metrics
+            # include the attempt the broken engine consumed.
+            prior_attempts = 1
+        else:
+            return _stamp_node([
+                _finish_failed(fn, index, task, item, retries, backoff,
+                               backoff_cap, retryable)
+                if isinstance(item, TaskFailure)
+                else TaskOutcome(index=index, task=task, result=item)
+                for index, task, item in zip(indices, batch, items)
+            ])
     return _stamp_node([
-        _finish_failed(fn, index, task, item, retries, backoff,
-                       backoff_cap, retryable)
-        if isinstance(item, TaskFailure)
-        else TaskOutcome(index=index, task=task, result=item)
-        for index, task, item in zip(indices, batch, items)
+        _run_one(fn, index, task, retries, backoff, backoff_cap, retryable,
+                 prior_attempts=prior_attempts)
+        for index, task in zip(indices, batch)
     ])
 
 
 class ParallelMap:
-    """Order-preserving parallel ``map`` over a task list.
+    """Order-preserving parallel dispatch of a task list.
 
     Parameters
     ----------
@@ -391,11 +364,6 @@ class ParallelMap:
         its lifecycle, e.g. a socket coordinator serving a whole study);
         name-built and auto-selected backends are per-dispatch and
         closed by the pool.
-    chunk_size:
-        Tasks per worker message (``None`` or at least 1).  ``None`` ->
-        balanced chunks (about 4 chunks per unit of executor
-        parallelism).  Grouped dispatch sends one batch per message, so
-        there it caps the tasks per batch (see :meth:`run_grouped`).
     failure_policy:
         ``"fail_fast"`` (default): :meth:`run` raises :class:`TaskError`
         naming the exact failing task as soon as its failure is observed.
@@ -417,7 +385,7 @@ class ParallelMap:
         ``task_retries_total`` counters and the ``pool_workers`` gauge.
     span_context:
         Optional :class:`repro.obs.spans.SpanContext` parent handle.
-        When set, every worker-side chunk/batch execution is wrapped in
+        When set, every worker-side batch execution is wrapped in
         a ``worker-chunk`` span parented on it, giving the span-tree
         reader per-worker time attribution.  ``None`` (default) emits
         nothing; the serial path never emits worker spans (there are no
@@ -428,7 +396,6 @@ class ParallelMap:
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         failure_policy: str = "fail_fast",
         retries: int = 0,
         backoff: float = 0.05,
@@ -443,13 +410,8 @@ class ParallelMap:
                 f"failure_policy must be 'fail_fast' or 'collect', "
                 f"got {failure_policy!r}"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be None or >= 1, got {chunk_size!r}"
-            )
         self.workers = default_worker_count() if workers is None else max(1, workers)
         self.executor = executor
-        self.chunk_size = chunk_size
         self.failure_policy = failure_policy
         self.retries = max(0, int(retries))
         self.backoff = float(backoff)
@@ -459,19 +421,6 @@ class ParallelMap:
         self.span_context = span_context
 
     # -- public API -----------------------------------------------------------
-    def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to every task; results in input order.
-
-        Always fail-fast: the first failure raises :class:`TaskError`
-        naming the exact failing task.  Use :meth:`run` for per-task
-        outcomes under the configured failure policy.
-
-        ``fn`` must be picklable (a module-level function) when
-        ``workers > 1``.
-        """
-        outcomes = self._execute(fn, tasks, fail_fast=True, on_outcome=None)
-        return [o.result for o in outcomes]
-
     def run(
         self,
         fn: Callable[[Any], Any],
@@ -480,19 +429,14 @@ class ParallelMap:
     ) -> List[TaskOutcome]:
         """Apply ``fn`` to every task; outcomes in input order.
 
-        ``on_outcome`` is called in the parent process in **input
-        order** — outcomes that complete early buffer until their turn —
-        so hook-driven side effects (checkpoint lines, telemetry) are
-        byte-identical across every backend and worker count.  Under
-        ``"fail_fast"`` the raised :class:`TaskError` names the
-        lowest-index failing task, and the hook has seen exactly the
-        outcomes before it plus the failure itself.
+        :meth:`run_grouped` with every task its own group and no batch
+        function, so each task travels as its own message: the lazy
+        serial backend never runs the tasks behind a fail-fast abort,
+        and each task gets its own ``worker-chunk`` span.
         """
-        return self._execute(
-            fn,
-            tasks,
-            fail_fast=self.failure_policy == "fail_fast",
-            on_outcome=on_outcome,
+        slot = itertools.count()
+        return self.run_grouped(
+            fn, None, tasks, lambda _task: next(slot), on_outcome=on_outcome
         )
 
     # -- execution ------------------------------------------------------------
@@ -538,51 +482,6 @@ class ParallelMap:
             self.metrics.counter(
                 name, help="Executor transport counter."
             ).inc(value)
-
-    def _execute(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        fail_fast: bool,
-        on_outcome: Optional[Callable[[TaskOutcome], None]],
-    ) -> List[TaskOutcome]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        executor, owned = self._resolve_executor(len(tasks))
-        try:
-            if self.metrics is not None:
-                self.metrics.gauge(
-                    "pool_workers",
-                    help="Worker processes of the last pool run.",
-                ).set(
-                    executor.parallelism()
-                    if self.executor is not None
-                    else self.workers
-                )
-                on_outcome = self._metered(on_outcome)
-            if executor.inline:
-                # One task per unit: lazy pull = true serial semantics
-                # (a fail-fast abort never runs the tasks behind it).
-                chunks = [(i, [task]) for i, task in enumerate(tasks)]
-            else:
-                chunk = self.chunk_size or max(
-                    1, math.ceil(len(tasks) / (executor.parallelism() * 4))
-                )
-                chunks = [
-                    (i, tasks[i : i + chunk])
-                    for i in range(0, len(tasks), chunk)
-                ]
-            stream = executor.submit_chunks(
-                fn, chunks, self._settings(executor.inline)
-            )
-            return self._drain_stream(
-                stream, fail_fast, on_outcome, len(tasks)
-            )
-        finally:
-            self._merge_counters(executor)
-            if owned:
-                executor.close()
 
     def _metered(
         self, on_outcome: Optional[Callable[[TaskOutcome], None]]
@@ -680,34 +579,41 @@ class ParallelMap:
         # collect mode drains everything, so every slot is filled.
         return [o for o in slots if o is not None]
 
-    # -- grouped (batched) dispatch -------------------------------------------
+    # -- dispatch -------------------------------------------------------------
     def run_grouped(
         self,
         fn: Callable[[Any], Any],
-        batch_fn: Callable[[Sequence[Any]], Sequence[Any]],
+        batch_fn: Optional[Callable[[Sequence[Any]], Sequence[Any]]],
         tasks: Sequence[Any],
         group_key: Callable[[Any], Any],
         on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
-        batch_size: Optional[int] = None,
         cost: Optional[Callable[[Any], float]] = None,
     ) -> List[TaskOutcome]:
-        """Like :meth:`run`, but tasks sharing a ``group_key`` are handed
-        to ``batch_fn`` together, one batch per worker message.
+        """Run ``tasks`` in batches of one group each, one batch per
+        worker message; outcomes in input order.
 
-        ``batch_fn(batch)`` must return one entry per task: a result, or a
-        :class:`TaskFailure` for that task's own error.  Failed tasks fall
-        back to individual ``fn`` execution for retries, and a ``batch_fn``
-        that raises wholesale degrades the whole batch to per-task ``fn``
-        runs — attribution, retries, the ``on_outcome`` hook, and the
-        failure policy behave exactly as in :meth:`run`.
+        Tasks sharing a ``group_key`` are handed to ``batch_fn``
+        together.  ``batch_fn(batch)`` must return one entry per task: a
+        result, or a :class:`TaskFailure` for that task's own error.
+        Failed tasks fall back to individual ``fn`` execution for
+        retries, and a ``batch_fn`` that raises wholesale degrades the
+        whole batch to per-task ``fn`` runs; ``batch_fn=None`` runs every
+        task through ``fn``.
 
         A group splits, members in input order, into batches of at most
-        ``batch_size`` tasks (default :data:`DEFAULT_GROUP_BATCH`).  On a
-        non-inline executor a set ``chunk_size`` replaces that cap;
-        otherwise a batch also holds at most ``1 / (8 * parallelism)`` of
-        the total ``cost`` (``cost(task)``, default 1 per task), so the
-        expensive groups spread over every worker.  Batches dispatch in
-        input order; outcomes are returned in input order.
+        :data:`DEFAULT_GROUP_BATCH` tasks.  On a non-inline executor a
+        batch also holds at most ``1 / (8 * parallelism)`` of the total
+        ``cost`` (``cost(task)``, default 1 per task), so the expensive
+        groups spread over every worker.  Batches dispatch in input
+        order.
+
+        ``on_outcome`` is called in the parent process in **input
+        order** — outcomes that complete early buffer until their turn —
+        so hook-driven side effects (checkpoint lines, telemetry) are
+        byte-identical across every backend and worker count.  Under
+        ``"fail_fast"`` the raised :class:`TaskError` names the
+        lowest-index failing task, and the hook has seen exactly the
+        outcomes before it plus the failure itself.
         """
         tasks = list(tasks)
         if not tasks:
@@ -727,12 +633,10 @@ class ParallelMap:
                 on_outcome = self._metered(on_outcome)
 
             costs = [cost(t) for t in tasks] if cost else [1] * len(tasks)
-            size, cap = batch_size or DEFAULT_GROUP_BATCH, math.inf
-            if not executor.inline:
-                if self.chunk_size:
-                    size = self.chunk_size
-                else:
-                    cap = sum(costs) / (8 * executor.parallelism())
+            cap = (
+                math.inf if executor.inline
+                else sum(costs) / (8 * executor.parallelism())
+            )
             groups: dict = {}
             for i, task in enumerate(tasks):
                 groups.setdefault(group_key(task), []).append(i)
@@ -742,7 +646,8 @@ class ParallelMap:
                 part_cost = 0.0
                 for i in members:
                     if part and (
-                        len(part) == size or part_cost + costs[i] > cap
+                        len(part) == DEFAULT_GROUP_BATCH
+                        or part_cost + costs[i] > cap
                     ):
                         batches.append(part)
                         part, part_cost = [], 0.0

@@ -7,11 +7,11 @@ Usage::
 The worker dials the coordinator started by
 ``repro-study --executor socket --bind HOST:PORT``, performs the
 versioned handshake (protocol + simulator version — see
-:mod:`repro.parallel.executors.wire`), then loops: receive one work
-unit (or, having advertised ``result_batching``, a ``unitbatch`` of
-several), execute each module-level entry point, and stream the
-per-task outcomes back — batched replies coalesce into one ``results``
-frame per ``--flush-interval``.  It exits cleanly on the coordinator's
+:mod:`repro.parallel.executors.wire`), then loops: receive one ``unit``
+frame (one replication-group batch), execute its module-level entry
+point, and answer with one ``result`` frame carrying the per-task
+outcomes — or an ``error`` frame when the entry point raises or its
+outcomes will not pickle.  It exits cleanly on the coordinator's
 ``shutdown`` frame or end-of-stream.
 
 The coordinator-assigned node name is exported as ``REPRO_NODE_ID`` so
@@ -36,81 +36,10 @@ import traceback as _traceback
 from typing import List, Optional
 
 from .executors.socket import parse_bind
-from .executors.wire import PROTOCOL_VERSION, encode, send_msg, recv_msg
+from .executors.wire import PROTOCOL_VERSION, send_msg, recv_msg
+from .pool import NODE_ID_ENV
 
 __all__ = ["main", "serve"]
-
-#: Environment variable carrying the coordinator-assigned node name;
-#: read by the pool's worker entry points to stamp outcomes and spans.
-NODE_ID_ENV = "REPRO_NODE_ID"
-
-#: Default seconds between coalesced ``results`` flushes while working
-#: through a ``unitbatch`` — small enough that the coordinator's
-#: progress stream stays live, large enough that sub-millisecond units
-#: share frames instead of paying per-result framing overhead.
-DEFAULT_FLUSH_INTERVAL = 0.05
-
-#: Exceptions that mean "this object won't survive pickling".
-_PICKLE_ERRORS = (TypeError, ValueError, AttributeError)
-
-
-def _run_unit(unit: dict) -> dict:
-    """Execute one unit body; returns its reply entry (sans ``kind``)."""
-    uid = unit.get("id")
-    try:
-        outcomes = unit["entry"](*unit["payload"])
-    except Exception as exc:  # noqa: BLE001 - reported upstream
-        return {
-            "id": uid,
-            "error": repr(exc),
-            "traceback": _traceback.format_exc(),
-        }
-    return {"id": uid, "outcomes": outcomes}
-
-
-def _flush_entries(sock: _socket.socket, buffered: List[dict]) -> None:
-    """Send buffered entries as one ``results`` frame; clears the buffer.
-
-    If the coalesced frame won't pickle, each entry is re-checked
-    individually and the unpicklable ones are replaced by error
-    entries, so one bad result never poisons its framemates.
-    """
-    if not buffered:
-        return
-    try:
-        send_msg(sock, {"kind": "results", "entries": list(buffered)})
-    except _PICKLE_ERRORS:
-        safe = []
-        for entry in buffered:
-            try:
-                encode(entry)
-            except _PICKLE_ERRORS as exc:
-                safe.append(
-                    {
-                        "id": entry.get("id"),
-                        "error": f"unpicklable result: {exc!r}",
-                        "traceback": _traceback.format_exc(),
-                    }
-                )
-            else:
-                safe.append(entry)
-        send_msg(sock, {"kind": "results", "entries": safe})
-    buffered.clear()
-
-
-def _serve_batch(
-    sock: _socket.socket, units: List[dict], flush_interval: float
-) -> None:
-    """Run a ``unitbatch``, coalescing replies per ``flush_interval``."""
-    buffered: List[dict] = []
-    last_flush = time.monotonic()
-    for unit in units:
-        buffered.append(_run_unit(unit))
-        now = time.monotonic()
-        if now - last_flush >= flush_interval:
-            _flush_entries(sock, buffered)
-            last_flush = now
-    _flush_entries(sock, buffered)
 
 
 def _dial(host: str, port: int, retry: float) -> _socket.socket:
@@ -129,12 +58,9 @@ def serve(
     node: Optional[str] = None,
     retry: float = 0.0,
     status=None,
-    flush_interval: float = DEFAULT_FLUSH_INTERVAL,
 ) -> int:
     """Connect to ``address`` and process units until shutdown.
 
-    ``flush_interval`` throttles how often batched results are
-    coalesced into ``results`` frames (seconds; 0 replies per unit).
     Returns a process exit code (0 = clean shutdown, 1 = handshake
     rejected or stream error).
     """
@@ -152,9 +78,6 @@ def serve(
                 "node": node,
                 "pid": os.getpid(),
                 "simulator_version": int(SIMULATOR_VERSION),
-                # Capability flag: this worker understands "unitbatch"
-                # frames and coalesces replies into "results" frames.
-                "result_batching": True,
             },
         )
         welcome = recv_msg(sock)
@@ -175,11 +98,6 @@ def serve(
             if msg is None or msg.get("kind") == "shutdown":
                 emit(f"shutdown after {units} units")
                 return 0
-            if msg.get("kind") == "unitbatch":
-                batch = list(msg.get("units") or [])
-                _serve_batch(sock, batch, flush_interval)
-                units += len(batch)
-                continue
             if msg.get("kind") != "unit":
                 emit(f"ignoring unexpected {msg.get('kind')!r} frame")
                 continue
@@ -246,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
              "SECONDS (default 0: fail immediately)",
     )
     connect.add_argument(
-        "--flush-interval", type=float,
-        default=DEFAULT_FLUSH_INTERVAL, metavar="SECONDS",
-        help="coalesce batched unit results into one frame per this "
-             "many seconds (0 = reply per unit; default %(default)s)",
-    )
-    connect.add_argument(
         "--quiet", action="store_true",
         help="suppress status lines on stderr",
     )
@@ -272,7 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             node=node,
             retry=args.retry,
             status=status,
-            flush_interval=max(0.0, args.flush_interval),
         )
     except (OSError, ConnectionError) as exc:
         print(f"repro-worker: {exc}", file=sys.stderr)

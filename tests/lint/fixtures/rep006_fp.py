@@ -10,9 +10,9 @@ def run_ok(pool, tasks):
     return pool.run(evaluate, tasks)
 
 
-def submit_ok(executor, chunks, settings):
+def submit_ok(executor, batches, settings):
     # module-level fn through executor dispatch pickles fine
-    return executor.submit_chunks(evaluate, chunks, settings)
+    return executor.run_grouped(evaluate, None, batches, settings)
 
 
 def unrelated_receiver(app, tasks):
@@ -20,6 +20,6 @@ def unrelated_receiver(app, tasks):
     return app.run(lambda t: t, tasks)
 
 
-def unrelated_submit(scheduler, chunks):
-    # .submit_chunks on a non-executor receiver is somebody else's API
-    return scheduler.submit_chunks(lambda t: t, chunks)
+def unrelated_submit(scheduler, batches):
+    # .run_grouped on a non-executor receiver is somebody else's API
+    return scheduler.run_grouped(lambda t: t, None, batches)

@@ -13,9 +13,9 @@ def run_closure(pool, tasks, scale):
     return pool.run(scaled, tasks)  # finding: nested function
 
 
-def submit_lambda(executor, chunks, settings):
-    return executor.submit_chunks(  # finding: lambda into executor dispatch
-        lambda t: t + 1, chunks, settings
+def submit_lambda(executor, batches, settings):
+    return executor.run_grouped(  # finding: lambda into executor dispatch
+        lambda t: t + 1, None, batches, settings
     )
 
 

@@ -54,6 +54,11 @@ def tenfold_batch(batch):
     return [x * 10 for x in batch]
 
 
+def unpicklable_at_two(x):
+    """An outcome that cannot cross the wire back for task 2."""
+    return threading.Lock() if x == 2 else x
+
+
 def die_once(arg):
     """Kill this worker process the first time the marker is absent."""
     x, marker = arg
@@ -226,7 +231,7 @@ class TestCrossBackendParity:
         def run(pool):
             return pool.run_grouped(
                 square, tenfold_batch, self.TASKS,
-                group_key=lambda x: x % 3, batch_size=3,
+                group_key=lambda x: x % 3,
             )
 
         reference = run(ParallelMap(executor=SerialExecutor()))
@@ -237,34 +242,62 @@ class TestCrossBackendParity:
     def test_grouped_socket_agrees(self):
         reference = ParallelMap(executor=SerialExecutor()).run_grouped(
             square, tenfold_batch, self.TASKS,
-            group_key=_mod3, batch_size=3,
+            group_key=_mod3,
         )
         with socket_pool(workers=2) as pool:
             outcomes = pool.run_grouped(
                 square, tenfold_batch, self.TASKS,
-                group_key=_mod3, batch_size=3,
+                group_key=_mod3,
             )
         assert self._key(outcomes) == self._key(reference)
 
     def test_fail_fast_names_exact_task_everywhere(self):
         for pool in (
             ParallelMap(executor="serial"),
-            ParallelMap(workers=2, chunk_size=4, executor="process"),
-            ParallelMap(workers=2, chunk_size=2, executor="process"),
+            ParallelMap(workers=2, executor="process"),
         ):
             with pytest.raises(TaskError) as err:
-                pool.map(failing, list(range(8)))
+                pool.run(failing, list(range(8)))
+            assert err.value.task == 3
+            # 64 one-group tasks: one batch inline, batches of 4 over
+            # 2 workers; either way task 3 shares its batch.
+            with pytest.raises(TaskError) as err:
+                pool.run_grouped(failing, None, list(range(64)), _one)
             assert err.value.task == 3
 
     def test_explicit_instance_not_closed_between_dispatches(self):
         executor = ProcessExecutor(workers=2)
         pool = ParallelMap(executor=executor)
-        assert pool.map(square, [1, 2, 3]) == [1, 4, 9]
-        assert pool.map(square, [4, 5]) == [16, 25]
+        assert _results(pool.run(square, [1, 2, 3])) == [1, 4, 9]
+        assert _results(pool.run(square, [4, 5])) == [16, 25]
 
 
 def _mod3(x):
     return x % 3
+
+
+def _hello(executor, node, simulator_version):
+    """A hand-rolled worker connection that has sent its hello."""
+    conn = _socket.create_connection(parse_bind(executor.address))
+    send_msg(
+        conn,
+        {
+            "kind": "hello",
+            "protocol": 1,
+            "node": node,
+            "pid": 0,
+            "simulator_version": simulator_version,
+        },
+    )
+    return conn
+
+
+def _one(_x):
+    return 0
+
+
+def _results(outcomes):
+    return [o.result for o in outcomes]
 
 
 class TestSerialExecutorLaziness:
@@ -278,10 +311,19 @@ class TestSerialExecutorLaziness:
             return x
 
         with pytest.raises(TaskError):
-            ParallelMap(executor=SerialExecutor()).map(
+            ParallelMap(executor=SerialExecutor()).run(
                 tracked, list(range(10))
             )
         assert ran == [0, 1, 2]
+
+        ran.clear()
+        with pytest.raises(TaskError):
+            ParallelMap(executor=SerialExecutor()).run_grouped(
+                tracked, None, list(range(10)), lambda x: x // 4
+            )
+        # The failing batch [0..3] runs to its end; [4..7] and [8, 9]
+        # never start.
+        assert ran == [0, 1, 2, 3]
 
 
 class TestSocketExecutor:
@@ -307,7 +349,7 @@ class TestSocketExecutor:
 
         def run():
             pool = ParallelMap(executor=executor)
-            results.extend(pool.map(square, list(range(6))))
+            results.extend(_results(pool.run(square, list(range(6)))))
 
         thread = threading.Thread(target=run)
         thread.start()
@@ -326,7 +368,7 @@ class TestSocketExecutor:
         try:
             with loopback_workers(executor.address, 2):
                 executor.wait_for_workers(2, timeout=30)
-                pool = ParallelMap(executor=executor, chunk_size=1)
+                pool = ParallelMap(executor=executor)
                 outcomes = pool.run(
                     die_once, [(x, marker) for x in range(4)]
                 )
@@ -343,9 +385,7 @@ class TestSocketExecutor:
         try:
             with loopback_workers(executor.address, 2):
                 executor.wait_for_workers(2, timeout=30)
-                pool = ParallelMap(
-                    executor=executor, chunk_size=1, metrics=registry
-                )
+                pool = ParallelMap(executor=executor, metrics=registry)
                 outcomes = pool.run(
                     die_once, [(x, marker) for x in range(4)]
                 )
@@ -356,22 +396,78 @@ class TestSocketExecutor:
         finally:
             executor.close()
 
+    def test_unpicklable_result_becomes_error_reply(self):
+        with socket_pool(workers=1, failure_policy="collect") as pool:
+            outcomes = pool.run(unpicklable_at_two, list(range(4)))
+        assert [o.ok for o in outcomes] == [True, True, False, True]
+        assert "unpicklable result" in str(outcomes[2].error)
+        assert [outcomes[i].result for i in (0, 1, 3)] == [0, 1, 3]
+
+    @pytest.mark.parametrize("reply_id", ["missing", "unknown"])
+    def test_misaddressed_reply_requeues_unit(self, reply_id):
+        """A reply without the unit's id drops the worker with a
+        WireError; the unit is requeued and completes elsewhere."""
+        executor = SocketExecutor()
+        requeued = []
+        real_requeue = executor._requeue
+
+        def record_requeue(item, exc):
+            requeued.append((item[1].uid, exc))
+            real_requeue(item, exc)
+
+        executor._requeue = record_requeue
+
+        def misbehaving_worker():
+            from repro.gpu.simulator import SIMULATOR_VERSION
+
+            conn = _hello(executor, "bad", int(SIMULATOR_VERSION))
+            try:
+                assert recv_msg(conn)["kind"] == "welcome"
+                unit = recv_msg(conn)
+                reply = {
+                    "kind": "result",
+                    "outcomes": unit["entry"](*unit["payload"]),
+                }
+                if reply_id == "unknown":
+                    reply["id"] = unit["id"] + 1000
+                send_msg(conn, reply)
+                try:
+                    recv_msg(conn)  # the coordinator hangs up
+                except OSError:
+                    pass
+            finally:
+                conn.close()
+
+        outcomes = []
+        bad = threading.Thread(target=misbehaving_worker, daemon=True)
+        bad.start()
+        try:
+            executor.wait_for_workers(1, timeout=30)
+            run = threading.Thread(
+                target=lambda: outcomes.extend(
+                    ParallelMap(executor=executor).run(square, [0, 1, 2])
+                ),
+                daemon=True,
+            )
+            run.start()
+            bad.join(timeout=30)
+            assert not bad.is_alive()
+            with loopback_workers(executor.address, 1):
+                run.join(timeout=60)
+                assert not run.is_alive()
+        finally:
+            executor.close()
+        assert [(uid, type(exc)) for uid, exc in requeued] == [
+            (0, WireError)
+        ]
+        assert [o.result for o in outcomes] == [0, 1, 4]
+        assert {o.node for o in outcomes} == {"w0"}
+
     def test_simulator_version_mismatch_rejected(self):
         executor = SocketExecutor()
         try:
-            host, port = parse_bind(executor.address)
-            conn = _socket.create_connection((host, port))
+            conn = _hello(executor, "stale", -1)
             try:
-                send_msg(
-                    conn,
-                    {
-                        "kind": "hello",
-                        "protocol": 1,
-                        "node": "stale",
-                        "pid": 0,
-                        "simulator_version": -1,
-                    },
-                )
                 reply = recv_msg(conn)
                 assert reply["kind"] == "reject"
                 assert "simulator version" in reply["reason"]

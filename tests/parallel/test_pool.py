@@ -1,4 +1,4 @@
-"""Unit tests for the parallel map wrapper."""
+"""Unit tests for the parallel dispatch wrapper."""
 
 import os
 
@@ -29,6 +29,14 @@ def failing_many(x):
     return x * 10
 
 
+def one_group(_task):
+    return 0
+
+
+def results(outcomes):
+    return [o.result for o in outcomes]
+
+
 def flaky_until_marker(arg):
     """Fails with TransientError until a marker file exists (cross-process)."""
     x, marker = arg
@@ -41,34 +49,31 @@ def flaky_until_marker(arg):
 
 class TestSerial:
     def test_order_preserved(self):
-        out = ParallelMap(workers=1).map(square, list(range(10)))
-        assert out == [x * x for x in range(10)]
+        out = ParallelMap(workers=1).run(square, list(range(10)))
+        assert results(out) == [x * x for x in range(10)]
 
     def test_empty(self):
-        assert ParallelMap(workers=1).map(square, []) == []
+        assert ParallelMap(workers=1).run(square, []) == []
 
     def test_error_carries_task(self):
         with pytest.raises(TaskError) as err:
-            ParallelMap(workers=1).map(failing, [1, 2, 3, 4])
+            ParallelMap(workers=1).run(failing, [1, 2, 3, 4])
         assert err.value.task == 3
         assert isinstance(err.value.cause, RuntimeError)
 
 
 class TestParallel:
     def test_order_preserved_across_workers(self):
-        out = ParallelMap(workers=2, chunk_size=3).map(
-            square, list(range(20))
-        )
-        assert out == [x * x for x in range(20)]
+        out = ParallelMap(workers=2).run(square, list(range(20)))
+        assert [o.index for o in out] == list(range(20))
+        assert results(out) == [x * x for x in range(20)]
 
     def test_single_task_runs_inline(self):
-        assert ParallelMap(workers=4).map(square, [5]) == [25]
+        assert results(ParallelMap(workers=4).run(square, [5])) == [25]
 
     def test_worker_error_propagates(self):
         with pytest.raises(TaskError):
-            ParallelMap(workers=2, chunk_size=2).map(
-                failing, list(range(6))
-            )
+            ParallelMap(workers=2).run(failing, list(range(6)))
 
     def test_workers_floor_at_one(self):
         pm = ParallelMap(workers=0)
@@ -76,20 +81,21 @@ class TestParallel:
 
 
 class TestFailureAttribution:
-    """Regression: a mid-chunk failure must name the task that raised,
-    not the first task of the chunk it happened to be shipped in."""
+    """Regression: a mid-batch failure must name the task that raised,
+    not the first task of the batch it happened to be shipped in."""
 
     def test_serial_names_exact_task(self):
         with pytest.raises(TaskError) as err:
-            ParallelMap(workers=1).map(failing, [1, 2, 3, 4])
+            ParallelMap(workers=1).run(failing, [1, 2, 3, 4])
         assert err.value.task == 3
 
     def test_parallel_names_exact_task_mid_chunk(self):
-        # chunk_size=4 puts the failing task 3 mid-chunk ([0..3], [4..7]):
-        # the old code blamed chunk[0] == 0.
+        # 64 one-group tasks over 2 workers: the cost cap of
+        # 64 / (8 * 2) = 4 tasks puts the failing task 3 mid-batch
+        # ([1..4], [5..8], ...), behind batch[0] == 1.
         with pytest.raises(TaskError) as err:
-            ParallelMap(workers=2, chunk_size=4).map(
-                failing, list(range(8))
+            ParallelMap(workers=2).run_grouped(
+                failing, None, list(range(1, 65)), one_group
             )
         assert err.value.task == 3
         assert isinstance(err.value.cause, RuntimeError)
@@ -97,9 +103,7 @@ class TestFailureAttribution:
 
     def test_parallel_traceback_captured(self):
         with pytest.raises(TaskError) as err:
-            ParallelMap(workers=2, chunk_size=2).map(
-                failing, list(range(6))
-            )
+            ParallelMap(workers=2).run(failing, list(range(6)))
         assert "RuntimeError" in err.value.traceback
 
 
@@ -114,9 +118,12 @@ class TestCollectPolicy:
         assert [o.result for o in ok] == [10, 20, 40, 50]
 
     def test_collect_parallel_order_and_attribution(self):
-        pm = ParallelMap(workers=2, chunk_size=2, failure_policy="collect")
-        outcomes = pm.run(failing_many, list(range(10)))
-        assert [o.task for o in outcomes] == list(range(10))
+        pm = ParallelMap(workers=2, failure_policy="collect")
+        outcomes = pm.run_grouped(
+            failing_many, None, list(range(32)), one_group
+        )
+        assert [o.index for o in outcomes] == list(range(32))
+        assert [o.task for o in outcomes] == list(range(32))
         for o in outcomes:
             if o.task % 3 == 0:
                 assert not o.ok
@@ -135,16 +142,6 @@ class TestCollectPolicy:
         with pytest.raises(ValueError):
             ParallelMap(failure_policy="ignore")
 
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_non_positive_chunk_size_rejected(self, chunk_size):
-        # range(0, n, -1) is empty: a negative chunk used to drop every
-        # task silently instead of failing.
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelMap(workers=2, chunk_size=chunk_size)
-        assert ParallelMap(workers=2, chunk_size=1).map(
-            square, [1, 2, 3]
-        ) == [1, 4, 9]
-
 
 class TestRetry:
     def test_serial_retry_transient(self, tmp_path):
@@ -157,9 +154,7 @@ class TestRetry:
 
     def test_parallel_retry_transient(self, tmp_path):
         marker = str(tmp_path / "marker")
-        pm = ParallelMap(
-            workers=2, chunk_size=1, retries=2, backoff=0.001
-        )
+        pm = ParallelMap(workers=2, retries=2, backoff=0.001)
         outcomes = pm.run(
             flaky_until_marker, [(7, marker), (8, str(tmp_path / "m2"))]
         )

@@ -5,9 +5,9 @@ function; these tests pin the contract the batched study engine relies
 on: outcomes stay in input order, a failure inside a batch is attributed
 to exactly the task that failed (its batch-mates' results survive), only
 the failed task is re-run on retry, and a batch function that raises
-wholesale degrades to per-task execution without losing anything.  On a
-non-inline executor every message is one batch, capped by ``chunk_size``
-or, without it, by the default batch size and a share of the total cost.
+wholesale degrades to per-task execution without losing anything.  Every
+message is one batch, capped by the default batch size and, on a
+non-inline executor, by a share of the total cost.
 """
 
 import pytest
@@ -75,12 +75,12 @@ class TestRunGroupedSerial:
             return [t * t for t in batch]
 
         pool = ParallelMap(workers=1, failure_policy="collect")
-        tasks = list(range(10))
-        pool.run_grouped(
-            square, recording_batch, tasks, group_of, batch_size=3
-        )
-        # Two groups (even/odd), each of 5 tasks, split 3 + 2.
-        assert sorted(len(b) for b in seen) == [2, 2, 3, 3]
+        tasks = list(range(2 * (DEFAULT_GROUP_BATCH + 6)))
+        pool.run_grouped(square, recording_batch, tasks, group_of)
+        # Two groups (even/odd), each split into a full batch + 6 tasks.
+        assert sorted(len(b) for b in seen) == [
+            6, 6, DEFAULT_GROUP_BATCH, DEFAULT_GROUP_BATCH
+        ]
         for batch in seen:
             keys = {group_of(t) for t in batch}
             assert len(keys) == 1  # no batch mixes groups
@@ -355,8 +355,7 @@ def _cost_batch(batch):
 
 class TestOneBatchPerMessage:
     def _run(self, executor, tasks, **kw):
-        chunk_size = kw.pop("chunk_size", None)
-        pool = ParallelMap(executor=executor, chunk_size=chunk_size)
+        pool = ParallelMap(executor=executor)
         return pool.run_grouped(
             _cost, _cost_batch, tasks, _group, **kw
         )
@@ -408,17 +407,20 @@ class TestOneBatchPerMessage:
         assert max(sizes) <= min(DEFAULT_GROUP_BATCH, 150 / 16)
         assert sum(sizes) == 150
 
-    def test_chunk_size_caps_batches(self):
-        executor = RecordingExecutor()
-        self._run(executor, COSTED, cost=_cost, chunk_size=5)
-        sizes = [len(batch) for _, batch in executor.batches()]
-        assert max(sizes) == 5
-        assert sum(sizes) == len(COSTED)
-
-    def test_one_group_with_chunk_size_one_is_one_message_per_task(self):
-        executor = RecordingExecutor()
-        self._run(executor, [("bo_tpe", 400)] * 8, cost=_cost, chunk_size=1)
+    def test_eight_s400_cells_are_one_message_each(self):
+        # The cost cap alone, 3,200 / (8 * 2) = 200 < 400, gives every
+        # expensive cell its own message.
+        executor = RecordingExecutor(workers=2)
+        self._run(executor, [("bo_tpe", 400)] * 8, cost=_cost)
         assert [len(batch) for _, batch in executor.batches()] == [1] * 8
+
+    def test_run_sends_every_task_alone(self):
+        executor = RecordingExecutor()
+        outcomes = ParallelMap(executor=executor).run(square, [3, 3, 5])
+        # Equal tasks still travel apart, with no batch function.
+        assert executor.batches() == [([0], [3]), ([1], [3]), ([2], [5])]
+        assert all(unit.payload[1] is None for unit in executor.units)
+        assert [o.result for o in outcomes] == [9, 9, 25]
 
     def test_on_outcome_in_input_order_despite_reversed_completion(self):
         executor = RecordingExecutor(reverse=True)
