@@ -5,9 +5,13 @@ optimum* each algorithm reaches.  On real hardware the study optimum is
 the best configuration any run ever found; with the deterministic
 simulator we can do better and compute the *true* noise-free optimum of
 every (kernel, architecture) landscape by scanning all 2,097,152
-configurations — vectorized in blocks of
-:data:`~repro.gpu.landscape.BLOCK_ROWS` rows, small enough that each
-block's temporaries stay in cache.
+configurations.  The scan walks the space's grid blocks
+(:meth:`~repro.searchspace.SearchSpace.grid_blocks`, at most
+:data:`~repro.gpu.landscape.BLOCK_ROWS` rows each, small enough that a
+block's temporaries stay in cache) and evaluates the model on each
+block's broadcast value columns, without decoding flats into rows; the
+feasibility mask is built the same way.  Because the model is
+elementwise, the runtimes are bit-identical to 1-row simulator calls.
 
 With a precomputed :class:`~repro.gpu.landscape.LandscapeTable` the scan
 collapses to an argmin over the table (plus the feasibility mask), so one
@@ -37,7 +41,7 @@ from ..gpu.landscape import (
     check_block_rows,
     landscape_fingerprint,
 )
-from ..gpu.simulator import simulate_runtimes
+from ..gpu.simulator import simulate_columns
 from ..gpu.workload import WorkloadProfile
 from ..searchspace import SearchSpace
 
@@ -97,11 +101,14 @@ def find_true_optimum(
     win, this also guards against constraint sets stricter than the
     device's own limits.
 
-    With ``table`` (a precomputed landscape for this exact profile, arch
-    and space), runtimes come from the table instead of the simulator:
-    the scan becomes a blocked argmin over slices of the table,
-    bit-identical to the live scan.  The scan keeps the first minimum, so
-    the result does not depend on ``chunk_size``.
+    Without a table, the live scan runs the simulator over the space's
+    grid blocks of at most ``chunk_size`` configurations, on broadcast
+    value columns (as :func:`~repro.gpu.landscape.compute_landscape`
+    does).  With ``table`` (a precomputed landscape for this exact
+    profile, arch and space), runtimes come from the table instead of the
+    simulator: the scan becomes a blocked argmin over slices of the
+    table, bit-identical to the live scan.  The scan keeps the first
+    minimum, so the result does not depend on ``chunk_size``.
     """
     chunk_size = check_block_rows(chunk_size)
     key = _cache_key(profile, arch, space, feasible_only)
@@ -120,16 +127,13 @@ def find_true_optimum(
     apply_mask = feasible_only and len(space.constraints) > 0
     mask = _space_feasible_mask(space) if apply_mask else None
     considered = int(np.count_nonzero(mask)) if mask is not None else total
-    for start in range(0, total, chunk_size):
-        stop = min(start + chunk_size, total)
+    for start, stop, columns in space.grid_blocks(chunk_size):
         if table is not None:
             runtimes = table.runtime_ms[start:stop]
         else:
-            idx = space.flats_to_index_matrix(
-                np.arange(start, stop, dtype=np.int64)
-            )
-            values = space.index_matrix_to_features(idx).astype(np.int64)
-            runtimes = simulate_runtimes(profile, arch, values).runtime_ms
+            runtimes = simulate_columns(
+                profile, arch, columns
+            ).runtime_ms.reshape(-1)
         if mask is not None:
             runtimes = np.where(mask[start:stop], runtimes, np.inf)
         i = int(np.argmin(runtimes))
@@ -159,6 +163,8 @@ def _space_feasible_mask(space: SearchSpace) -> np.ndarray:
     Feasibility depends only on the space's parameters and constraints —
     not on the profile or architecture — so the mask is memoized on a
     value-stable key and shared by every landscape scan over the space.
+    It is evaluated per grid block on the broadcast value columns
+    (:meth:`~repro.searchspace.SearchSpace.feasible_block`).
     """
     key = hashlib.sha256(
         json.dumps(_space_descriptor(space), sort_keys=True, default=str)  # repro: noqa[REP004] canonical form frozen at v1: adding separators= would change every deployed mask-cache key
@@ -167,11 +173,8 @@ def _space_feasible_mask(space: SearchSpace) -> np.ndarray:
     mask = _MASK_CACHE.get(key)
     if mask is None:
         mask = np.empty(space.size, dtype=bool)
-        for start in range(0, space.size, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, space.size)
-            mask[start:stop] = space.feasible_mask(
-                np.arange(start, stop, dtype=np.int64)
-            )
+        for start, stop, columns in space.grid_blocks(BLOCK_ROWS):
+            mask[start:stop] = space.feasible_block(start, columns)
         _MASK_CACHE[key] = mask
     return mask
 

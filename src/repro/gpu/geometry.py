@@ -4,8 +4,16 @@ The six paper parameters — thread coarsening ``(tx, ty, tz)`` and
 work-group shape ``(wx, wy, wz)`` — determine, for a given problem size,
 the whole launch geometry: block tiles, grid dimensions, padding waste and
 the warp lane layout.  All downstream models (memory, compute, occupancy)
-consume this one derived structure, so it is computed once, vectorized over
-arbitrarily many configurations.
+consume this one derived structure, so it is computed once per call.
+
+The six inputs are *broadcastable* columns: an ``(n,)`` column each for a
+batch of configuration rows, or one axis each of a configuration grid
+(a full-space block fixes its leading parameters as 1-element arrays and
+spans the trailing ones).  Every field then takes the broadcast shape of
+only the parameters it depends on — ``block_threads`` is a
+``wx x wy x wz`` grid, not one value per configuration — and the model's
+downstream arithmetic broadcasts the rest.  The arithmetic is elementwise,
+so a grid gives every configuration the same bits as a row of the matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaunchGeometry:
-    """Vectorized launch geometry; every field is an array over configs."""
+    """Launch geometry; every field is an array over (broadcast) configs."""
 
     # Tile of output elements covered by one block, per dimension.
     tile_x: np.ndarray
@@ -78,7 +86,7 @@ def derive_geometry(
     wz: np.ndarray,
     warp_size: int = 32,
 ) -> LaunchGeometry:
-    """Derive launch geometry for each configuration (vectorized).
+    """Derive launch geometry for each configuration (broadcasting).
 
     Thread coarsening follows ImageCL semantics: each thread produces a
     ``tx x ty x tz`` sub-tile of *consecutive* output elements, so one
@@ -86,9 +94,10 @@ def derive_geometry(
     each dimension up to a whole number of tiles; padded elements are
     computed but discarded (boundary guard), wasting their work.
     """
-    arrays = [np.asarray(a, dtype=np.int64) for a in (tx, ty, tz, wx, wy, wz)]
-    tx, ty, tz, wx, wy, wz = np.broadcast_arrays(*arrays)
-    if np.any(np.concatenate([a.ravel() for a in (tx, ty, tz, wx, wy, wz)]) < 1):
+    tx, ty, tz, wx, wy, wz = (
+        np.asarray(a, dtype=np.int64) for a in (tx, ty, tz, wx, wy, wz)
+    )
+    if any((a < 1).any() for a in (tx, ty, tz, wx, wy, wz)):
         raise ValueError("all coarsening/work-group factors must be >= 1")
 
     tile_x = wx * tx

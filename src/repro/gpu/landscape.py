@@ -13,7 +13,7 @@ tuning-space benchmarks make (Schoonhoven et al.'s benchmarking suite,
 Tørring et al.'s benchmark proposal): record the space once, then search
 against the recording.
 
-Tables are computed once with a blocked full-space scan and persisted to
+Tables are computed once with a grid-block full-space pass and persisted to
 an on-disk cache (``--landscape-cache`` / ``REPRO_LANDSCAPE_CACHE``) as
 two ``.npy`` files plus a JSON sidecar, keyed by a stable fingerprint of
 everything that determines the landscape: the profile's fields, the
@@ -48,7 +48,7 @@ import numpy as np
 from ..io import atomic_write_text, atomic_write_with
 from ..obs.metrics import global_registry
 from .arch import GpuArchitecture
-from .simulator import SIMULATOR_VERSION, simulate_runtimes
+from .simulator import SIMULATOR_VERSION, simulate_columns
 from .workload import WorkloadProfile
 
 __all__ = [
@@ -71,11 +71,14 @@ LANDSCAPE_CACHE_ENV = "REPRO_LANDSCAPE_CACHE"
 #: On-disk layout version; bump on incompatible sidecar/array changes.
 LANDSCAPE_FORMAT_VERSION = 1
 
-#: Rows per block of every full-space pass: the landscape build, the
-#: exhaustive optimum scan and the feasibility mask.  The simulator is
+#: Most rows per block of every full-space pass: the landscape build, the
+#: exhaustive optimum scan and the feasibility mask.  Each pass walks
+#: :meth:`~repro.searchspace.SearchSpace.grid_blocks` blocks of at most
+#: this many configurations (on the paper space: fixed ``thread_x`` and
+#: ``thread_y``, a 16 x 8 x 8 x 8 grid of the rest).  The simulator is
 #: elementwise, so tables and optima are bit-identical at any block size.
-#: At 8,192 rows a float64 column is 64 KiB, so a block's temporaries stay
-#: in a 2 MiB L2; at 262,144 rows each column was 2 MiB, streamed through
+#: At 8,192 rows a float64 block is 64 KiB, so a block's temporaries stay
+#: in a 2 MiB L2; at 262,144 rows each was 2 MiB, streamed through
 #: memory, and the temporaries set the study's peak RSS.
 BLOCK_ROWS = 1 << 13
 
@@ -238,25 +241,23 @@ def compute_landscape(
     space,
     chunk_size: int = BLOCK_ROWS,
 ) -> LandscapeTable:
-    """One full-space simulator scan -> in-memory :class:`LandscapeTable`.
+    """One full-space simulator pass -> in-memory :class:`LandscapeTable`.
 
-    The scan runs in blocks of ``chunk_size`` rows; since the model is
-    elementwise-deterministic, every entry is bit-identical to what a
-    1-row ``simulate_runtimes`` call returns for that configuration —
-    the property the measurement fast path relies on.
+    The pass evaluates the model on each grid block of at most
+    ``chunk_size`` configurations (:meth:`SearchSpace.grid_blocks`): six
+    broadcast value columns, no per-row decode, and every model quantity
+    computed over only the parameters it depends on.  The model is
+    elementwise, so every entry is bit-identical to what a 1-row
+    ``simulate_runtimes`` call returns for that configuration — the
+    property the measurement fast path relies on.
     """
     chunk_size = check_block_rows(chunk_size)
     runtimes = np.empty(space.size, dtype=np.float64)
     failures = np.zeros(space.size, dtype=bool)
-    for start in range(0, space.size, chunk_size):
-        stop = min(start + chunk_size, space.size)
-        flats = np.arange(start, stop, dtype=np.int64)
-        values = space.index_matrix_to_features(
-            space.flats_to_index_matrix(flats)
-        ).astype(np.int64)
-        result = simulate_runtimes(profile, arch, values)
-        runtimes[start:stop] = result.runtime_ms
-        failures[start:stop] = result.launch_failure
+    for start, stop, columns in space.grid_blocks(chunk_size):
+        result = simulate_columns(profile, arch, columns)
+        runtimes[start:stop] = result.runtime_ms.reshape(-1)
+        failures[start:stop] = result.launch_failure.reshape(-1)
     global_registry().counter("landscape_tables_built_total").inc()
     return LandscapeTable(
         space,

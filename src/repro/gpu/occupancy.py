@@ -10,9 +10,10 @@ occupancy calculator: a block is resident only if *all four* resources
 have room, and the limiting resource caps the count.
 
 All functions are vectorized: they take NumPy arrays of per-configuration
-quantities and return arrays, so an exhaustive 2-million-configuration scan
-stays in compiled NumPy loops (see the hpc-parallel guidance on
-vectorization).
+quantities that broadcast against each other and return arrays of the
+broadcast shape, so an exhaustive 2-million-configuration scan stays in
+compiled NumPy loops — and a grid block computes the block-size limits
+once per work-group shape rather than once per configuration.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ def compute_occupancy(
     block_threads = np.asarray(block_threads, dtype=np.int64)
     regs_per_thread = np.asarray(regs_per_thread, dtype=np.float64)
     shared_mem_per_block = np.asarray(shared_mem_per_block, dtype=np.float64)
-    block_threads, regs_per_thread, shared_mem_per_block = np.broadcast_arrays(
-        block_threads, regs_per_thread, shared_mem_per_block
-    )
 
     wpb = warps_per_block(block_threads, arch.warp_size)
 
@@ -100,7 +98,7 @@ def compute_occupancy(
             wpb * arch.warp_size, 1
         )
         # Limit 2: block slots.
-        by_blocks = np.full_like(by_threads, arch.max_blocks_per_sm)
+        by_blocks = arch.max_blocks_per_sm
         # Limit 3: registers.
         regs_per_block = regs_per_thread * wpb * arch.warp_size
         by_regs = np.floor(
@@ -116,7 +114,9 @@ def compute_occupancy(
             np.iinfo(np.int64).max,
         )
 
-    blocks = np.minimum.reduce([by_threads, by_blocks, by_regs, by_smem])
+    blocks = np.minimum(
+        np.minimum(np.minimum(by_threads, by_blocks), by_regs), by_smem
+    )
     blocks = np.where(failure, 0, np.maximum(blocks, 0))
     warps = blocks * wpb
     warps = np.minimum(warps, arch.max_warps_per_sm)

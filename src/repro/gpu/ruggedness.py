@@ -15,10 +15,16 @@ configuration (splitmix64), keyed by kernel and architecture so every
 (benchmark, GPU) pair gets its own fixed landscape.  Counter-based hashing
 keeps the whole thing vectorized and stateless — any subset of the 2M
 configurations can be evaluated in any order with identical results, which
-exhaustive optimum scans rely on.
+exhaustive optimum scans rely on.  The hash folds in one parameter column
+at a time, so the columns may be broadcastable grid axes rather than one
+``(n, d)`` matrix: a full-space block then hashes its fixed leading
+parameters once instead of once per row.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -41,34 +47,61 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+_MASK64 = (1 << 64) - 1
+
+
+@lru_cache(maxsize=None)
 def _seed_from_key(key: str) -> np.uint64:
-    h = np.uint64(1469598103934665603)  # FNV-1a offset basis
+    """FNV-1a over the key's UTF-8 bytes, in 64-bit wrap-around arithmetic.
+
+    Python ints masked to 64 bits give the same bits as ``np.uint64``
+    arithmetic without its overflow warnings; the seed is memoized
+    because every simulator call of a landscape asks for it.
+    """
+    h = 1469598103934665603  # FNV-1a offset basis
     for byte in key.encode("utf-8"):
-        h ^= np.uint64(byte)
-        h *= np.uint64(1099511628211)
-    return h
+        h = ((h ^ byte) * 1099511628211) & _MASK64
+    return np.uint64(h)
 
 
-def standard_normal_hash(configs: np.ndarray, key: str) -> np.ndarray:
-    """A deterministic standard-normal value per configuration row.
+#: An ``(n, d)`` configuration matrix, or a tuple of ``d`` columns that
+#: broadcast against each other (one grid axis per column).
+Configs = Union[np.ndarray, Tuple[np.ndarray, ...]]
+
+
+def _columns(configs: Configs) -> Tuple[list, tuple]:
+    """The int64 parameter columns of ``configs`` and its result shape."""
+    if isinstance(configs, tuple):
+        columns = [np.asarray(column, dtype=np.int64) for column in configs]
+        return columns, np.broadcast_shapes(*(c.shape for c in columns))
+    configs = np.asarray(configs, dtype=np.int64)
+    if configs.ndim != 2:
+        raise ValueError(f"configs must be 2-D, got shape {configs.shape}")
+    return [configs[:, c] for c in range(configs.shape[1])], configs.shape[:1]
+
+
+def standard_normal_hash(configs: Configs, key: str) -> np.ndarray:
+    """A deterministic standard-normal value per configuration.
 
     Parameters
     ----------
     configs:
-        ``(n, d)`` integer matrix; each row is hashed column-wise.
+        ``(n, d)`` integer matrix, or a tuple of ``d`` integer columns
+        that broadcast against each other (one grid axis per column);
+        each configuration is hashed column by column.
     key:
         Landscape identity (e.g. ``"harris/titan_v"``); distinct keys give
         independent landscapes.
+
+    The result has the columns' broadcast shape; every entry depends only
+    on its own configuration, so a grid gives the same bits as the
+    matrix of its rows.
     """
-    configs = np.asarray(configs, dtype=np.int64)
-    if configs.ndim != 2:
-        raise ValueError(f"configs must be 2-D, got shape {configs.shape}")
+    columns, _ = _columns(configs)
     with np.errstate(over="ignore"):
-        h = np.full(
-            configs.shape[0], _seed_from_key(key), dtype=np.uint64
-        )
-        for col in range(configs.shape[1]):
-            h = _splitmix64(h ^ configs[:, col].astype(np.uint64))
+        h = np.full(1, _seed_from_key(key), dtype=np.uint64)
+        for column in columns:
+            h = _splitmix64(h ^ column.astype(np.uint64))
     # Map to (0, 1) strictly, then to a standard normal.
     u = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
@@ -76,7 +109,7 @@ def standard_normal_hash(configs: np.ndarray, key: str) -> np.ndarray:
 
 
 def ruggedness_factor(
-    configs: np.ndarray,
+    configs: Configs,
     key: str,
     sigma_slow: float,
     sigma_fast: float = 0.0,
@@ -86,12 +119,13 @@ def ruggedness_factor(
     ``exp(sigma_slow * max(z, 0) + sigma_fast * min(z, 0))`` — slowdowns
     (conflicts) have spread ``sigma_slow``; the residual speedup tail has
     the (much smaller) ``sigma_fast``.  ``z`` is the configuration's
-    hashed standard normal.
+    hashed standard normal.  ``configs`` is a matrix or a column tuple,
+    as in :func:`standard_normal_hash`.
     """
     if sigma_slow < 0 or sigma_fast < 0:
         raise ValueError("sigmas must be >= 0")
     if sigma_slow == 0.0 and sigma_fast == 0.0:
-        return np.ones(np.asarray(configs).shape[0], dtype=np.float64)
+        return np.ones(_columns(configs)[1], dtype=np.float64)
     z = standard_normal_hash(configs, key)
     return np.exp(
         sigma_slow * np.maximum(z, 0.0) + sigma_fast * np.minimum(z, 0.0)

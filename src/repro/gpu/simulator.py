@@ -1,7 +1,8 @@
 """The composed GPU performance model.
 
-:func:`simulate_runtimes` turns (workload profile, architecture, batch of
-configurations) into deterministic kernel runtimes, composing:
+:func:`simulate_columns` turns (workload profile, architecture, six
+broadcastable parameter columns) into deterministic kernel runtimes,
+composing:
 
 1. launch geometry (:mod:`repro.gpu.geometry`),
 2. occupancy (:mod:`repro.gpu.occupancy`),
@@ -9,6 +10,22 @@ configurations) into deterministic kernel runtimes, composing:
 4. instruction demand with divergence/warp-fill effects
    (:mod:`repro.gpu.compute`),
 5. a latency-hiding roofline with wave quantization and launch overhead.
+
+The columns may be one ``(n,)`` array each — :func:`simulate_runtimes`,
+the per-row entry point, is a thin adapter that hands over the columns
+of an ``(n, 6)`` matrix — or one axis each of a configuration grid, which
+is how full-space passes evaluate a block
+(:meth:`repro.searchspace.SearchSpace.grid_blocks`).  On a grid each
+intermediate quantity is computed over only the parameters it depends
+on.  Both shapes run the same model body, and its arithmetic is
+elementwise, so a grid gives every configuration the bits its matrix row
+gets.  The one layout-sensitive step is NumPy's float64 transcendental
+loops (``exp``/``log``/``log1p``/``log2``/``**``), which may pick a SIMD
+kernel or libm by input layout, so the model keeps three rules: those
+functions only see freshly computed contiguous arrays (never
+``broadcast_to`` views), every ``**`` exponent is a Python scalar, and
+fixed columns arrive as 1-element arrays (NumPy *scalars* take a
+different ``pow``).
 
 Configurations that cannot launch (work-group product over the device
 limit — the paper's 256 constraint) get ``runtime = inf``; the measurement
@@ -23,7 +40,9 @@ is what the paper's "percentage of optimum" metric (Fig. 2/3) needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +57,7 @@ from .workload import WorkloadProfile
 
 __all__ = [
     "SimulationResult",
+    "simulate_columns",
     "simulate_runtimes",
     "CONFIG_COLUMNS",
     "SIMULATOR_VERSION",
@@ -62,7 +82,11 @@ _LATENCY_FLOOR = 0.04
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Vectorized simulation output for a batch of configurations."""
+    """Simulation output for a batch (or grid) of configurations.
+
+    Every field has the shape of the input: ``(n,)`` for a matrix, the
+    columns' broadcast shape for a grid.
+    """
 
     #: Deterministic kernel time in milliseconds; ``inf`` for launch
     #: failures.
@@ -115,6 +139,10 @@ def simulate_runtimes(
 ) -> SimulationResult:
     """Deterministic runtimes for a batch of configurations.
 
+    The per-row entry point: the matrix's columns go through
+    :func:`simulate_columns`, so a row gets the same bits here as in a
+    full-space grid pass.
+
     Parameters
     ----------
     configs:
@@ -123,7 +151,35 @@ def simulate_runtimes(
         *values*, not ordinal indices.
     """
     configs = _validate_matrix(configs)
-    tx, ty, tz, wx, wy, wz = (configs[:, i] for i in range(6))
+    return simulate_columns(
+        profile, arch, tuple(configs[:, i] for i in range(6))
+    )
+
+
+def simulate_columns(
+    profile: WorkloadProfile,
+    arch: GpuArchitecture,
+    columns: Sequence[np.ndarray],
+) -> SimulationResult:
+    """Deterministic runtimes over six broadcastable parameter columns.
+
+    ``columns`` holds ``(thread_x, thread_y, thread_z, wg_x, wg_y, wg_z)``
+    values as integer arrays that broadcast against each other: one
+    ``(n,)`` column each for ``n`` rows, or one grid axis each (fixed
+    parameters as 1-element arrays, not NumPy scalars).  Every result
+    field has the columns' broadcast shape; fields that depend on fewer
+    parameters come back as read-only broadcast views.  The simulator
+    counters advance by the number of configurations, as for the
+    equivalent matrix.
+    """
+    if len(columns) != len(CONFIG_COLUMNS):
+        raise ValueError(
+            f"expected {len(CONFIG_COLUMNS)} columns {CONFIG_COLUMNS}, got "
+            f"{len(columns)}"
+        )
+    columns = tuple(np.asarray(c, dtype=np.int64) for c in columns)
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    tx, ty, tz, wx, wy, wz = columns
 
     geom = derive_geometry(profile, tx, ty, tz, wx, wy, wz, arch.warp_size)
 
@@ -201,7 +257,7 @@ def simulate_runtimes(
     # Deterministic landscape ruggedness (see repro.gpu.ruggedness): fixed
     # per (kernel, architecture, configuration), independent of run order.
     total_ms = total_ms * ruggedness_factor(
-        configs,
+        columns,
         f"{profile.name}/{arch.codename}",
         profile.ruggedness_sigma_slow,
         profile.ruggedness_sigma_fast,
@@ -209,20 +265,24 @@ def simulate_runtimes(
 
     total_ms = np.where(failure, np.inf, total_ms)
 
+    result = SimulationResult(*(
+        field if field.shape == shape else np.broadcast_to(field, shape)
+        for field in (
+            total_ms,
+            failure,
+            occ.occupancy,
+            np.where(failure, np.inf, mem_time_ms),
+            np.where(failure, np.inf, compute_time_ms),
+        )
+    ))
+
     # Process-wide accounting: two counter adds per *batch*, so the
     # vectorized hot path is unaffected.  Worker processes accumulate
     # their own registries; per-cell deltas travel back to the study
     # parent via ExperimentResult.metrics.
     _, evals_counter, failures_counter = _registry_counters()
-    evals_counter.inc(float(configs.shape[0]))
-    failures = int(np.count_nonzero(failure))
+    evals_counter.inc(float(math.prod(shape)))
+    failures = int(np.count_nonzero(result.launch_failure))
     if failures:
         failures_counter.inc(float(failures))
-
-    return SimulationResult(
-        runtime_ms=total_ms,
-        launch_failure=failure,
-        occupancy=occ.occupancy,
-        memory_time_ms=np.where(failure, np.inf, mem_time_ms),
-        compute_time_ms=np.where(failure, np.inf, compute_time_ms),
-    )
+    return result

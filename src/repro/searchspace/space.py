@@ -11,6 +11,11 @@ the library moves between:
   mixed-radix encoding; convenient for exhaustive scans, dataset files and
   hashing.
 
+Exhaustive passes skip the per-row representations altogether:
+:meth:`SearchSpace.grid_blocks` tiles the flat order into grid-aligned
+blocks and hands out each block's values as one broadcastable column per
+parameter.
+
 Model-based tuners additionally use :meth:`to_features`, which maps
 configurations to a float matrix (ordinal parameters contribute their
 numeric value so that surrogate models can exploit ordering).
@@ -23,7 +28,20 @@ configurations (Section V-C).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+import itertools
+import math
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -104,6 +122,12 @@ class SearchSpace:
             [p.value_at(i) for i in range(p.cardinality)]
             for p in self._parameters
         )
+        # The same values as arrays: the columns feasibility masks and
+        # grid blocks are sliced from.
+        self._value_arrays = tuple(
+            np.asarray(column) for column in self._value_columns
+        )
+        self._column_of = {p.name: c for c, p in enumerate(self._parameters)}
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -291,41 +315,78 @@ class SearchSpace:
 
     def _feasible_rows(self, indices: np.ndarray) -> np.ndarray:
         """:meth:`feasible_mask` for the rows of an ``(n, d)`` index matrix."""
-        mask = np.ones(indices.shape[0], dtype=bool)
         if len(self._constraints) == 0:
-            return mask
+            return np.ones(indices.shape[0], dtype=bool)
         if indices.shape[0] < 8:  # too few rows to repay the column set-up
             return np.array([
                 self.is_feasible(self.indices_to_config(row))
                 for row in indices.tolist()
             ], dtype=bool)
-        col_of = {p.name: c for c, p in enumerate(self._parameters)}
         column_cache: dict = {}
 
-        def column(name: str) -> np.ndarray:
-            if name not in column_cache:
-                values = np.asarray(self._value_columns[col_of[name]])
-                column_cache[name] = values[indices[:, col_of[name]]]
-            return column_cache[name]
+        def column(c: int) -> np.ndarray:
+            if c not in column_cache:
+                column_cache[c] = self._value_arrays[c][indices[:, c]]
+            return column_cache[c]
 
+        return self._constraint_mask(
+            (indices.shape[0],), column,
+            lambda rows: self.index_matrix_to_configs(indices[rows]),
+        )
+
+    def feasible_block(
+        self, start: int, columns: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Feasibility of one :meth:`grid_blocks` block, in flat order.
+
+        ``start`` and ``columns`` are a block as :meth:`grid_blocks` yields
+        it.  Each constraint's :meth:`Constraint.satisfied_matrix` runs on
+        the broadcast columns, so a work-group limit is checked once per
+        work-group shape; a constraint without one is checked per row,
+        on the rows every other constraint accepted.  Bit-identical to
+        :meth:`feasible_mask` over the block's flats.
+        """
+        shape = np.broadcast_shapes(*(c.shape for c in columns))
+        if len(self._constraints) == 0:
+            return np.ones(math.prod(shape), dtype=bool)
+        return self._constraint_mask(
+            shape, lambda c: columns[c],
+            lambda rows: self.flats_to_configs(start + rows),
+        )
+
+    def _constraint_mask(
+        self,
+        shape: tuple,
+        column: Callable[[int], np.ndarray],
+        configs_of: Callable[[np.ndarray], List[Configuration]],
+    ) -> np.ndarray:
+        """The flat feasibility mask of ``shape`` configurations.
+
+        ``column(c)`` gives parameter ``c``'s values, broadcastable to
+        ``shape``; ``configs_of(rows)`` decodes flat row positions to
+        configuration dicts for the constraints that have no vectorized
+        form.
+        """
+        mask = np.ones(shape, dtype=bool)
         slow = []
         for constraint in self._constraints:
             sub = None
             try:
-                sub = constraint.satisfied_matrix(
-                    {name: column(name) for name in constraint.parameter_names}
-                )
+                sub = constraint.satisfied_matrix({
+                    name: column(self._column_of[name])
+                    for name in constraint.parameter_names
+                })
             except (TypeError, ValueError):
                 sub = None  # non-numeric values etc.: per-row fallback
             if sub is None:
                 slow.append(constraint)
             else:
                 mask &= sub
+        mask = mask.reshape(-1)
         if slow:
             rows = np.nonzero(mask)[0]
             if rows.size:
-                configs = self.index_matrix_to_configs(indices[rows])
-                for r, cfg in zip(rows, configs):
+                for r, cfg in zip(rows, configs_of(rows)):
                     mask[r] = all(c.is_satisfied(cfg) for c in slow)
         return mask
 
@@ -429,6 +490,55 @@ class SearchSpace:
             self.flats_to_index_matrix(flats)
         )
         return flats, features
+
+    # -- full-space passes -------------------------------------------------------
+    def grid_blocks(
+        self, max_rows: int
+    ) -> Iterator[Tuple[int, int, Tuple[np.ndarray, ...]]]:
+        """Tile ``[0, size)`` in flat order with grid-aligned blocks.
+
+        Yields ``(start, stop, columns)`` for consecutive blocks of at
+        most ``max_rows`` configurations.  A block fixes the leading
+        parameters and spans a run of one parameter's indices times every
+        trailing parameter in full, so it is a grid: ``columns`` holds one
+        value array per parameter, in parameter order, that broadcast
+        against each other to the block's shape, and that shape raveled in
+        C order is flats ``start .. stop - 1``.  Fixed parameters are
+        1-element arrays; on the paper space 8,192 rows fix ``thread_x``
+        and ``thread_y`` and span 16 x 8 x 8 x 8.  The spanned run is as
+        long as ``max_rows`` allows, so blocks are the largest grids that
+        fit (3,000 rows on the paper space give 5 x 8 x 8 x 8 blocks).
+        """
+        max_rows = int(max_rows)
+        if max_rows < 1:
+            raise ValueError(f"block size must be >= 1, got {max_rows!r}")
+        cards = [int(c) for c in self._cardinalities]
+        d = len(cards)
+        # The split axis: the outermost one whose trailing axes together
+        # fit in max_rows; a block spans ``step`` of its indices.
+        axis = d - 1
+        while axis > 0 and math.prod(cards[axis:]) <= max_rows:
+            axis -= 1
+        inner = math.prod(cards[axis + 1:])
+        step = min(max_rows // inner, cards[axis])
+        trailing = tuple(
+            self._value_arrays[c].reshape((-1,) + (1,) * (d - 1 - c))
+            for c in range(axis + 1, d)
+        )
+        split = self._value_arrays[axis]
+        start = 0
+        for lead in itertools.product(*(range(n) for n in cards[:axis])):
+            fixed = tuple(
+                self._value_arrays[c][i:i + 1] for c, i in enumerate(lead)
+            )
+            for j in range(0, cards[axis], step):
+                k = min(j + step, cards[axis])
+                stop = start + (k - j) * inner
+                span = split[j:k]
+                if k - j > 1:
+                    span = span.reshape((-1,) + (1,) * (d - 1 - axis))
+                yield start, stop, fixed + (span,) + trailing
+                start = stop
 
     # -- enumeration -------------------------------------------------------------
     def enumerate(self) -> Iterator[Configuration]:

@@ -1,11 +1,31 @@
 """Unit tests for the deterministic ruggedness term."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.ruggedness import ruggedness_factor, standard_normal_hash
+from repro.gpu.ruggedness import (
+    _seed_from_key,
+    ruggedness_factor,
+    standard_normal_hash,
+)
+
+#: FNV-1a seeds of the nine paper landscapes, recorded from the original
+#: ``np.uint64`` implementation.
+PAPER_SEEDS = {
+    "add/gtx_980": 4813332677842936348,
+    "add/titan_v": 5168246363540658114,
+    "add/rtx_titan": 12083634261730667882,
+    "harris/gtx_980": 16239420376780800326,
+    "harris/titan_v": 12143367708276095624,
+    "harris/rtx_titan": 6105520145100635344,
+    "mandelbrot/gtx_980": 16719558205188975651,
+    "mandelbrot/titan_v": 11748258973454225185,
+    "mandelbrot/rtx_titan": 16737123495422244113,
+}
 
 
 def random_configs(n, seed=0):
@@ -59,6 +79,56 @@ class TestStandardNormalHash:
         bumped[:, 0] = (bumped[:, 0] % 16) + 1
         z1 = standard_normal_hash(bumped, "k")
         assert abs(np.corrcoef(z0, z1)[0, 1]) < 0.05
+
+
+class TestSeed:
+    @pytest.mark.parametrize("key", sorted(PAPER_SEEDS))
+    def test_paper_seeds_unchanged_and_warning_free(self, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uncached = _seed_from_key.__wrapped__(key)
+            cached = _seed_from_key(key)
+        assert uncached == cached == PAPER_SEEDS[key]
+        assert uncached.dtype == np.uint64
+
+    def test_memoized(self):
+        assert _seed_from_key("k/memo") is _seed_from_key("k/memo")
+
+
+class TestColumnForm:
+    """A tuple of broadcastable columns hashes like the matrix of its rows."""
+
+    def grid(self):
+        return (
+            np.array([3]), np.array([16]),
+            np.arange(1, 17).reshape(16, 1, 1),
+            np.arange(1, 9).reshape(8, 1), np.arange(1, 9), np.array([2]),
+        )
+
+    def rows(self, columns):
+        shape = np.broadcast_shapes(*(c.shape for c in columns))
+        return np.column_stack(
+            [np.broadcast_to(c, shape).reshape(-1) for c in columns]
+        )
+
+    def test_hash_matches_matrix(self):
+        columns = self.grid()
+        z = standard_normal_hash(columns, "harris/titan_v")
+        assert z.shape == (16, 8, 8)
+        np.testing.assert_array_equal(
+            z.reshape(-1),
+            standard_normal_hash(self.rows(columns), "harris/titan_v"),
+        )
+
+    def test_factor_matches_matrix(self):
+        columns = self.grid()
+        for sigmas in ((0.3, 0.05), (0.0, 0.0)):
+            f = ruggedness_factor(columns, "k", *sigmas)
+            assert f.shape == (16, 8, 8)
+            np.testing.assert_array_equal(
+                f.reshape(-1),
+                ruggedness_factor(self.rows(columns), "k", *sigmas),
+            )
 
 
 class TestRuggednessFactor:

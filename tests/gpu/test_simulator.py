@@ -14,7 +14,11 @@ from repro.gpu import (
     WorkloadProfile,
     simulate_runtimes,
 )
+from repro.gpu.landscape import BLOCK_ROWS
+from repro.gpu.simulator import SimulationResult, simulate_columns
 from repro.kernels import get_kernel
+from repro.obs.metrics import global_registry
+from repro.searchspace import IntegerParameter, SearchSpace
 
 ADD = get_kernel("add").profile()
 HARRIS = get_kernel("harris").profile()
@@ -217,3 +221,73 @@ class TestWorkloadFeatures:
         )
         t = simulate_runtimes(STENCIL_3D, TITAN_V, zs).runtime_ms
         assert t.min() < t_base * 1.01
+
+
+#: 7,680 configurations; ``wg_z`` up to 8 puts some work-group products
+#: over 256, so blocks mix launches and launch failures.
+GRID_SPACE = SearchSpace([
+    IntegerParameter("thread_x", 1, 3),
+    IntegerParameter("thread_y", 1, 2),
+    IntegerParameter("thread_z", 1, 2),
+    IntegerParameter("wg_x", 1, 8),
+    IntegerParameter("wg_y", 1, 8),
+    IntegerParameter("wg_z", 4, 8),
+])
+
+
+def _counts():
+    registry = global_registry()
+    return (
+        registry.counter("simulator_evals_total").value,
+        registry.counter("simulator_launch_failures_total").value,
+    )
+
+
+def _counted(fn, *args):
+    before = _counts()
+    result = fn(*args)
+    after = _counts()
+    return result, (after[0] - before[0], after[1] - before[1])
+
+
+class TestGridPath:
+    """Broadcast grid columns and the per-row matrix run one model body:
+    every result field and counter increment must agree bit for bit."""
+
+    @pytest.mark.parametrize("max_rows", [300, BLOCK_ROWS])
+    @pytest.mark.parametrize(
+        "profile, arch",
+        [(ADD, GTX_980), (HARRIS, TITAN_V), (MANDEL, RTX_TITAN),
+         (TRANSPOSE, TITAN_V), (REDUCTION, GTX_980), (STENCIL_3D, TITAN_V)],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_grid_matches_matrix(self, profile, arch, max_rows):
+        failures_seen = 0
+        for start, stop, columns in GRID_SPACE.grid_blocks(max_rows):
+            shape = np.broadcast_shapes(*(c.shape for c in columns))
+            rows = np.column_stack(
+                [np.broadcast_to(c, shape).reshape(-1) for c in columns]
+            )
+            grid, grid_counts = _counted(
+                simulate_columns, profile, arch, columns
+            )
+            matrix, matrix_counts = _counted(
+                simulate_runtimes, profile, arch, rows
+            )
+            assert grid_counts == matrix_counts
+            assert grid_counts[0] == stop - start
+            for field in dataclasses.fields(SimulationResult):
+                g = getattr(grid, field.name)
+                m = getattr(matrix, field.name)
+                assert g.shape == shape and m.shape == (stop - start,)
+                assert g.dtype == m.dtype
+                assert np.ascontiguousarray(g).tobytes() == m.tobytes(), (
+                    field.name
+                )
+            failures_seen += int(grid_counts[1])
+        if profile is ADD:
+            assert failures_seen > 0
+
+    def test_wrong_column_count_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_columns(ADD, TITAN_V, (np.array([1]),) * 5)
