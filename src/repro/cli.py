@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from .experiments import (
-    AdaptiveConfig,
     ExperimentDesign,
     StudyConfig,
     run_study,
@@ -118,38 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retries", type=int, default=0,
         help="per-cell retries (capped backoff) for transient errors",
-    )
-    parser.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive sequential replication: grow each (algorithm, "
-             "kernel, arch, S) replication group in batches and stop "
-             "once an anytime-valid bootstrap CI on its median "
-             "percent-of-optimum reaches the target halfwidth (or the "
-             "group hits its fixed-design ceiling); stopping decisions "
-             "are checkpointed and replayed bit-identically on resume",
-    )
-    parser.add_argument(
-        "--adaptive-ci-target", type=float, default=1.0, metavar="PCT",
-        help="stop a group when its CI halfwidth (percentage points of "
-             "percent-of-optimum) drops to this target",
-    )
-    parser.add_argument(
-        "--adaptive-confidence", type=float, default=0.95, metavar="C",
-        help="total (familywise) confidence of the stopping rule; each "
-             "look spends alpha/(k*(k+1)) of alpha = 1 - C",
-    )
-    parser.add_argument(
-        "--adaptive-batch", type=int, default=8, metavar="N",
-        help="replications added per look",
-    )
-    parser.add_argument(
-        "--adaptive-min", type=int, default=8, metavar="N",
-        help="replications run before the first look (floor)",
-    )
-    parser.add_argument(
-        "--adaptive-max", type=int, default=None, metavar="N",
-        help="hard per-group replication ceiling (default: the fixed "
-             "design's experiment count for the group's sample size)",
     )
     parser.add_argument("--save", metavar="PATH",
                         help="save results JSON to PATH")
@@ -313,16 +280,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers=args.workers,
     )
     status(f"design: {design.describe()}")
-    adaptive = None
-    if args.adaptive:
-        adaptive = AdaptiveConfig(
-            ci_target=args.adaptive_ci_target,
-            confidence=args.adaptive_confidence,
-            batch_size=args.adaptive_batch,
-            min_replications=args.adaptive_min,
-            max_replications=args.adaptive_max,
-        )
-        status(f"adaptive: {adaptive.describe()}")
     registry = MetricsRegistry()
     try:
         results = run_study(
@@ -334,7 +291,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             trace_dir=args.trace_dir,
             metrics=registry,
             landscape_cache=args.landscape_cache,
-            adaptive=adaptive,
             trace_level=args.trace_level,
             run_ledger=args.run_ledger,
             run_argv=list(argv) if argv is not None else sys.argv[1:],
@@ -374,22 +330,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{cell['error']} (attempts: {cell.get('attempts', 1)})",
                 file=sys.stderr,
             )
-
-    adaptive_meta = results.metadata.get("adaptive")
-    if adaptive_meta:
-        status(
-            "adaptive: {executed}/{budget} replications run "
-            "({saved} saved, {stopped} groups at CI target)".format(
-                executed=adaptive_meta["replications_executed"],
-                budget=adaptive_meta["replications_budget"],
-                saved=adaptive_meta["replications_saved"],
-                stopped=sum(
-                    1
-                    for g in adaptive_meta["groups"].values()
-                    if g["reason"] == "ci_target"
-                ),
-            )
-        )
 
     if args.save:
         results.save(args.save)

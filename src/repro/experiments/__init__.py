@@ -5,7 +5,6 @@ from .dataset import PrecollectedDataset, collect_dataset
 from .design import (
     PAPER_EXPERIMENTS_AT_LARGEST,
     PAPER_SAMPLE_SIZES,
-    AdaptiveConfig,
     ExperimentDesign,
     paper_design,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "NonFiniteResultError",
     "InjectedFailure",
     "ExperimentDesign",
-    "AdaptiveConfig",
     "paper_design",
     "PAPER_SAMPLE_SIZES",
     "PAPER_EXPERIMENTS_AT_LARGEST",

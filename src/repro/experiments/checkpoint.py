@@ -20,24 +20,19 @@ File format (one JSON object per line)::
     {"kind": "result", "cell_key": "rs/add/titan_v/25/0", "data": {...}}
     {"kind": "failure", "cell_key": "...", "error": "...", "error_type":
      "...", "traceback": "..."}
-    {"kind": "stopped", "group_key": "rs/add/titan_v/25", "data": {...}}
 
 * The header guards against resuming with a mismatched study seed.  A
   non-empty file with no header line (e.g. a torn first write) is
   rejected outright — its seed and version cannot be validated.
-* The optional ``plan`` line records the study's planned shape (total
-  cell count for a fixed design, replication budget for adaptive) so a
-  read-only watcher (``repro-study --watch``) can compute progress and
-  ETA without knowing the study config.  It is written once, right
-  after the header — a resumed run never rewrites it, keeping resumed
-  and uninterrupted checkpoint files byte-identical.
+* The optional ``plan`` line records the study's planned shape (its
+  total cell count) so a read-only watcher (``repro-study --watch``)
+  can compute progress and ETA without knowing the study config.  It
+  is written once, right after the header — a resumed run never
+  rewrites it, keeping resumed and uninterrupted checkpoint files
+  byte-identical.
 * ``result`` lines carry the full ``ExperimentResult`` as a dict.
 * ``failure`` lines are informational: failed cells are *retried* on
   resume (only completed cells are skipped).
-* ``stopped`` lines record an adaptive-replication stopping decision for
-  one replication group (``algorithm/kernel/arch/sample_size``); on
-  resume the decision is replayed instead of re-derived, so a resumed
-  adaptive study grows exactly the cells the uninterrupted one would.
 * A torn final line — the signature of a killed process — is ignored on
   load, and trimmed from the file before the resumed run appends (so
   new lines are never glued onto the fragment); every complete line
@@ -93,8 +88,6 @@ class StudyCheckpoint:
         self.completed: Dict[str, ExperimentResult] = {}
         #: cell_key -> recorded failure info (latest per cell).
         self.failures: Dict[str, dict] = {}
-        #: group_key -> adaptive stopping decision, recovered from disk.
-        self.stopped: Dict[str, dict] = {}
         #: Planned study shape recorded by the original run (None until
         #: a ``plan`` line is written or loaded).
         self.plan: Optional[dict] = None
@@ -152,8 +145,6 @@ class StudyCheckpoint:
                     k: doc.get(k, "")
                     for k in ("error", "error_type", "traceback")
                 }
-            elif kind == "stopped":
-                self.stopped[doc["group_key"]] = dict(doc.get("data", {}))
             elif kind == "plan":
                 self.plan = dict(doc.get("data", {}))
             # Unknown kinds are skipped: forward compatibility.
@@ -272,19 +263,6 @@ class StudyCheckpoint:
             return
         self._write_line({"kind": "plan", "data": dict(data)})
         self.plan = dict(data)
-
-    def record_stop(self, group_key: str, data: dict) -> None:
-        """Record one replication group's adaptive stopping decision.
-
-        ``data`` is the JSON-serializable decision record (replication
-        count, reason, look index, halfwidth, per-look history) that
-        :func:`~repro.experiments.study.run_study` replays bit-identically
-        on resume.
-        """
-        self._write_line(
-            {"kind": "stopped", "group_key": group_key, "data": dict(data)}
-        )
-        self.stopped[group_key] = dict(data)
 
     def close(self) -> None:
         if self._fh is not None:

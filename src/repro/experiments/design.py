@@ -24,12 +24,11 @@ size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 __all__ = [
     "ExperimentDesign",
-    "AdaptiveConfig",
     "PAPER_SAMPLE_SIZES",
     "PAPER_EXPERIMENTS_AT_LARGEST",
     "paper_design",
@@ -97,115 +96,6 @@ class ExperimentDesign:
     def describe(self) -> str:
         rows = ", ".join(f"S={s}: E={e}" for s, e in self.schedule.items())
         return f"ExperimentDesign({rows})"
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Sequential (adaptive) replication: grow each replication group in
-    batches and stop when its statistic is precise enough.
-
-    Instead of running a cell's full fixed replication count up front, the
-    study grows the group ``batch_size`` replications at a time and, after
-    each growth step (a *look*), computes a bootstrap CI on the group's
-    median percent-of-optimum.  The group stops as soon as the CI
-    halfwidth drops to ``ci_target`` — or at its replication ceiling, so
-    fixed-budget results remain reachable (``ci_target=0`` degenerates to
-    the fixed design).
-
-    Peeking at the data repeatedly inflates the error rate of a naive
-    fixed-confidence rule, so the rule is made **anytime-valid** by alpha
-    spending: look ``k`` receives ``alpha / (k * (k + 1))`` of the total
-    ``alpha = 1 - confidence`` (the series sums to ``alpha`` over
-    arbitrarily many looks), and its CI is computed at the correspondingly
-    stricter per-look confidence.  By the union bound, the probability
-    that *any* look's interval misses the true statistic is at most
-    ``alpha``, no matter when the group stops.
-
-    Parameters
-    ----------
-    ci_target:
-        Stop when the CI halfwidth on the group's median
-        percent-of-optimum is <= this many percentage points.
-    confidence:
-        Total (familywise) confidence of the stopping rule.
-    batch_size:
-        Replications added per look.
-    min_replications:
-        Replications run before the first look (floor).
-    max_replications:
-        Hard ceiling per group; ``None`` uses the fixed design's
-        experiment count for the group's sample size.  The effective
-        ceiling is always capped by the fixed design's count — that is
-        what sizes the pre-collected dataset the non-SMBO tuners slice.
-    n_resamples:
-        Bootstrap resamples per look.
-    """
-
-    ci_target: float = 1.0
-    confidence: float = 0.95
-    batch_size: int = 8
-    min_replications: int = 8
-    max_replications: Optional[int] = None
-    n_resamples: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.ci_target <= 0:
-            raise ValueError("ci_target must be positive")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.min_replications < 2:
-            raise ValueError("min_replications must be >= 2")
-        if self.max_replications is not None and self.max_replications < 2:
-            raise ValueError("max_replications must be >= 2 (or None)")
-        if self.n_resamples < 1:
-            raise ValueError("n_resamples must be >= 1")
-
-    def ceiling_for(self, design: ExperimentDesign, sample_size: int) -> int:
-        """Replication ceiling for one group: the fixed design's count,
-        optionally tightened by ``max_replications``."""
-        budget = design.experiments_for(sample_size)
-        if self.max_replications is None:
-            return budget
-        return min(self.max_replications, budget)
-
-    def replication_schedule(
-        self, design: ExperimentDesign, sample_size: int
-    ) -> List[int]:
-        """Cumulative replication counts at each look, ending at the
-        ceiling: ``[min, min + batch, min + 2*batch, ..., ceiling]``."""
-        ceiling = self.ceiling_for(design, sample_size)
-        counts: List[int] = []
-        n = min(self.min_replications, ceiling)
-        while True:
-            counts.append(n)
-            if n >= ceiling:
-                return counts
-            n = min(n + self.batch_size, ceiling)
-
-    def alpha_at_look(self, look: int) -> float:
-        """Alpha spent at look ``k`` (1-based): ``alpha / (k * (k + 1))``,
-        a convergent series summing to ``1 - confidence``."""
-        if look < 1:
-            raise ValueError("looks are 1-based")
-        return (1.0 - self.confidence) / (look * (look + 1))
-
-    def confidence_at_look(self, look: int) -> float:
-        """Per-look CI confidence after the alpha-spending correction."""
-        return 1.0 - self.alpha_at_look(look)
-
-    def describe(self) -> str:
-        ceiling = (
-            "design" if self.max_replications is None
-            else str(self.max_replications)
-        )
-        return (
-            f"AdaptiveConfig(target halfwidth {self.ci_target}%, "
-            f"{self.confidence:.0%} anytime-valid, "
-            f"{self.min_replications}+{self.batch_size}/look, "
-            f"ceiling {ceiling})"
-        )
 
 
 def paper_design() -> ExperimentDesign:

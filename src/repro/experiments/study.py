@@ -11,8 +11,7 @@ any scale:
    denominator of "percentage of optimum"),
 3. dispatch the experiments as replication groups (the batched engine
    of :func:`~repro.experiments.runner.run_experiment_batch`) with
-   per-experiment reproducible RNG streams — the fixed design in one
-   round, the adaptive design in one round per look,
+   per-experiment reproducible RNG streams,
 4. gather everything into a :class:`~repro.experiments.results.StudyResults`.
 
 ``StudyConfig`` defaults to the paper's exact design; tests and benches
@@ -22,7 +21,6 @@ architecture lists.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -37,8 +35,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from ..gpu.arch import PAPER_ARCHITECTURES, get_architecture
 from ..gpu.device import SimulatedDevice
 from ..gpu.landscape import (
@@ -49,8 +45,8 @@ from ..gpu.landscape import (
 )
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
 from ..kernels import PAPER_KERNEL_NAMES, get_kernel
-from ..obs import NULL_TRACER, MetricsRegistry, global_registry, tracer_for_dir
-from ..obs.spans import SpanContext, SpanScope
+from ..obs import MetricsRegistry, global_registry
+from ..obs.spans import SpanContext
 from ..parallel import (
     EXECUTOR_NAMES,
     ParallelMap,
@@ -60,7 +56,6 @@ from ..parallel import (
 )
 from ..search import PAPER_ALGORITHM_NAMES, make_tuner
 from ..search.base import DatasetTuner
-from ..stats.bootstrap import bootstrap_halfwidth
 from ..store import (
     ResultStore,
     cell_identity,
@@ -69,7 +64,7 @@ from ..store import (
 )
 from .checkpoint import StudyCheckpoint
 from .dataset import PrecollectedDataset, collect_dataset
-from .design import AdaptiveConfig, ExperimentDesign
+from .design import ExperimentDesign
 from .optimum import find_true_optimum
 from .results import StudyResults
 from .runner import (
@@ -313,44 +308,6 @@ def _compute_optima(
     return out
 
 
-def _task_for(
-    config: StudyConfig,
-    datasets: Dict[Tuple[str, str], PrecollectedDataset],
-    needs_data: bool,
-    cell: _Cell,
-    trace_dir: Optional[str] = None,
-    landscape_cache: Optional[str] = None,
-    trace_level: str = "full",
-    span_parent: Optional[SpanContext] = None,
-) -> ExperimentTask:
-    """One cell's :class:`ExperimentTask`, dataset slice attached."""
-    alg, kname, aname, size, exp = cell
-    flats = runtimes = None
-    if needs_data:
-        sl = datasets[(kname, aname)].slice_for(size, exp)
-        flats = tuple(int(f) for f in sl.flats)
-        runtimes = tuple(float(r) for r in sl.runtimes_ms)
-    return ExperimentTask(
-        algorithm=alg,
-        kernel=kname,
-        arch=aname,
-        sample_size=size,
-        experiment=exp,
-        root_seed=config.root_seed,
-        image_x=config.image_x,
-        image_y=config.image_y,
-        final_repeats=config.final_repeats,
-        noise=config.noise,
-        dataset_flats=flats,
-        dataset_runtimes=runtimes,
-        tuner_kwargs=config.overrides_for(alg),
-        trace_dir=trace_dir,
-        landscape_cache=landscape_cache,
-        trace_level=trace_level,
-        span_parent=span_parent,
-    )
-
-
 def build_tasks(
     config: StudyConfig,
     datasets: Dict[Tuple[str, str], PrecollectedDataset],
@@ -370,117 +327,102 @@ def build_tasks(
     """
     needs_data = _needs_data(config)
     skip = skip_data or {}
-    return [
-        _task_for(
-            config, datasets,
-            needs_data[cell[0]] and _cell_key(cell) not in skip,
-            cell,
-            trace_dir=trace_dir,
-            landscape_cache=landscape_cache,
-            trace_level=trace_level,
-            span_parent=span_parent,
+    tasks: List[ExperimentTask] = []
+    for cell in _cells(config):
+        alg, kname, aname, size, exp = cell
+        flats = runtimes = None
+        if needs_data[alg] and _cell_key(cell) not in skip:
+            sl = datasets[(kname, aname)].slice_for(size, exp)
+            flats = tuple(int(f) for f in sl.flats)
+            runtimes = tuple(float(r) for r in sl.runtimes_ms)
+        tasks.append(
+            ExperimentTask(
+                algorithm=alg,
+                kernel=kname,
+                arch=aname,
+                sample_size=size,
+                experiment=exp,
+                root_seed=config.root_seed,
+                image_x=config.image_x,
+                image_y=config.image_y,
+                final_repeats=config.final_repeats,
+                noise=config.noise,
+                dataset_flats=flats,
+                dataset_runtimes=runtimes,
+                tuner_kwargs=config.overrides_for(alg),
+                trace_dir=trace_dir,
+                landscape_cache=landscape_cache,
+                trace_level=trace_level,
+                span_parent=span_parent,
+            )
         )
-        for cell in _cells(config)
-    ]
+    return tasks
 
 
-@dataclass
-class _RoundEngine:
-    """Runs planned cells in rounds and keeps every cell's fate.
+def _fleet(pool: ParallelMap) -> str:
+    executor = pool.executor
+    if executor is None:
+        return f"{pool.workers} workers"
+    if executor.name == "socket":
+        return f"{executor.worker_count()} socket worker(s)"
+    return f"the {executor.name} executor"
 
-    Both replication designs run through :meth:`run_round`: the fixed
-    design is one round over every cell, the adaptive design one round
-    per look.  A round resolves its cells in task order —
-    checkpoint-completed cells are replayed, result-store hits stream
-    into the checkpoint, and the rest dispatch as replication groups
-    through :meth:`~repro.parallel.ParallelMap.run_grouped`, whose
-    outcome hook writes checkpoint lines in input order.  Completed and
-    resumed cells the store did not answer are then written back to it.
+
+def _run_cells(
+    tasks: List[ExperimentTask],
+    pool: ParallelMap,
+    telemetry: StudyTelemetry,
+    ckpt: Optional[StudyCheckpoint],
+    store: Optional[ResultStore],
+    hits: Dict[str, object],
+    cell_ids: Dict[str, Tuple[str, dict]],
+) -> Tuple[List[object], List[dict], int, int]:
+    """Resolve every cell of ``tasks`` and keep each cell's fate.
+
+    Checkpoint-completed cells are replayed, result-store ``hits``
+    stream into the checkpoint, and the rest dispatch as replication
+    groups through :meth:`~repro.parallel.ParallelMap.run_grouped`,
+    whose outcome hook writes checkpoint lines in input order.
+    Completed and resumed cells the store did not answer are then
+    written back to it (``cell_ids`` holds their store identities).
+
+    Returns ``(results, failed_cells, resumed, answered)``: results and
+    failed-cell records in task order, and how many cells the
+    checkpoint and the store satisfied.
     """
+    done = dict(ckpt.completed) if ckpt is not None else {}
+    results: Dict[str, object] = {}
+    failed: Dict[str, dict] = {}
+    pending: List[ExperimentTask] = []
+    resumed = answered = 0
+    for task in tasks:
+        key = task.cell_key
+        if key in done:
+            results[key] = done[key]
+            resumed += 1
+        elif key in hits:
+            results[key] = hits[key]
+            answered += 1
+            if ckpt is not None:
+                # A later resume then replays the hit without the store.
+                ckpt.record_result(key, hits[key])
+        else:
+            pending.append(task)
+    telemetry.start_tasks(len(pending), resumed)
+    telemetry.line(
+        f"running {len(pending)} experiments on {_fleet(pool)}"
+        + (f" ({answered} answered by the result store)" if answered else "")
+    )
 
-    pool: ParallelMap
-    telemetry: StudyTelemetry
-    ckpt: Optional[StudyCheckpoint]
-    store: Optional[ResultStore]
-    #: Cells the checkpoint had completed before this run started.
-    done: Dict[str, object]
-    results: Dict[str, object] = field(default_factory=dict)
-    failed: Dict[str, dict] = field(default_factory=dict)
-    resumed: int = 0
-    store_hits: int = 0
-
-    def run_round(
-        self,
-        tasks: List[ExperimentTask],
-        hits: Dict[str, object],
-        cell_ids: Dict[str, Tuple[str, dict]],
-    ) -> None:
-        """Resolve ``tasks``; ``hits`` and ``cell_ids`` come from
-        :meth:`_CellFingerprints.lookup` (empty without a store)."""
-        pending: List[ExperimentTask] = []
-        resumed = answered = 0
-        for task in tasks:
-            key = task.cell_key
-            if key in self.done:
-                self.results[key] = self.done[key]
-                resumed += 1
-            elif key in hits:
-                self.results[key] = hits[key]
-                answered += 1
-                if self.ckpt is not None:
-                    # A later resume then replays the hit without the
-                    # store.
-                    self.ckpt.record_result(key, hits[key])
-            else:
-                pending.append(task)
-        self.resumed += resumed
-        self.store_hits += answered
-        self.telemetry.add_tasks(len(pending))
-        self.telemetry.add_skipped(resumed + answered)
-        notes = []
-        if resumed:
-            notes.append(f"{resumed} cells already complete")
-        if answered:
-            notes.append(f"{answered} answered by the result store")
-        self.telemetry.line(
-            f"running {len(pending)} experiments on {self._fleet()}"
-            + (f" ({', '.join(notes)})" if notes else "")
-        )
-        self.pool.run_grouped(
-            run_experiment,
-            run_experiment_batch,
-            pending,
-            group_key=batch_group_key,
-            on_outcome=self._on_outcome,
-            cost=lambda task: task.sample_size,
-        )
-        if self.store is not None:
-            # Resumed cells are written back too, so resuming an old
-            # study migrates its results into the store for every later
-            # study.
-            for task in tasks:
-                key = task.cell_key
-                if key in self.results and key not in hits:
-                    fp, identity = cell_ids[key]
-                    self.store.put_result(fp, self.results[key], identity)
-
-    def _fleet(self) -> str:
-        executor = self.pool.executor
-        if executor is None:
-            return f"{self.pool.workers} workers"
-        if executor.name == "socket":
-            return f"{executor.worker_count()} socket worker(s)"
-        return f"the {executor.name} executor"
-
-    def _on_outcome(self, outcome: TaskOutcome) -> None:
-        self.telemetry.task_finished(outcome.ok)
+    def on_outcome(outcome: TaskOutcome) -> None:
+        telemetry.task_finished(outcome.ok)
         key = outcome.task.cell_key
         if outcome.ok:
-            self.results[key] = outcome.result
-            if self.ckpt is not None:
-                self.ckpt.record_result(key, outcome.result)
+            results[key] = outcome.result
+            if ckpt is not None:
+                ckpt.record_result(key, outcome.result)
             return
-        self.failed[key] = {
+        failed[key] = {
             "cell_key": key,
             "error": repr(outcome.error),
             "error_type": outcome.error_type,
@@ -490,322 +432,37 @@ class _RoundEngine:
             # executor only) — metadata, never checkpoint bytes.
             "node": outcome.node,
         }
-        if self.ckpt is not None:
-            self.ckpt.record_failure(
+        if ckpt is not None:
+            ckpt.record_failure(
                 key,
                 error=repr(outcome.error),
                 error_type=outcome.error_type,
                 traceback=outcome.traceback,
             )
 
-    def collect(self, keys: Iterable[str]) -> Tuple[List[object], List[dict]]:
-        """Results and failed-cell records of ``keys``, in that order."""
-        results: List[object] = []
-        failed: List[dict] = []
-        for key in keys:
-            if key in self.results:
-                results.append(self.results[key])
-            elif key in self.failed:
-                failed.append(self.failed[key])
-        return results, failed
-
-
-@dataclass
-class _AdaptiveGroup:
-    """Mutable state of one replication group in the adaptive loop.
-
-    A group is every replication of one ``(algorithm, kernel, arch,
-    sample_size)`` study cell; its key is the cell key without the
-    experiment index.
-    """
-
-    algorithm: str
-    kernel: str
-    arch: str
-    sample_size: int
-    #: Cumulative replication counts at each look (ends at the ceiling).
-    schedule: List[int]
-    #: The fixed design's replication count (savings baseline).
-    budget: int
-    dispatched: int = 0
-    look: int = 0
-    stopped: bool = False
-    reason: Optional[str] = None
-    halfwidth: Optional[float] = None
-    looks: List[dict] = field(default_factory=list)
-    #: Replication count from a checkpointed stop decision, replayed
-    #: instead of re-derived on resume.
-    replay_target: Optional[int] = None
-
-    @property
-    def key(self) -> str:
-        return (
-            f"{self.algorithm}/{self.kernel}/{self.arch}/{self.sample_size}"
-        )
-
-    @property
-    def ceiling(self) -> int:
-        return self.schedule[-1]
-
-    def next_target(self) -> int:
-        """Cumulative replication count to grow to this round."""
-        if self.replay_target is not None:
-            return self.replay_target
-        for n in self.schedule:
-            if n > self.dispatched:
-                return n
-        return self.ceiling
-
-    def record(self) -> dict:
-        """JSON-serializable stop-decision record (checkpoint/metadata)."""
-        return {
-            "replications": self.dispatched,
-            "budget": self.budget,
-            "reason": self.reason,
-            "look": self.look,
-            "halfwidth": self.halfwidth,
-            "looks": [dict(entry) for entry in self.looks],
-        }
-
-
-def _run_adaptive(
-    config: StudyConfig,
-    adaptive: AdaptiveConfig,
-    engine: _RoundEngine,
-    datasets: Dict[Tuple[str, str], PrecollectedDataset],
-    optima: Dict[Tuple[str, str], float],
-    registry: MetricsRegistry,
-    fingerprints: Optional[_CellFingerprints],
-    task_opts: dict,
-) -> Tuple[List[str], dict]:
-    """The adaptive sequential-replication loop.
-
-    Grows every replication group in rounds through ``engine``; after
-    each round, each still-active group takes a *look*: an
-    anytime-valid bootstrap CI on its median percent-of-optimum at the
-    alpha-spending-corrected per-look confidence.  Groups stop at the
-    CI target or at their ceiling.
-
-    Determinism: each look's bootstrap RNG is a stream derived from the
-    (group key, look index) pair — never from execution order, worker
-    count, or wall clock — and the percent vector is assembled in
-    experiment order.  On resume, checkpointed stop decisions are
-    replayed verbatim rather than re-derived.
-
-    When a result store is attached, each round's cells are looked up
-    by their content fingerprints before dispatch, so whole replication
-    groups short-circuit when a previous study already materialized
-    them — the looks then re-derive the same stopping decisions from
-    the identical numbers.
-
-    Returns ``(cell_keys, adaptive_metadata)``: the keys of every cell
-    the groups grew into, in study order.
-    """
-    ckpt = engine.ckpt
-    trace_dir = task_opts["trace_dir"]
-    trace_level = task_opts["trace_level"]
-    span_parent = task_opts["span_parent"]
-    rngs = RngFactory(config.root_seed)
-    events_on = trace_dir is not None and trace_level == "full"
-    tracer = tracer_for_dir(trace_dir) if events_on else NULL_TRACER
-    needs_data = _needs_data(config)
-
-    groups: List[_AdaptiveGroup] = []
-    for alg in config.algorithms:
-        for kname in config.kernels:
-            for aname in config.archs:
-                for size in config.design.sample_sizes:
-                    group = _AdaptiveGroup(
-                        algorithm=alg,
-                        kernel=kname,
-                        arch=aname,
-                        sample_size=size,
-                        schedule=adaptive.replication_schedule(
-                            config.design, size
-                        ),
-                        budget=config.design.experiments_for(size),
-                    )
-                    rec = (
-                        ckpt.stopped.get(group.key)
-                        if ckpt is not None
-                        else None
-                    )
-                    if rec is not None:
-                        group.replay_target = int(rec["replications"])
-                        group.reason = rec.get("reason")
-                        group.halfwidth = rec.get("halfwidth")
-                        group.look = int(rec.get("look", 0))
-                        group.looks = [
-                            dict(entry) for entry in rec.get("looks", [])
-                        ]
-                    groups.append(group)
-    replayed = sum(1 for g in groups if g.replay_target is not None)
-    if ckpt is not None:
-        # Adaptive totals are only known as stopping decisions land, so
-        # the plan records the fixed-design budget instead of an exact
-        # cell count; written once per checkpoint file (no-op on resume).
-        ckpt.record_plan(
-            {"budget_cells": sum(g.budget for g in groups)}
-        )
-
-    engine.telemetry.line(
-        f"adaptive replication: {len(groups)} groups, "
-        + adaptive.describe()
-        + (
-            f", {replayed} stop decisions replayed from checkpoint"
-            if replayed
-            else ""
-        )
+    pool.run_grouped(
+        run_experiment,
+        run_experiment_batch,
+        pending,
+        group_key=batch_group_key,
+        on_outcome=on_outcome,
+        cost=lambda task: task.sample_size,
     )
-
-    def count_stop(group: _AdaptiveGroup) -> None:
-        engine.telemetry.group_stopped(group.budget - group.dispatched)
-        registry.counter(
-            "adaptive_groups_stopped_total",
-            "Adaptive replication groups stopped, by stop reason.",
-            reason=str(group.reason),
-        ).inc()
-
-    def stop(group: _AdaptiveGroup, reason: str, halfwidth: float) -> None:
-        group.stopped = True
-        group.reason = reason
-        group.halfwidth = (
-            float(halfwidth) if math.isfinite(halfwidth) else None
-        )
-        count_stop(group)
-        if ckpt is not None:
-            ckpt.record_stop(group.key, group.record())
-        if tracer.enabled:
-            fields = dict(
-                cell=group.key,
-                reason=reason,
-                replications=group.dispatched,
-                budget=group.budget,
-                look=group.look,
-            )
-            if group.halfwidth is not None:
-                fields["halfwidth"] = group.halfwidth
-            tracer.event("adaptive_stop", **fields)
-
-    while True:
-        active = [g for g in groups if not g.stopped]
-        if not active:
-            break
-        cells: List[_Cell] = []
-        for group in active:
-            target = group.next_target()
-            cells.extend(
-                (group.algorithm, group.kernel, group.arch,
-                 group.sample_size, exp)
-                for exp in range(group.dispatched, target)
-            )
-            group.dispatched = target
-        tasks = [
-            _task_for(
-                config, datasets, needs_data[cell[0]], cell, **task_opts
-            )
-            for cell in cells
-        ]
-        hits, cell_ids = (
-            fingerprints.lookup(engine.store, cells)
-            if fingerprints is not None
-            else ({}, {})
-        )
-        engine.run_round(tasks, hits, cell_ids)
-        for group in active:
-            if group.replay_target is not None:
-                # Stop decision made (and checkpointed) by the interrupted
-                # run; replay it rather than re-deriving.
-                group.stopped = True
-                count_stop(group)
-                continue
-            group.look += 1
-            with ExitStack() as look_stack:
-                if trace_dir is not None:
-                    look_stack.enter_context(
-                        SpanScope(
-                            trace_dir,
-                            "adaptive-look",
-                            subject=f"{group.key}/look/{group.look}",
-                            parent=span_parent,
-                            fields={"replications": group.dispatched},
-                        )
-                    )
-                confidence = adaptive.confidence_at_look(group.look)
-                optimum = optima[(group.kernel, group.arch)]
-                percents = [
-                    100.0 * optimum / result.final_runtime_ms
-                    for result in (
-                        engine.results.get(f"{group.key}/{exp}")
-                        for exp in range(group.dispatched)
-                    )
-                    if result is not None
-                ]
-                halfwidth = (
-                    bootstrap_halfwidth(
-                        percents,
-                        statistic=np.median,
-                        confidence=confidence,
-                        n_resamples=adaptive.n_resamples,
-                        rng=rngs.stream_for(
-                            f"adaptive/{group.key}/look/{group.look}"
-                        ),
-                    )
-                    if len(percents) >= 2
-                    else math.inf
-                )
-                group.looks.append(
-                    {
-                        "look": group.look,
-                        "replications": group.dispatched,
-                        "confidence": confidence,
-                        "halfwidth": (
-                            float(halfwidth)
-                            if math.isfinite(halfwidth)
-                            else None
-                        ),
-                    }
-                )
-                if halfwidth <= adaptive.ci_target:
-                    stop(group, "ci_target", halfwidth)
-                elif group.dispatched >= group.ceiling:
-                    stop(group, "ceiling", halfwidth)
-
-    executed = sum(g.dispatched for g in groups)
-    budget_total = sum(g.budget for g in groups)
-    saved = budget_total - executed
-    registry.counter(
-        "adaptive_replications_executed_total",
-        "Replications actually run (or resumed) under adaptive stopping.",
-    ).inc(float(executed))
-    registry.counter(
-        "adaptive_replications_saved_total",
-        "Replications the fixed design would have run but adaptive "
-        "stopping skipped.",
-    ).inc(float(saved))
-    engine.telemetry.line(
-        f"adaptive replication: {executed}/{budget_total} replications "
-        f"({saved} saved)"
+    if store is not None:
+        # Resumed cells are written back too, so resuming an old study
+        # migrates its results into the store for every later study.
+        for task in tasks:
+            key = task.cell_key
+            if key in results and key not in hits:
+                fp, identity = cell_ids[key]
+                store.put_result(fp, results[key], identity)
+    keys = [task.cell_key for task in tasks]
+    return (
+        [results[key] for key in keys if key in results],
+        [failed[key] for key in keys if key in failed],
+        resumed,
+        answered,
     )
-
-    meta = {
-        "config": {
-            "ci_target": adaptive.ci_target,
-            "confidence": adaptive.confidence,
-            "batch_size": adaptive.batch_size,
-            "min_replications": adaptive.min_replications,
-            "max_replications": adaptive.max_replications,
-            "n_resamples": adaptive.n_resamples,
-        },
-        "groups": {g.key: g.record() for g in groups},
-        "replications_executed": executed,
-        "replications_saved": saved,
-        "replications_budget": budget_total,
-        "groups_replayed": replayed,
-        "store_hits": engine.store_hits,
-    }
-    keys = [f"{g.key}/{exp}" for g in groups for exp in range(g.dispatched)]
-    return keys, meta
 
 
 def run_study(
@@ -818,7 +475,6 @@ def run_study(
     trace_dir: Optional[object] = None,
     metrics: Optional[MetricsRegistry] = None,
     landscape_cache: Optional[object] = None,
-    adaptive: Optional[AdaptiveConfig] = None,
     trace_level: str = "full",
     run_ledger: Optional[object] = None,
     run_argv: Optional[List[str]] = None,
@@ -876,22 +532,10 @@ def run_study(
         files, sharing read-only pages.  Results are bit-identical with
         the cache on or off.  ``None`` with no environment override runs
         fully live.
-    adaptive:
-        An :class:`~repro.experiments.design.AdaptiveConfig` switches
-        replication from the fixed design to sequential stopping: each
-        ``(algorithm, kernel, arch, sample_size)`` group grows in
-        batches and stops as soon as an anytime-valid
-        (alpha-spending-corrected) bootstrap CI on its median
-        percent-of-optimum reaches the configured halfwidth target — or
-        at its replication ceiling.  Requires ``compute_optima=True``.
-        Stop decisions are written to the checkpoint (``"stopped"``
-        lines) and replayed verbatim on resume, so a resumed adaptive
-        study is bit-identical to an uninterrupted one.  ``None``
-        (default) runs the fixed design unchanged.
     trace_level:
         What lands in ``trace_dir``: ``"spans"`` — hierarchical spans
-        only (study → phase → worker-chunk → replication-group → cell →
-        adaptive-look; cheap enough that the vectorized batch paths stay
+        only (study → phase → worker-chunk → replication-group → cell;
+        cheap enough that the vectorized batch paths stay
         enabled); ``"full"`` (default) — spans plus trajectory events.
         Ignored without a ``trace_dir``.  The study and phase spans run
         either way: their docs land in
@@ -944,12 +588,6 @@ def run_study(
     if trace_level not in ("spans", "full"):
         raise ValueError(
             f"trace_level must be 'spans' or 'full', got {trace_level!r}"
-        )
-    if adaptive is not None and not compute_optima:
-        raise ValueError(
-            "adaptive replication requires compute_optima=True — the "
-            "stopping rule is a CI on percent-of-optimum, which needs "
-            "each landscape's true optimum"
         )
     if executor is not None and executor not in EXECUTOR_NAMES:
         raise ValueError(
@@ -1008,16 +646,13 @@ def run_study(
                 else StudyCheckpoint(checkpoint, root_seed=config.root_seed)
             )
 
-        fingerprints = (
-            _CellFingerprints(config) if store is not None else None
-        )
-        #: The fixed design's store pre-scan: cached results and every
-        #: cell's (fingerprint, identity) for write-back.
+        #: The store pre-scan: cached results and every cell's
+        #: (fingerprint, identity) for write-back.
         store_hits: Dict[str, object] = {}
         cell_ids: Dict[str, Tuple[str, dict]] = {}
-        if fingerprints is not None and adaptive is None:
+        if store is not None:
             with telemetry.phase("store"):
-                store_hits, cell_ids = fingerprints.lookup(
+                store_hits, cell_ids = _CellFingerprints(config).lookup(
                     store, _cells(config)
                 )
             telemetry.line(
@@ -1033,7 +668,7 @@ def run_study(
             covered.update(ckpt.completed)
         datasets: Dict[Tuple[str, str], PrecollectedDataset] = {}
         if _needs_dataset(config):
-            if adaptive is None and _dataset_cells_covered(config, covered):
+            if _dataset_cells_covered(config, covered):
                 # The rows would never be read, so the whole collection
                 # pass is skipped.
                 telemetry.line(
@@ -1096,40 +731,28 @@ def run_study(
             executor=executor_obj,
         )
 
-        engine = _RoundEngine(
-            pool, telemetry, ckpt, store,
-            done=dict(ckpt.completed) if ckpt is not None else {},
-        )
-        task_opts = dict(
-            trace_dir=trace_dir_str,
-            landscape_cache=cache_dir,
-            trace_level=trace_level,
-            span_parent=exp_ctx,
-        )
-        adaptive_meta: Optional[dict] = None
-        telemetry.start_tasks(0)
         try:
             with exp_span:
-                if adaptive is None:
-                    tasks = build_tasks(
-                        config, datasets, skip_data=covered, **task_opts
-                    )
-                    if ckpt is not None:
-                        # The planned shape, for read-only watchers;
-                        # written once per checkpoint file (no-op on
-                        # resume).
-                        ckpt.record_plan({"total_cells": len(tasks)})
-                    engine.run_round(tasks, store_hits, cell_ids)
-                    keys = [task.cell_key for task in tasks]
-                else:
-                    keys, adaptive_meta = _run_adaptive(
-                        config, adaptive, engine, datasets, optima,
-                        registry, fingerprints, task_opts,
-                    )
+                tasks = build_tasks(
+                    config,
+                    datasets,
+                    trace_dir=trace_dir_str,
+                    landscape_cache=cache_dir,
+                    trace_level=trace_level,
+                    span_parent=exp_ctx,
+                    skip_data=covered,
+                )
+                if ckpt is not None:
+                    # The planned shape, for read-only watchers; written
+                    # once per checkpoint file (no-op on resume).
+                    ckpt.record_plan({"total_cells": len(tasks)})
+                results, failed_cells, resumed, answered = _run_cells(
+                    tasks, pool, telemetry, ckpt, store, store_hits,
+                    cell_ids,
+                )
         finally:
             if ckpt is not None:
                 ckpt.close()
-        results, failed_cells = engine.collect(keys)
     if failed_cells:
         telemetry.line(
             f"{len(failed_cells)} cells failed: "
@@ -1159,12 +782,11 @@ def run_study(
         "image": [config.image_x, config.image_y],
         "root_seed": config.root_seed,
         "final_repeats": config.final_repeats,
-        "total_experiments": len(keys),
+        "total_experiments": len(tasks),
         "failed_cells": failed_cells,
-        "resumed_from_checkpoint": engine.resumed,
+        "resumed_from_checkpoint": resumed,
         "failure_policy": failure_policy,
         "executor": executor,
-        "adaptive": adaptive_meta,
         "telemetry": telemetry.snapshot(),
         "spans": telemetry.span_docs(),
         "metrics": registry.to_json(),
@@ -1172,7 +794,7 @@ def run_study(
         "trace_level": trace_level if trace_dir is not None else None,
         "landscape_cache": cache_dir,
         "result_store": store_dir,
-        "store_hits": engine.store_hits,
+        "store_hits": answered,
     }
     study_results = StudyResults(
         results=results, optima=optima, metadata=metadata
@@ -1188,7 +810,6 @@ def run_study(
             config,
             study_results,
             argv=run_argv,
-            adaptive=adaptive,
             created=created,
         )
         manifest_path = record_run(run_ledger, manifest)

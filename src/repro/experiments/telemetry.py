@@ -62,9 +62,6 @@ class StudyTelemetry:
         #: Executor backend name the study dispatched through
         #: (``None`` = historical auto-selection).
         self.executor: Optional[str] = None
-        #: Adaptive-replication accounting (0 when adaptive mode is off).
-        self.groups_stopped = 0
-        self.replications_saved = 0
         self._tasks_started: Optional[float] = None
 
     # -- emission -------------------------------------------------------------
@@ -125,26 +122,6 @@ class StudyTelemetry:
                 f"{total} to run"
             )
 
-    def add_tasks(self, n: int) -> None:
-        """Grow the experiment total by one round's dispatch.
-
-        Studies dispatch cells in rounds (one for the fixed design, one
-        per look for adaptive replication), so the total is only known
-        as rounds are planned rather than fixed up front.
-        """
-        self.total += int(n)
-
-    def add_skipped(self, n: int) -> None:
-        """Count cells a round satisfied from the checkpoint or the
-        result store."""
-        self.skipped += int(n)
-
-    def group_stopped(self, saved: int) -> None:
-        """Record one adaptive replication group's stopping decision and
-        the replications it saved versus the fixed design."""
-        self.groups_stopped += 1
-        self.replications_saved += max(0, int(saved))
-
     def task_finished(self, ok: bool) -> None:
         """Record one finished cell and emit a periodic progress line."""
         if ok:
@@ -197,8 +174,6 @@ class StudyTelemetry:
             "failed": self.failed,
             "skipped": self.skipped,
             "total": self.total,
-            "groups_stopped": self.groups_stopped,
-            "replications_saved": self.replications_saved,
             "executor": self.executor,
             "elapsed_seconds": round(self.elapsed, 3),
             "throughput_per_s": round(self.throughput(), 3),

@@ -27,7 +27,7 @@ runtimes, same RNG consumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 import numpy as np
 
@@ -210,19 +210,10 @@ class SimulatedDevice:
             for t in noisy
         ]
 
-    def measure_batch(self, configs: Sequence[Mapping[str, int]]) -> np.ndarray:
-        """One noisy measurement per configuration (vectorized fast path).
-
-        Returns runtimes in ms; ``inf`` marks launch failures.  Used for
-        the paper's pre-collected 20,000-sample datasets.
-        """
-        if len(configs) == 0:
-            return np.empty(0, dtype=np.float64)
-        matrix = np.stack([config_dict_to_row(c) for c in configs])
-        return self.measure_matrix(matrix)
-
     def measure_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Like :meth:`measure_batch` for a pre-built ``(n, 6)`` matrix."""
+        """One noisy measurement per row of an ``(n, 6)`` configuration
+        matrix (vectorized).  Returns runtimes in ms; ``inf`` marks launch
+        failures."""
         sim = simulate_runtimes(self.profile, self.arch, matrix)
         noisy = self.noise.apply(sim.runtime_ms, self.rng)
         self._launches += int(matrix.shape[0] if matrix.ndim == 2 else 1)

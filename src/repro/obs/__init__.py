@@ -14,7 +14,7 @@ package makes that trajectory first-class:
 * :mod:`repro.obs.read` — ``python -m repro.obs.read`` for summarizing,
   validating, and live-tailing (``--follow``) trace files;
 * :mod:`repro.obs.spans` — hierarchical span tracing (study → phase →
-  replication-group → cell → adaptive-look) with cross-process context
+  replication-group → cell) with cross-process context
   propagation, tree/timeline readers and the per-phase/per-worker
   wall/CPU/RSS attribution; spans are the study's only region timer;
 * :mod:`repro.obs.runs` — the content-addressed run ledger and the

@@ -10,7 +10,6 @@ checkpoint for append, never trims, never touches the run) and derives:
   (the checkpoint's ``plan`` line, written by the study at startup);
 * throughput and ETA — from a sliding window of recent completions, so
   the estimate tracks the current phase rather than the whole history;
-* adaptive stop decisions — ``stopped`` lines as they land;
 * trace activity — event counts by kind, live span starts.
 
 Torn final lines are tolerated exactly like checkpoint resume: a line
@@ -64,7 +63,6 @@ class StudyWatch:
         self.plan: Dict[str, object] = {}
         self.completed = 0
         self.failed = 0
-        self.stopped: Dict[str, dict] = {}
         self.event_kinds: Dict[str, int] = {}
         self.last_cell: Optional[str] = None
         self._completions: Deque[Tuple[float, int]] = deque()
@@ -101,10 +99,6 @@ class StudyWatch:
         elif kind == "failure":
             self.failed += 1
             self.last_cell = doc.get("cell_key")
-        elif kind == "stopped":
-            self.stopped[str(doc.get("group_key"))] = dict(
-                doc.get("data") or {}
-            )
 
     # -- derived --------------------------------------------------------------
     def throughput(self, now: Optional[float] = None) -> float:
@@ -132,7 +126,6 @@ class StudyWatch:
             "total": self.total,
             "completed": self.completed,
             "failed": self.failed,
-            "stopped_groups": len(self.stopped),
             "throughput_per_s": round(self.throughput(now), 3),
             "eta_seconds": round(eta, 1) if eta is not None else None,
             "last_cell": self.last_cell,
@@ -153,15 +146,6 @@ class StudyWatch:
             parts.append(f"cells {done}")
         if st["failed"]:
             parts.append(f"{st['failed']} failed")
-        if st["stopped_groups"]:
-            reasons: Dict[str, int] = {}
-            for rec in self.stopped.values():
-                reason = str(rec.get("reason"))
-                reasons[reason] = reasons.get(reason, 0) + 1
-            detail = ", ".join(
-                f"{n} {reason}" for reason, n in sorted(reasons.items())
-            )
-            parts.append(f"{st['stopped_groups']} groups stopped ({detail})")
         rate = st["throughput_per_s"]
         if rate:
             parts.append(f"{rate:.1f}/s")

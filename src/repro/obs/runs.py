@@ -10,7 +10,7 @@ directory:
   manifest's canonical JSON, i.e. content-addressed: identical runs
   collide into identical ids), creation timestamp, the CLI argv;
 * configuration — the design schedule, algorithms/kernels/archs, image
-  size, root seed, worker count, adaptive config;
+  size, root seed, worker count;
 * environment — git revision (when inside a work tree), Python/platform
   versions, every ``REPRO_*`` environment variable;
 * fingerprints — the PR-3 landscape fingerprint of every (kernel, arch)
@@ -18,8 +18,7 @@ directory:
   search space + simulator version;
 * outcome — the telemetry snapshot (phase wall times, throughput,
   failure counts), merged flat metrics, and BENCH-style headline
-  numbers (wall seconds, evaluations, replications executed/saved,
-  failed cells).
+  numbers (wall seconds, evaluations, failed cells).
 
 ``repro-runs`` (installed CLI) reads the ledger back::
 
@@ -29,9 +28,8 @@ directory:
 
 ``diff`` compares two manifests (by run-id prefix, or literal manifest
 file paths) and exits non-zero when the newer run regressed: total or
-per-phase wall clock beyond the tolerance, more replications executed
-for the same design, or more failed cells.  CI runs exactly this
-against a committed baseline manifest.
+per-phase wall clock beyond the tolerance, or more failed cells.  CI
+runs exactly this against a committed baseline manifest.
 
 This module is stdlib-only at import time (``repro.gpu`` imports the
 obs package for metrics, so the fingerprint helpers are imported lazily
@@ -101,7 +99,6 @@ def build_manifest(
     config,
     results,
     argv: Optional[List[str]] = None,
-    adaptive=None,
     *,
     created: float,
 ) -> dict:
@@ -142,7 +139,6 @@ def build_manifest(
             else []
         )
     }
-    adaptive_meta = meta.get("adaptive") or {}
     headline = {
         "wall_seconds": telemetry.get("elapsed_seconds"),
         "experiments_total": meta.get("total_experiments"),
@@ -152,9 +148,6 @@ def build_manifest(
         "store_hits": meta.get("store_hits"),
         "throughput_per_s": telemetry.get("throughput_per_s"),
         "phase_seconds": dict(telemetry.get("phase_seconds") or {}),
-        "replications_executed": adaptive_meta.get("replications_executed"),
-        "replications_budget": adaptive_meta.get("replications_budget"),
-        "replications_saved": adaptive_meta.get("replications_saved"),
     }
 
     manifest = {
@@ -175,11 +168,6 @@ def build_manifest(
             # Boolean, not the path: store directories differ across
             # machines while the results they produce do not.
             "result_store_used": meta.get("result_store") is not None,
-            "adaptive": (
-                dict(adaptive_meta.get("config") or {})
-                if adaptive_meta
-                else None
-            ),
         },
         "fingerprints": fingerprints,
         "environment": {
@@ -260,7 +248,6 @@ def diff_runs(
     * total wall clock grew beyond ``wall_tolerance`` (and by at least
       ``min_seconds`` — sub-second noise never flags);
     * any phase's wall clock grew beyond the same thresholds;
-    * more replications executed (adaptive efficiency lost);
     * more failed cells.
 
     Fingerprint or config changes are reported as *changes*, not
@@ -325,19 +312,6 @@ def diff_runs(
     for phase in sorted(set(old_phases) & set(new_phases)):
         wall_check(
             f"phase {phase}", old_phases.get(phase), new_phases.get(phase)
-        )
-
-    old_reps = old_head.get("replications_executed")
-    new_reps = new_head.get("replications_executed")
-    if (
-        comparable
-        and isinstance(old_reps, (int, float))
-        and isinstance(new_reps, (int, float))
-        and new_reps > old_reps
-    ):
-        regressions.append(
-            f"replications_executed: {old_reps} -> {new_reps} "
-            f"(adaptive stopping efficiency lost)"
         )
 
     old_failed = old_head.get("experiments_failed") or 0

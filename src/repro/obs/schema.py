@@ -55,11 +55,6 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "propose": ("cell", "duration_s"),
     "tuner_end": ("cell", "samples_used", "best_ms"),
     "experiment_end": ("cell", "final_runtime_ms", "samples_used"),
-    # Adaptive-replication stopping decision for one replication group;
-    # its ``cell`` is the group key (no experiment index).  ``halfwidth``
-    # rides along as an optional extra field — it has no defined value
-    # when a group stops with too few successful replications for a CI.
-    "adaptive_stop": ("cell", "reason", "replications", "budget", "look"),
     # One completed hierarchical span (repro.obs.spans).  Ancestry
     # fields (parent_id, trace_id) and resource samples (cpu_s, rss_kb)
     # are optional extras; ``subject`` names what the span covered
@@ -85,9 +80,6 @@ _FIELD_TYPES: Dict[str, tuple] = {
     "duration_s": (int, float),
     "samples_used": (int,),
     "final_runtime_ms": (int, float),
-    "reason": (str,),
-    "replications": (int,),
-    "look": (int,),
     "span_id": (str,),
     "parent_id": (str,),
     "trace_id": (str,),

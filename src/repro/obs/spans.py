@@ -1,20 +1,19 @@
 """Hierarchical span tracing with cross-process context propagation.
 
 A *span* times one named unit of work — the study itself, one pipeline
-phase, one replication group, one experiment cell, one adaptive look,
-one worker chunk — and records its ancestry, so the flat JSONL trace
-stream (see :mod:`repro.obs.trace`) gains a tree:
+phase, one replication group, one experiment cell, one worker chunk —
+and records its ancestry, so the flat JSONL trace stream (see
+:mod:`repro.obs.trace`) gains a tree:
 
     study
     ├─ phase landscapes
     ├─ phase dataset
     ├─ phase optima
     └─ phase experiments
-       ├─ worker-chunk tasks[0:8]          (pid 1201)
-       │  └─ replication-group rs/add/titan_v/25
-       │     ├─ cell rs/add/titan_v/25/0
-       │     └─ cell rs/add/titan_v/25/1
-       └─ adaptive-look rs/add/titan_v/25/look/1
+       └─ worker-chunk tasks[0:8]          (pid 1201)
+          └─ replication-group rs/add/titan_v/25
+             ├─ cell rs/add/titan_v/25/0
+             └─ cell rs/add/titan_v/25/1
 
 Span events ride in the same per-process ``trace-<pid>.jsonl`` files as
 trajectory events (``kind == "span"``, schema v2 in

@@ -7,7 +7,7 @@ predictions.  The top performing prediction is then stored as the output"
 ours is the from-scratch equivalent in :mod:`repro.ml.forest`.
 
 The two-stage protocol is exactly why the paper finds RF weak: its
-training set is *random* samples (not adaptively chosen), so with small S
+training set is *random* samples (not model-guided), so with small S
 the model ranks the space poorly, and 10 of the S measurements are spent
 confirming predictions instead of exploring.
 """

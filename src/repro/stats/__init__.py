@@ -4,7 +4,6 @@ from .bootstrap import (
     DEFAULT_BOOTSTRAP_SEED,
     BootstrapInterval,
     bootstrap_ci,
-    bootstrap_halfwidth,
 )
 from .cles import cles_greater, cles_smaller
 from .mannwhitney import (
@@ -23,7 +22,6 @@ __all__ = [
     "cles_greater",
     "cles_smaller",
     "bootstrap_ci",
-    "bootstrap_halfwidth",
     "BootstrapInterval",
     "DEFAULT_BOOTSTRAP_SEED",
     "compare_pair",

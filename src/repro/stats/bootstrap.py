@@ -6,11 +6,9 @@ underlying populations are non-Gaussian (Section V-A), we use percentile
 bootstrap intervals rather than normal-theory ones.
 
 Resampling is **deterministic by default**: with ``rng=None`` a generator
-seeded with :data:`DEFAULT_BOOTSTRAP_SEED` is used, so CI-driven
-decisions — in particular the adaptive replication stopping rule in
-:mod:`repro.experiments.study` — replay identically across runs, resumes,
-and worker counts.  Pass an explicit generator (or an int seed) to thread
-your own stream.
+seeded with :data:`DEFAULT_BOOTSTRAP_SEED` is used, so every interval —
+and every figure drawn from one — replays identically across runs.  Pass
+an explicit generator (or an int seed) to thread your own stream.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 __all__ = [
     "BootstrapInterval",
     "bootstrap_ci",
-    "bootstrap_halfwidth",
     "DEFAULT_BOOTSTRAP_SEED",
 ]
 
@@ -117,29 +114,3 @@ def bootstrap_ci(
         high=float(high),
         confidence=confidence,
     )
-
-
-def bootstrap_halfwidth(
-    values: np.ndarray,
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    rng: RngLike = None,
-) -> float:
-    """Halfwidth of the percentile-bootstrap CI alone.
-
-    The adaptive replication stopping rule evaluates only the interval
-    width, not the point estimate — this path skips the estimate and
-    builds no interval object: one vectorized resample pass and a single
-    two-quantile call.  Consumes the same RNG draws as
-    :func:`bootstrap_ci`, so both report the same interval for the same
-    stream state.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    _validate(values, confidence, n_resamples)
-    stats = _resample_statistics(
-        values, statistic, n_resamples, _resolve_rng(rng)
-    )
-    alpha = 1.0 - confidence
-    low, high = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(0.5 * (high - low))

@@ -1,6 +1,6 @@
 """Content-addressed result store and cross-study tuning cache.
 
-See DESIGN.md §13 for the on-disk layout, the key schema, and the
+See DESIGN.md §12 for the on-disk layout, the key schema, and the
 invalidation rules.  ``run_study(result_store=...)`` (the CLI's
 ``--result-store``) short-circuits whole cells through it.
 """

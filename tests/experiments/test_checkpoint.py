@@ -6,8 +6,11 @@ import pytest
 
 from repro.experiments import (
     CheckpointMismatchError,
+    ExperimentDesign,
     ExperimentResult,
     StudyCheckpoint,
+    StudyConfig,
+    run_study,
 )
 
 
@@ -177,34 +180,50 @@ class TestHeaderlessRejection:
         assert len(StudyCheckpoint(path, root_seed=42)) == 0
 
 
-class TestStoppedLines:
-    def test_stop_decisions_round_trip(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        record = {
-            "replications": 12,
-            "budget": 32,
-            "reason": "ci_target",
-            "look": 2,
-            "halfwidth": 0.75,
-            "looks": [
-                {"look": 1, "replications": 8, "halfwidth": 1.5},
-                {"look": 2, "replications": 12, "halfwidth": 0.75},
-            ],
+class TestPreFixedOnlyCheckpoint:
+    def test_adaptive_era_checkpoint_resumes_as_fixed_design(self, tmp_path):
+        # Checkpoints written while adaptive replication existed carry a
+        # ``budget_cells`` plan and per-group ``stopped`` lines.  Their
+        # result lines use the fixed grid's cell keys and bytes, so such a
+        # file resumes as the fixed design: the stopped lines are skipped
+        # and the cells the groups never grew into are run.
+        config = StudyConfig(
+            design=ExperimentDesign(
+                sample_sizes=(25,), experiments_at_largest=4
+            ),
+            algorithms=("random_search", "genetic_algorithm"),
+            kernels=("add",),
+            archs=("titan_v",),
+            image_x=512,
+            image_y=512,
+        )
+        full = tmp_path / "full.jsonl"
+        uninterrupted = run_study(
+            config, compute_optima=False, checkpoint=full
+        )
+        results = {
+            doc["cell_key"]: doc
+            for doc in map(json.loads, full.read_text().splitlines())
+            if doc["kind"] == "result"
         }
-        with StudyCheckpoint(path, root_seed=42) as ckpt:
-            ckpt.record_result("rs/add/titan_v/25/0", make_result(0))
-            ckpt.record_stop("rs/add/titan_v/25", record)
-        reloaded = StudyCheckpoint(path, root_seed=42)
-        assert reloaded.stopped == {"rs/add/titan_v/25": record}
-        # Stop lines never count as completed cells.
-        assert len(reloaded) == 1
+        old = [
+            {"kind": "header", "version": 1, "root_seed": config.root_seed},
+            {"kind": "plan", "data": {"budget_cells": len(results)}},
+        ]
+        for alg in config.algorithms:
+            group = f"{alg}/add/titan_v/25"
+            old += [results[f"{group}/{exp}"] for exp in range(2)]
+            old.append(
+                {
+                    "kind": "stopped",
+                    "group_key": group,
+                    "data": {"replications": 2, "budget": 4,
+                             "reason": "ci_target", "look": 1},
+                }
+            )
+        path = tmp_path / "adaptive-era.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in old))
 
-    def test_record_stop_copies_its_input(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        record = {"replications": 8, "reason": "ceiling"}
-        with StudyCheckpoint(path, root_seed=42) as ckpt:
-            ckpt.record_stop("g", record)
-            record["replications"] = 999
-        assert StudyCheckpoint(path, root_seed=42).stopped["g"][
-            "replications"
-        ] == 8
+        resumed = run_study(config, compute_optima=False, checkpoint=path)
+        assert resumed.metadata["resumed_from_checkpoint"] == 4
+        assert resumed.results == uninterrupted.results

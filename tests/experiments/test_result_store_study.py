@@ -7,14 +7,12 @@ The acceptance invariants:
 * store **warm**: every cell answered by lookup, dataset collection
   skipped, and the simulator never runs during the experiments phase;
 * store hits stream into the checkpoint, so a later resume needs
-  neither the store nor a re-run;
-* adaptive replication groups short-circuit through the same entries.
+  neither the store nor a re-run.
 """
 
 import pytest
 
 from repro.experiments import (
-    AdaptiveConfig,
     ExperimentDesign,
     StudyConfig,
     run_study,
@@ -157,26 +155,3 @@ class TestWarmStore:
         assert result_key(partial) == result_key(cold)
         kept = len(paths) - len(paths) // 2
         assert partial.metadata["store_hits"] == kept
-
-
-class TestAdaptiveShortCircuit:
-    def _adaptive(self):
-        return AdaptiveConfig(
-            ci_target=50.0, batch_size=2, min_replications=2,
-            n_resamples=100,
-        )
-
-    def test_adaptive_groups_short_circuit(self, tmp_path):
-        store = tmp_path / "store"
-        first, _ = run(
-            tmp_path, "a1", result_store=store, adaptive=self._adaptive()
-        )
-        assert first.metadata["store_hits"] == 0
-        second, _ = run(
-            tmp_path, "a2", result_store=store, adaptive=self._adaptive()
-        )
-        assert result_key(second) == result_key(first)
-        assert second.metadata["store_hits"] > 0
-        assert second.metadata["store_hits"] == (
-            second.metadata["total_experiments"]
-        )

@@ -18,6 +18,10 @@ BAD = {"thread_x": 1, "thread_y": 1, "thread_z": 1,
        "wg_x": 8, "wg_y": 8, "wg_z": 8}
 
 
+def rows(configs):
+    return np.stack([config_dict_to_row(c) for c in configs])
+
+
 @pytest.fixture
 def device():
     return SimulatedDevice(
@@ -86,7 +90,7 @@ class TestAccounting:
         assert device.launches == 11
 
     def test_batch_counts(self, device):
-        device.measure_batch([GOOD, GOOD, BAD])
+        device.measure_matrix(rows([GOOD, GOOD, BAD]))
         assert device.launches == 3
 
     def test_reset(self, device):
@@ -105,11 +109,11 @@ class TestBatch:
         np.testing.assert_array_equal(row, [1, 1, 1, 8, 4, 1])
 
     def test_empty_batch(self, device):
-        out = device.measure_batch([])
+        out = device.measure_matrix(np.empty((0, 6), dtype=np.int64))
         assert out.size == 0
 
     def test_batch_inf_for_invalid(self, device):
-        out = device.measure_batch([GOOD, BAD])
+        out = device.measure_matrix(rows([GOOD, BAD]))
         assert np.isfinite(out[0])
         assert np.isinf(out[1])
 
@@ -118,5 +122,6 @@ class TestBatch:
         a = SimulatedDevice(TITAN_V, prof, rng=np.random.default_rng(5))
         b = SimulatedDevice(TITAN_V, prof, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(
-            a.measure_batch([GOOD] * 5), b.measure_batch([GOOD] * 5)
+            a.measure_matrix(rows([GOOD] * 5)),
+            b.measure_matrix(rows([GOOD] * 5)),
         )

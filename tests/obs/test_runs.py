@@ -7,6 +7,7 @@ by ``repro-runs diff`` with a non-zero exit code.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,13 @@ from repro.obs.runs import (
     main as runs_main,
     manifest_id,
     record_run,
+)
+
+
+BASELINE_MANIFEST = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "baseline_manifest.json"
 )
 
 
@@ -174,22 +182,15 @@ class TestDiff:
         noisy["headline"]["phase_seconds"]["optima"] = 0.1  # 10x but tiny
         assert diff_runs(base, noisy)["regressions"] == []
 
-    def test_replication_growth_only_flags_when_comparable(self):
+    def test_old_replication_count_is_neutral(self):
+        # Manifests recorded while adaptive replication existed carry a
+        # replications_executed headline; it is no longer compared.
         base = self._baseline()
-        worse = copy.deepcopy(base)
-        worse["headline"]["replications_executed"] = 60
-        report = diff_runs(base, worse)
-        assert any("replications_executed" in r for r in report["regressions"])
-
-        # Different config: more replications is a different workload.
-        other = copy.deepcopy(worse)
-        other["config"]["kernels"] = ["harris"]
-        report = diff_runs(base, other)
-        assert not report["comparable"]
-        assert any("config.kernels" in c for c in report["changes"])
-        assert not any(
-            "replications_executed" in r for r in report["regressions"]
-        )
+        more = copy.deepcopy(base)
+        more["headline"]["replications_executed"] = 60
+        report = diff_runs(base, more)
+        assert report["comparable"]
+        assert report["regressions"] == []
 
     def test_more_failed_cells_flags(self):
         base = self._baseline()
@@ -254,6 +255,33 @@ class TestDiffSchemaTolerance:
         record_run(ledger, old)
         record_run(ledger, new)
         assert runs_main(["diff", str(ledger), "old0", "new0"]) == 0
+
+        # The committed CI baseline still carries ``config.adaptive`` and
+        # ``headline.replications_*``; a fresh run of its study must diff
+        # clean against it, with CI's host-tolerant wall thresholds.
+        config = StudyConfig(
+            design=ExperimentDesign(
+                sample_sizes=(25,), experiments_at_largest=2
+            ),
+            algorithms=("random_search", "genetic_algorithm"),
+            kernels=("add",),
+            archs=("titan_v",),
+            image_x=512,
+            image_y=512,
+            workers=1,
+        )
+        fresh = run_study(
+            config, landscape_cache=tmp_path / "cache", run_ledger=ledger
+        ).metadata["run_manifest"]
+        baseline = load_run(ledger, str(BASELINE_MANIFEST))
+        assert "adaptive" in baseline["config"]
+        report = diff_runs(
+            baseline, load_run(ledger, fresh),
+            wall_tolerance=4.0, min_seconds=10.0,
+        )
+        assert report["comparable"] is True
+        assert report["changes"] == []
+        assert report["regressions"] == []
 
     def test_manifest_records_store_usage(self, tmp_path):
         config, results = _study(

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats import (
-    DEFAULT_BOOTSTRAP_SEED,
-    bootstrap_ci,
-    bootstrap_halfwidth,
-)
+from repro.stats import DEFAULT_BOOTSTRAP_SEED, bootstrap_ci
 
 
 class TestBootstrapCi:
@@ -91,39 +87,3 @@ class TestDeterministicDefault:
         a = bootstrap_ci(values, rng=7)
         b = bootstrap_ci(values, rng=np.random.default_rng(7))
         assert (a.low, a.high) == (b.low, b.high)
-
-
-class TestBootstrapHalfwidth:
-    def test_matches_bootstrap_ci(self):
-        values = np.random.default_rng(3).normal(5.0, 2.0, 60)
-        ci = bootstrap_ci(values, rng=np.random.default_rng(11))
-        hw = bootstrap_halfwidth(values, rng=np.random.default_rng(11))
-        assert hw == pytest.approx(ci.halfwidth)
-
-    def test_median_statistic(self):
-        values = np.random.default_rng(4).normal(0.0, 1.0, 80)
-        ci = bootstrap_ci(
-            values, statistic=np.median, rng=np.random.default_rng(11)
-        )
-        hw = bootstrap_halfwidth(
-            values, statistic=np.median, rng=np.random.default_rng(11)
-        )
-        assert hw == pytest.approx(ci.halfwidth)
-
-    def test_deterministic_by_default(self):
-        values = np.random.default_rng(5).normal(0, 1, 40)
-        assert bootstrap_halfwidth(values) == bootstrap_halfwidth(values)
-
-    def test_narrows_with_more_data(self):
-        rng = np.random.default_rng(0)
-        wide = bootstrap_halfwidth(rng.normal(0, 1, 20), rng=1)
-        narrow = bootstrap_halfwidth(rng.normal(0, 1, 2000), rng=1)
-        assert narrow < wide
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_halfwidth(np.array([]))
-        with pytest.raises(ValueError):
-            bootstrap_halfwidth(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            bootstrap_halfwidth(np.ones(5), confidence=0.0)

@@ -36,6 +36,8 @@ class TestParser:
             ["--batch-replications"],
             ["--executor", "thread"],
             ["--chunk-size", "3"],
+            ["--adaptive"],
+            ["--adaptive-batch", "2"],
         ],
     )
     def test_removed_options_rejected(self, argv):

@@ -8,10 +8,9 @@ stream or the simulator that moves a single bit of a result fails here.
 Such a change is a deliberate re-baseline: update ``GOLDEN_DIGEST`` in
 the same commit and say why.
 
-``CHECKPOINT_DIGESTS`` pins the checkpoint *files* of three studies the
-same way: the golden study, a small adaptive study (plan, result and
-``stopped`` lines across several rounds) and a small fixed study run
-against a half-warm result store (store hits streamed in task order,
+``CHECKPOINT_DIGESTS`` pins the checkpoint *files* of two studies the
+same way: the golden study and a small fixed study run against a
+half-warm result store (store hits streamed in task order,
 then the dispatched cells).  A change to how the study loop orders or
 writes checkpoint lines fails here even when the results stay equal.
 """
@@ -22,7 +21,6 @@ import json
 import pytest
 
 from repro.experiments import (
-    AdaptiveConfig,
     ExperimentDesign,
     StudyConfig,
     run_study,
@@ -39,9 +37,6 @@ GOLDEN_DIGEST = (
 CHECKPOINT_DIGESTS = {
     "golden": (
         "72aef61d542463d32ec47399aa531a5b85ffbd68bc935456b4ed217b5bcdb853"
-    ),
-    "adaptive": (
-        "38896524e58e7c0ae40521dfddf74ac7f34821448c42ed6d7ccb90999314f6b7"
     ),
     "half_store": (
         "c9cd3fda524a3c36531288ca78d4e1b4064d51923bae9d7a442de9df88f93c77"
@@ -116,23 +111,6 @@ def test_golden_study_checkpoint_bytes_are_pinned(tmp_path):
     ckpt = tmp_path / "golden.jsonl"
     run_study(GOLDEN_CONFIG, compute_optima=False, checkpoint=ckpt)
     assert file_digest(ckpt) == CHECKPOINT_DIGESTS["golden"]
-
-
-def test_adaptive_study_checkpoint_bytes_are_pinned(tmp_path):
-    ckpt = tmp_path / "adaptive.jsonl"
-    results = run_study(
-        rsga_config((25, 50), 6),
-        checkpoint=ckpt,
-        adaptive=AdaptiveConfig(
-            ci_target=10.0, batch_size=2, min_replications=4,
-            n_resamples=200,
-        ),
-    )
-    reasons = {
-        g["reason"] for g in results.metadata["adaptive"]["groups"].values()
-    }
-    assert reasons == {"ci_target", "ceiling"}
-    assert file_digest(ckpt) == CHECKPOINT_DIGESTS["adaptive"]
 
 
 def test_half_warm_store_study_checkpoint_bytes_are_pinned(tmp_path):
