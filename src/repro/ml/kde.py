@@ -207,8 +207,13 @@ class AdaptiveParzenEstimator1D:
         sigmas = self._sigmas.reshape(self._dims, -1)
         draws = np.empty((self._dims, n))
         edges = self._range.T.tolist()
+        # ``rng.choice(size, size=n, p=weights)`` builds this CDF and
+        # right-bisects ``random(n)`` in it; building it once draws the
+        # same components from the same stream positions.
+        cdf = self._weights.cumsum()
+        cdf /= cdf[-1]
         for j in range(self._dims):  # the scalar estimators' call order
-            comp = rng.choice(self._weights.size, size=n, p=self._weights)
+            comp = cdf.searchsorted(rng.random(n), side="right")
             draws[j] = _truncated_normals(
                 rng, mus[j, comp].tolist(), sigmas[j, comp].tolist(),
                 *edges[j],

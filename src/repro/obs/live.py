@@ -24,7 +24,6 @@ newline.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from collections import deque
@@ -89,7 +88,12 @@ class StudyWatch:
         kind = doc.get("kind")
         if kind == "plan":
             self.plan = dict(doc.get("data") or {})
-            total = self.plan.get("total_cells")
+            # A plan written while adaptive replication existed names its
+            # cell count ``budget_cells``; resumed, such a study runs
+            # exactly that many cells of the fixed design.
+            total = self.plan.get(
+                "total_cells", self.plan.get("budget_cells")
+            )
             if isinstance(total, int):
                 self.total = total
         elif kind == "result":

@@ -101,17 +101,20 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one bucket search)."""
         value = float(value)
         if math.isnan(value):
             # A single NaN would poison `sum` forever (NaN + x = NaN),
             # silently corrupting every later export.
             raise ValueError("cannot observe NaN in a histogram")
-        self.sum += value
-        self.count += 1
+        if count < 1:
+            raise ValueError("histogram observation count must be >= 1")
+        self.sum += value * count
+        self.count += count
         i = bisect_left(self.buckets, value)
         if i < len(self.buckets):
-            self.bucket_counts[i] += 1
+            self.bucket_counts[i] += count
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -137,7 +138,8 @@ class Objective:
         self._measure_flat = measure_flat
         self._measure_flats = measure_flats
         self.budget = int(budget)
-        self.configs: List[Configuration] = []
+        #: Flat index of every configuration evaluated, in order.
+        self.flats: List[int] = []
         self.runtimes: List[float] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -156,16 +158,30 @@ class Objective:
     def remaining(self) -> int:
         return self.budget - self.evaluations
 
+    @property
+    def configs(self) -> List[Configuration]:
+        """Every configuration evaluated, in order (decoded from
+        :attr:`flats` on each access)."""
+        return self.space.flats_to_configs(
+            np.asarray(self.flats, dtype=np.int64)
+        )
+
+    def _exhausted(self) -> BudgetExhausted:
+        return BudgetExhausted(
+            f"budget of {self.budget} evaluations exhausted"
+        )
+
+    def _observed(self) -> bool:
+        return self.tracer.enabled or self.metrics is not None
+
     def evaluate(self, config: Configuration) -> float:
         """Measure one configuration (counts against the budget)."""
         if self.remaining <= 0:
-            raise BudgetExhausted(
-                f"budget of {self.budget} evaluations exhausted"
-            )
-        observed = self.tracer.enabled or self.metrics is not None
-        t0 = time.perf_counter() if observed else 0.0
+            raise self._exhausted()
+        flat = self.space.config_to_flat(config)
+        t0 = time.perf_counter() if self._observed() else 0.0
         runtime = float(self._measure(dict(config)))
-        return self._record(config, runtime, observed, t0)
+        return self._record([flat], [runtime], t0, [config])[0]
 
     def evaluate_flat(self, flat: int) -> float:
         """Measure one configuration by flat index (counts against the
@@ -173,22 +189,24 @@ class Objective:
 
         With a ``measure_flat`` route configured this skips the
         config-dict -> row -> full-pipeline conversion entirely; without
-        one it is exactly :meth:`evaluate` on the decoded configuration.
-        Either way the recorded history, trace events, and RNG
+        one it measures the decoded configuration, as :meth:`evaluate`
+        does.  Either way the recorded history, trace events, and RNG
         consumption are identical to the dict route.
         """
         flat = int(flat)
-        config = self.space.flat_to_config(flat)
-        if self._measure_flat is None:
-            return self.evaluate(config)
-        if self.remaining <= 0:
-            raise BudgetExhausted(
-                f"budget of {self.budget} evaluations exhausted"
+        if not 0 <= flat < self.space.size:
+            raise ValueError(
+                f"flat index {flat} out of range [0, {self.space.size})"
             )
-        observed = self.tracer.enabled or self.metrics is not None
-        t0 = time.perf_counter() if observed else 0.0
+        if self.remaining <= 0:
+            raise self._exhausted()
+        t0 = time.perf_counter() if self._observed() else 0.0
+        if self._measure_flat is None:
+            config = self.space.flat_to_config(flat)
+            runtime = float(self._measure(config))
+            return self._record([flat], [runtime], t0, [config])[0]
         runtime = float(self._measure_flat(flat))
-        return self._record(config, runtime, observed, t0)
+        return self._record([flat], [runtime], t0)[0]
 
     def evaluate_flats(self, flats) -> List[float]:
         """Measure many configurations by flat index (each counts
@@ -205,114 +223,86 @@ class Objective:
         """
         arr = np.asarray(flats, dtype=np.int64).ravel()
         if self._measure_flats is None:
-            return [self.evaluate_flat(int(f)) for f in arr]
+            return [self.evaluate_flat(f) for f in arr.tolist()]
         remaining = self.remaining
         if remaining <= 0:
-            raise BudgetExhausted(
-                f"budget of {self.budget} evaluations exhausted"
-            )
+            raise self._exhausted()
         take = arr[:remaining] if arr.size > remaining else arr
         out: List[float] = []
         if take.size:
-            observed = self.tracer.enabled or self.metrics is not None
-            t0 = time.perf_counter() if observed else 0.0
-            runtimes = self._measure_flats(take)
-            configs = self.space.flats_to_configs(take)
-            if not observed:
-                best = self._best_ms
-                for config, runtime in zip(configs, runtimes):
-                    runtime = float(runtime)
-                    self.configs.append(config)
-                    self.runtimes.append(runtime)
-                    if runtime < best:
-                        best = runtime
-                    self.best_curve.append(best)
-                    out.append(runtime)
-                self._best_ms = best
-            else:
-                # One wall-clock reading covers the whole batch; the
-                # per-evaluation instruments still advance once per
-                # evaluation, with the mean duration as each one's share.
-                # Instruments are registered in first-use order, as
-                # ``_record`` registers them: ``flat_counters`` follows
-                # registration order, and checkpoint bytes follow it.
-                per_eval = (time.perf_counter() - t0) / take.size
-                ev_counter = fail_counter = hist = None
-                if self.metrics is not None:
-                    ev_counter = self.metrics.counter("evaluations_total")
-                for config, runtime in zip(configs, runtimes):
-                    runtime = float(runtime)
-                    self.configs.append(config)
-                    self.runtimes.append(runtime)
-                    improved = runtime < self._best_ms
-                    if improved:
-                        self._best_ms = runtime
-                    self.best_curve.append(self._best_ms)
-                    index = self.index_base + len(self.runtimes) - 1
-                    if ev_counter is not None:
-                        ev_counter.inc()
-                        if not math.isfinite(runtime):
-                            if fail_counter is None:
-                                fail_counter = self.metrics.counter(
-                                    "launch_failures_total"
-                                )
-                            fail_counter.inc()
-                        if hist is None:
-                            hist = self.metrics.histogram("evaluate_seconds")
-                        hist.observe(per_eval)
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            "evaluate",
-                            cell=self.cell,
-                            index=index,
-                            config={k: int(v) for k, v in config.items()},
-                            runtime_ms=runtime,
-                            best_ms=self._best_ms,
-                            source="live",
-                            duration_s=round(per_eval, 6),
-                        )
-                        if improved:
-                            self.tracer.event(
-                                "incumbent_update",
-                                cell=self.cell,
-                                index=index,
-                                runtime_ms=runtime,
-                            )
-                    out.append(runtime)
+            if take.min() < 0 or take.max() >= self.space.size:
+                raise ValueError("flat index out of range")
+            t0 = time.perf_counter() if self._observed() else 0.0
+            runtimes = np.asarray(self._measure_flats(take), dtype=np.float64)
+            out = self._record(take.tolist(), runtimes.tolist(), t0)
         if take.size < arr.size:
-            raise BudgetExhausted(
-                f"budget of {self.budget} evaluations exhausted"
-            )
+            raise self._exhausted()
         return out
 
     def _record(
-        self, config: Configuration, runtime: float, observed: bool, t0: float
-    ) -> float:
-        """Shared bookkeeping of both evaluation routes."""
-        self.configs.append(dict(config))
-        self.runtimes.append(runtime)
-        improved = runtime < self._best_ms
-        if improved:
-            self._best_ms = runtime
-        self.best_curve.append(self._best_ms)
-        if observed:
-            duration = time.perf_counter() - t0
-            index = self.index_base + len(self.runtimes) - 1
-            if self.metrics is not None:
-                self.metrics.counter("evaluations_total").inc()
-                if not math.isfinite(runtime):
-                    self.metrics.counter("launch_failures_total").inc()
-                self.metrics.histogram("evaluate_seconds").observe(duration)
-            if self.tracer.enabled:
+        self,
+        flats: List[int],
+        runtimes: List[float],
+        t0: float,
+        configs: Optional[List[Configuration]] = None,
+    ) -> List[float]:
+        """The bookkeeping of every evaluation route: append a batch of
+        measured flats (``runtimes`` are Python floats) to the history.
+
+        One wall-clock reading covers the batch.  The metrics advance by
+        the batch size at once, with the mean duration as each
+        evaluation's ``evaluate_seconds`` share; instruments are
+        registered in the order one-at-a-time recording first uses them
+        (``flat_counters`` follows registration order, and checkpoint
+        bytes follow it).  Trace events stay per evaluation, carrying
+        ``configs`` (decoded here when the caller has none).
+        """
+        self.flats.extend(flats)
+        start = len(self.runtimes)
+        self.runtimes.extend(runtimes)
+        tracing = self.tracer.enabled
+        if self.metrics is None and not tracing:
+            best = self._best_ms
+            curve = self.best_curve
+            for runtime in runtimes:
+                if runtime < best:
+                    best = runtime
+                curve.append(best)
+            self._best_ms = best
+            return runtimes
+        n = len(runtimes)
+        per_eval = (time.perf_counter() - t0) / n
+        if self.metrics is not None:
+            metrics = self.metrics
+            metrics.counter("evaluations_total").inc(n)
+            failures = n - sum(map(math.isfinite, runtimes))
+            if failures and not math.isfinite(runtimes[0]):
+                # A failing first evaluation registers the failure
+                # counter before the histogram, as it would alone.
+                metrics.counter("launch_failures_total")
+            metrics.histogram("evaluate_seconds").observe(per_eval, count=n)
+            if failures:
+                metrics.counter("launch_failures_total").inc(failures)
+        if tracing and configs is None:
+            configs = self.space.flats_to_configs(
+                np.asarray(flats, dtype=np.int64)
+            )
+        for offset, runtime in enumerate(runtimes):
+            improved = runtime < self._best_ms
+            if improved:
+                self._best_ms = runtime
+            self.best_curve.append(self._best_ms)
+            if tracing:
+                index = self.index_base + start + offset
                 self.tracer.event(
                     "evaluate",
                     cell=self.cell,
                     index=index,
-                    config={k: int(v) for k, v in config.items()},
+                    config={k: int(v) for k, v in configs[offset].items()},
                     runtime_ms=runtime,
                     best_ms=self._best_ms,
                     source="live",
-                    duration_s=round(duration, 6),
+                    duration_s=round(per_eval, 6),
                 )
                 if improved:
                     self.tracer.event(
@@ -321,7 +311,7 @@ class Objective:
                         index=index,
                         runtime_ms=runtime,
                     )
-        return runtime
+        return runtimes
 
     def span(self, kind: str, **fields):
         """Instrumentation span: traces ``kind`` and times it into the
@@ -341,9 +331,9 @@ class Objective:
         if not finite.any():
             # Every sampled configuration failed to launch; report the
             # first one (the caller sees runtime = inf and handles it).
-            return self.configs[0], float("inf")
+            return self.space.flat_to_config(self.flats[0]), float("inf")
         idx = int(np.flatnonzero(finite)[np.argmin(arr[finite])])
-        return self.configs[idx], float(arr[idx])
+        return self.space.flat_to_config(self.flats[idx]), float(arr[idx])
 
 
 #: The unobserved span: one shared no-op, so the disabled path never
@@ -474,6 +464,39 @@ class BatchTuningResult:
     samples_used: int
 
 
+class FlatConfigs(Sequence):
+    """A flat-index history read as configuration dicts, each decoded
+    when it is read.  Compares equal to any sequence of the same
+    configurations."""
+
+    __slots__ = ("_space", "_flats")
+
+    def __init__(self, space: SearchSpace, flats: List[int]) -> None:
+        self._space = space
+        self._flats = flats
+
+    def __len__(self) -> int:
+        return len(self._flats)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._space.flats_to_configs(
+                np.asarray(self._flats[i], dtype=np.int64)
+            )
+        return self._space.flat_to_config(self._flats[i])
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass(frozen=True)
 class TuningResult:
     """Outcome of one tuning run."""
@@ -482,8 +505,9 @@ class TuningResult:
     best_config: Configuration
     #: The observed runtime of that configuration, ms.
     best_runtime_ms: float
-    #: Every configuration evaluated, in order.
-    history_configs: List[Configuration] = field(default_factory=list)
+    #: Every configuration evaluated, in order (a :class:`FlatConfigs`
+    #: view when the result comes from an :class:`Objective`).
+    history_configs: Sequence = field(default_factory=list)
     #: Matching observed runtimes, ms (inf = launch failure).
     history_runtimes: List[float] = field(default_factory=list)
     #: Total measurements consumed.
@@ -557,7 +581,9 @@ class Tuner:
         return TuningResult(
             best_config=best_config,
             best_runtime_ms=best_runtime,
-            history_configs=list(objective.configs),
+            history_configs=FlatConfigs(
+                objective.space, list(objective.flats)
+            ),
             history_runtimes=list(objective.runtimes),
             samples_used=objective.evaluations,
         )

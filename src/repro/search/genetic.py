@@ -166,9 +166,16 @@ class GeneticAlgorithmTuner(SequentialTuner):
                 cache.update(zip(pending, runtimes))
             return [(genes, cache[genes]) for genes in population]
 
+        # One draw for the whole initial population: rejected rows are
+        # replaced in stream order, so the rows and the generator state
+        # equal those of one ``_random_individual`` call per individual.
         population = [
-            self._random_individual(objective, rng)
-            for _ in range(min(self.pop_size, objective.budget))
+            tuple(row)
+            for row in space.sample_indices(
+                rng,
+                min(self.pop_size, objective.budget),
+                feasible_only=self.respect_constraints,
+            ).tolist()
         ]
         try:
             while True:

@@ -103,6 +103,7 @@ class SearchSpace:
             [np.cumprod(cards[::-1])[::-1][1:], np.array([1], dtype=np.int64)]
         )
         self._size = int(np.prod(cards))
+        self._places = tuple(zip(self._parameters, self._radix.tolist()))
         # Per-parameter ordinal-index -> feature lookup tables, built once:
         # index_matrix_to_features runs on every tuner iteration and every
         # exhaustive-scan chunk, so rebuilding these inside the call was a
@@ -213,7 +214,12 @@ class SearchSpace:
         return out
 
     def config_to_flat(self, config: Mapping[str, Any]) -> int:
-        return self.indices_to_flat(self.config_to_indices(config))
+        # ``index_of`` rejects values outside a parameter, so every
+        # index is in range; plain ints keep the encode off NumPy.
+        flat = 0
+        for p, place in self._places:
+            flat += p.index_of(config[p.name]) * place
+        return flat
 
     def flat_to_config(self, flat: int) -> Configuration:
         return self.indices_to_config(self.flat_to_indices(flat))

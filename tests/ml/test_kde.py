@@ -182,3 +182,46 @@ class TestMatchesReference:
             columns.append(col)
         assert est.sample(fast, 30).T.tolist() == columns
         assert fast.integers(2**62) == slow.integers(2**62)
+
+
+class TestComponentDraws:
+    """``sample`` picks components from one CDF built as
+    ``Generator.choice`` builds it, by bisecting ``random(n)``: the picks
+    and the generator state match a ``choice(m, size=n, p=w)`` call per
+    dimension."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            [0.5, 0.5],
+            [1.0, 0.0, 0.0, 2.0],
+            [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            list(np.geomspace(1.0, 1e-9, 12)),
+            [0.0, 0.0, 1.0],
+            [1e-3] * 40 + [5.0],
+        ],
+    )
+    def test_picks_and_state_match_rng_choice(self, weights):
+        weights = np.asarray(weights) / np.sum(weights)
+        m, d = weights.size, 6
+        highs = np.arange(10, 10 + 4 * d, 4)
+        est = AdaptiveParzenEstimator1D(0, highs).fit(
+            np.random.default_rng(m).integers(0, 11, (m - 1, d))
+        )
+        est._weights = weights
+        fast, slow = np.random.default_rng(m), np.random.default_rng(m)
+        columns = []
+        for mus, sigmas, high in zip(est._mus, est._sigmas, highs):
+            col = []
+            for c in slow.choice(m, size=25, p=weights):
+                for _ in range(100):
+                    draw = slow.normal(mus[c], sigmas[c])
+                    if -0.5 <= draw <= high + 0.5:
+                        break
+                else:
+                    draw = slow.uniform(-0.5, high + 0.5)
+                col.append(int(np.clip(round(draw), 0, high)))
+            columns.append(col)
+        assert est.sample(fast, 25).T.tolist() == columns
+        assert fast.bit_generator.state == slow.bit_generator.state

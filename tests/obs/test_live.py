@@ -124,6 +124,30 @@ class TestWatchStudy:
         assert lines[-1] == "study complete"
         assert any("cells 2/2" in l for l in lines)
 
+    def test_budget_cells_plan_completes(self, tmp_path):
+        # Checkpoints from the adaptive-replication era carry
+        # ``budget_cells`` instead of ``total_cells`` in their plan.
+        ck = tmp_path / "ck.jsonl"
+        _write_lines(ck, [
+            _header(),
+            {"kind": "plan", "data": {"budget_cells": 3}},
+            _result("a/0"), _result("a/1"), _result("a/2"),
+        ])
+        lines = []
+        polls = [0]
+
+        def counting_sleep(_):
+            polls[0] += 1
+
+        rc = watch_study(
+            checkpoint=ck, max_polls=3, emit=lines.append,
+            sleep=counting_sleep, clock=lambda: 0.0,
+        )
+        assert rc == 0
+        assert lines[-1] == "study complete"
+        assert polls[0] == 0
+        assert any("cells 3/3" in l for l in lines)
+
     def test_max_polls_bounds_the_loop(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         _write_lines(ck, [_header(), _plan(5)])

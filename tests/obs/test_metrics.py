@@ -50,6 +50,32 @@ class TestInstruments:
         assert reg.counter("hits", path="/b").value == 2.0
 
 
+class TestHistogramObserveCount:
+    @pytest.mark.parametrize("value", [0.0, 3e-5, 0.02, 7.5, 1e9])
+    @pytest.mark.parametrize("count", [1, 2, 17])
+    def test_count_equals_repeated_observes(self, value, count):
+        once, looped = MetricsRegistry(), MetricsRegistry()
+        for reg in (once, looped):
+            reg.counter("evaluations_total").inc()
+        once.histogram("evaluate_seconds").observe(value, count=count)
+        for _ in range(count):
+            looped.histogram("evaluate_seconds").observe(value)
+        for reg in (once, looped):
+            reg.counter("launch_failures_total").inc()
+        a = once.histogram("evaluate_seconds")
+        b = looped.histogram("evaluate_seconds")
+        assert a.count == b.count == count
+        assert a.bucket_counts == b.bucket_counts
+        assert a.sum == pytest.approx(b.sum)
+        assert list(once.flat_counters()) == list(looped.flat_counters())
+
+    def test_count_must_be_positive(self):
+        h = MetricsRegistry().histogram("h")
+        with pytest.raises(ValueError):
+            h.observe(1.0, count=0)
+        assert h.count == 0
+
+
 class TestPrometheusExport:
     def test_counter_line(self):
         reg = MetricsRegistry()

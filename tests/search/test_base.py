@@ -1,10 +1,12 @@
 """Unit tests for the Objective budget contract and result types."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.search import BudgetExhausted, Objective, TuningResult
+from repro.search import BudgetExhausted, Objective, Tuner, TuningResult
 from repro.searchspace import IntegerParameter, SearchSpace
 
 
@@ -72,6 +74,16 @@ class TestMetricRegistrationOrder:
     """Checkpoint lines list a cell's metrics in registration order, so
     the batched route must register them in the per-evaluation order."""
 
+    HIST = ("evaluate_seconds_sum", "evaluate_seconds_count")
+    #: The order the checkpoint bytes pin, per case.
+    ORDER = {
+        (3.0, math.inf, 2.0, math.inf):
+            ("evaluations_total", *HIST, "launch_failures_total"),
+        (math.inf, 3.0, 2.0):
+            ("evaluations_total", "launch_failures_total", *HIST),
+        (3.0, 2.0, 1.0): ("evaluations_total", *HIST),
+    }
+
     @pytest.mark.parametrize(
         "runtimes",
         [
@@ -94,7 +106,94 @@ class TestMetricRegistrationOrder:
         )
         obj.evaluate_flats(np.arange(len(runtimes)))
         assert list(batched.flat_counters()) == list(looped.flat_counters())
+        assert tuple(looped.flat_counters()) == self.ORDER[tuple(runtimes)]
         assert batched.flat_counters()["evaluations_total"] == len(runtimes)
+
+
+class TestFlatHistory:
+    """The objective records flat indices and decodes configurations
+    only when asked; the decoded history equals eager decoding."""
+
+    @pytest.fixture
+    def space2(self):
+        return SearchSpace(
+            [IntegerParameter("x", 0, 9), IntegerParameter("y", 2, 5)]
+        )
+
+    def _objective(self, space2, budget, tables):
+        values = {f: float(1 + (f * 7) % 11) for f in range(space2.size)}
+        values[3] = float("inf")
+
+        def measure(config):
+            return values[space2.config_to_flat(config)]
+
+        kwargs = {}
+        if tables:
+            kwargs = dict(
+                measure_flat=lambda f: values[f],
+                measure_flats=lambda fs: np.array([values[f] for f in fs]),
+            )
+        return Objective(space2, measure, budget, **kwargs), values
+
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_mixed_routes_decode_like_eager(self, space2, tables):
+        obj, values = self._objective(space2, 12, tables)
+        order = [{"x": 4, "y": 3}, 17, [3, 25, 0], {"x": 0, "y": 2}, 39,
+                 [8, 8, 30]]
+        expected = []
+        for step in order:
+            if isinstance(step, dict):
+                obj.evaluate(step)
+                expected.append(dict(step))
+            elif isinstance(step, int):
+                obj.evaluate_flat(step)
+                expected.append(space2.flat_to_config(step))
+            else:
+                obj.evaluate_flats(np.array(step))
+                expected += [space2.flat_to_config(f) for f in step]
+        assert obj.configs == expected
+        assert obj.flats == [space2.config_to_flat(c) for c in expected]
+        assert obj.runtimes == [
+            values[space2.config_to_flat(c)] for c in expected
+        ]
+        result = Tuner._result_from(obj)
+        assert result.history_configs == expected
+        assert list(result.history_configs) == expected
+        assert result.history_configs[1:4] == expected[1:4]
+        assert result.history_configs[-1] == expected[-1]
+        best = min(range(len(expected)), key=lambda i: obj.runtimes[i])
+        assert result.best_config == expected[best]
+        # The result is a snapshot: later evaluations do not reach it.
+        obj.evaluate_flat(5)
+        assert len(result.history_configs) == len(expected)
+
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_mid_batch_exhaustion_keeps_affordable_prefix(
+        self, space2, tables
+    ):
+        obj, _ = self._objective(space2, 5, tables)
+        obj.evaluate({"x": 1, "y": 4})
+        obj.evaluate_flat(6)
+        with pytest.raises(BudgetExhausted):
+            obj.evaluate_flats(np.array([9, 12, 14, 21, 33]))
+        assert obj.configs == [
+            {"x": 1, "y": 4}, space2.flat_to_config(6),
+            *(space2.flat_to_config(f) for f in (9, 12, 14)),
+        ]
+        assert len(obj.best_curve) == obj.evaluations == 5
+
+    def test_out_of_range_flat_rejected_before_measuring(self, space2):
+        measured = []
+        obj = Objective(
+            space2, lambda c: 0.0, 4,
+            measure_flat=lambda f: measured.append(f) or 0.0,
+            measure_flats=lambda fs: measured.extend(fs) or np.zeros(len(fs)),
+        )
+        with pytest.raises(ValueError):
+            obj.evaluate_flat(space2.size)
+        with pytest.raises(ValueError):
+            obj.evaluate_flats(np.array([0, -1]))
+        assert measured == [] and obj.evaluations == 0
 
 
 class TestTuningResult:

@@ -4,7 +4,9 @@
 bisects a cached CDF instead of calling ``rng.choice(s, p=w)``.  These
 tests pin that the two pick the same index on every draw and leave the
 generator in the same state, and that whole GA histories are unchanged
-(the digest was recorded before the cached-CDF choice existed).
+(the digest was recorded before the cached-CDF choice existed).  The
+initial population is one ``sample_indices`` draw; these tests pin that
+it equals one draw per individual, rows and generator state.
 """
 
 import hashlib
@@ -62,3 +64,56 @@ def _history_digest() -> str:
 
 def test_ga_history_digest_pinned():
     assert _history_digest() == GA_HISTORY_DIGEST
+
+
+def _per_individual(space, rng, n, feasible_only):
+    """The initial population as one ``sample_indices(rng, 1)`` call per
+    individual — the draw the GA made before it drew the population at
+    once."""
+    return [
+        tuple(space.sample_indices(rng, 1, feasible_only=feasible_only)[0]
+              .tolist())
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("feasible_only", [True, False])
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_population_draw_matches_per_individual_draws(feasible_only, n):
+    space = make_sim_objective(1, kernel="add").space
+    rejected = 0
+    for seed in range(300):
+        one = np.random.default_rng(seed)
+        rows = space.sample_indices(one, n, feasible_only=feasible_only)
+        ref = np.random.default_rng(seed)
+        expected = _per_individual(space, ref, n, feasible_only)
+        assert [tuple(r) for r in rows.tolist()] == expected
+        assert one.bit_generator.state == ref.bit_generator.state
+        plain = np.random.default_rng(seed).integers(
+            0, space.cardinalities(), size=(n, space.dimensions)
+        )
+        rejected += [tuple(r) for r in plain.tolist()] != expected
+    # Constrained draws really went through rejection rounds.
+    assert bool(rejected) == feasible_only
+
+
+@pytest.mark.parametrize("respect_constraints", [True, False])
+@pytest.mark.parametrize("budget", [5, 20, 40])
+def test_ga_first_generation_is_the_per_individual_draw(
+    respect_constraints, budget
+):
+    """The GA evaluates its initial population first; it is the
+    per-individual draw, also when the budget is below ``pop_size``."""
+    tuner = GeneticAlgorithmTuner(respect_constraints=respect_constraints)
+    for seed in range(20):
+        objective = make_sim_objective(budget, seed=seed, kernel="add")
+        result = tuner.tune(objective, np.random.default_rng(seed))
+        space = objective.space
+        n = min(budget, tuner.pop_size)
+        population = _per_individual(
+            space, np.random.default_rng(seed), n, respect_constraints
+        )
+        assert [
+            tuple(space.config_to_indices(c).tolist())
+            for c in result.history_configs[:n]
+        ] == population
