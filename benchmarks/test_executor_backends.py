@@ -11,7 +11,9 @@ Records to ``BENCH_executor.json`` and asserts:
   its transport-only component — the two-worker run stays within a
   small overhead bound of the one-worker run — and the recorded
   payload carries the core count so a scaled-down run never
-  masquerades as the scaling result;
+  masquerades as the scaling result.  Each pair also records, ungated,
+  a transport-free control: the same cells in one plain process and in
+  two concurrent ones, which is what the host allows;
 * a small study through the serial executor is no slower than the
   process-pool baseline — inline dispatch really does skip the pool
   spin-up cost.
@@ -37,6 +39,8 @@ import pytest
 import repro
 from repro.experiments import ExperimentDesign, StudyConfig, run_study
 from repro.experiments.optimum import clear_optimum_cache
+from repro.experiments.runner import run_experiment
+from repro.experiments.study import _collect_datasets, build_tasks
 from repro.gpu import TITAN_V
 from repro.gpu.landscape import clear_landscape_memo, load_or_compute_landscape
 from repro.kernels import get_kernel
@@ -181,6 +185,64 @@ def _socket_study(n_workers: int, cache):
     return results, elapsed
 
 
+#: Runs one control process: ``python -c _CONTROL_CHILD CACHE INDEX...``.
+_CONTROL_CHILD = (
+    "import sys; from benchmarks.test_executor_backends import _control_cells; "
+    "_control_cells(sys.argv[1], [int(i) for i in sys.argv[2:]])"
+)
+
+
+def _control_cells(cache: str, indices) -> None:
+    """One transport-free control process: build the socket study's
+    tasks, say ``ready``, wait for a line on stdin, then run the cells
+    ``indices`` through plain ``run_experiment`` calls."""
+    config = _socket_config()
+    tasks = build_tasks(config, _collect_datasets(config), landscape_cache=cache)
+    print("ready", flush=True)
+    sys.stdin.readline()
+    for i in indices:
+        run_experiment(tasks[i])
+
+
+def _control_study(n_procs: int, cache) -> float:
+    """Seconds for ``n_procs`` plain concurrent processes to run the
+    socket study's cells in equal in-order shares: what the host allows
+    with no coordinator, wire or dataset phase.  Interpreter start-up,
+    imports and task set-up finish before the timer starts."""
+    share = SOCKET_CELLS // n_procs
+    procs = [
+        subprocess.Popen(
+            [
+                sys.executable, "-c", _CONTROL_CHILD, str(cache),
+                *(str(i) for i in range(k * share, (k + 1) * share)),
+            ],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=_worker_env(),
+        )
+        for k in range(n_procs)
+    ]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == b"ready\n"
+        t0 = time.perf_counter()
+        for proc in procs:
+            proc.stdin.write(b"go\n")
+            proc.stdin.flush()
+        for proc in procs:
+            proc.wait(timeout=600)
+        elapsed = time.perf_counter() - t0
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdin.close()
+            proc.stdout.close()
+    assert [proc.returncode for proc in procs] == [0] * n_procs
+    return elapsed
+
+
 #: One-/two-worker study pairs timed by the scaling bench.
 SCALING_PAIRS = 5
 
@@ -193,6 +255,12 @@ def test_socket_two_worker_scaling(warm_cache):
     a pair's two studies see nearly the same host state, so host drift
     between runs cancels in each ratio instead of deciding it.
 
+    Next to each pair, a transport-free control runs the same cells in
+    one plain process and in two concurrent ones (``_control_study``).
+    Its speedup is recorded, not gated: it is what the host allows, so a
+    failing gate with a control below the threshold points at the host
+    rather than the transport.
+
     On a single-core host two CPU-bound workers share the core and no
     transport can conjure a speedup, so the assertion degrades to the
     part the executor *does* control: coordination must not cost more
@@ -204,16 +272,22 @@ def test_socket_two_worker_scaling(warm_cache):
     cache = warm_cache
     reference = None
     pairs = []
+    controls = []
     for i in range(SCALING_PAIRS):
         elapsed = {}
+        control = {}
         for n_workers in ((1, 2) if i % 2 == 0 else (2, 1)):
             results, elapsed[n_workers] = _socket_study(n_workers, cache)
             if reference is None:
                 reference = results.results
             assert results.results == reference  # identical before timing
+        for n_procs in ((1, 2) if i % 2 == 0 else (2, 1)):
+            control[n_procs] = _control_study(n_procs, cache)
         pairs.append((elapsed[1], elapsed[2]))
+        controls.append((control[1], control[2]))
     ratios = sorted(t_one / t_two for t_one, t_two in pairs)
     speedup = ratios[len(ratios) // 2]
+    control_ratios = sorted(t_one / t_two for t_one, t_two in controls)
     threshold = 1.8 if CORES >= 2 else 0.75
     _record_bench("socket_two_worker_scaling", {
         "algorithm": "bo_tpe",
@@ -225,10 +299,14 @@ def test_socket_two_worker_scaling(warm_cache):
                 "one_worker_ms": round(t_one * 1e3, 2),
                 "two_worker_ms": round(t_two * 1e3, 2),
                 "speedup": round(t_one / t_two, 2),
+                "control_one_process_ms": round(c_one * 1e3, 2),
+                "control_two_process_ms": round(c_two * 1e3, 2),
+                "control_speedup": round(c_one / c_two, 2),
             }
-            for t_one, t_two in pairs
+            for (t_one, t_two), (c_one, c_two) in zip(pairs, controls)
         ],
         "speedup": round(speedup, 2),
+        "control_speedup": round(control_ratios[len(control_ratios) // 2], 2),
         "threshold": threshold,
     })
     assert speedup >= threshold, (

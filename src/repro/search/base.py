@@ -26,7 +26,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -149,6 +149,8 @@ class Objective:
         #: curve); always maintained — it is derived state, not overhead.
         self.best_curve: List[float] = []
         self._best_ms = float(initial_best_ms)
+        #: ``metrics`` instruments by name, looked up on first use.
+        self._instruments: Dict[str, Any] = {}
 
     @property
     def evaluations(self) -> int:
@@ -239,6 +241,16 @@ class Objective:
             raise self._exhausted()
         return out
 
+    def _instrument(self, kind: str, name: str) -> Any:
+        """The ``metrics`` counter or histogram ``name``, registered on
+        the first call and cached on the objective after it (a registry
+        lookup builds a label key every time)."""
+        handle = self._instruments.get(name)
+        if handle is None:
+            handle = getattr(self.metrics, kind)(name)
+            self._instruments[name] = handle
+        return handle
+
     def _record(
         self,
         flats: List[int],
@@ -273,16 +285,18 @@ class Objective:
         n = len(runtimes)
         per_eval = (time.perf_counter() - t0) / n
         if self.metrics is not None:
-            metrics = self.metrics
-            metrics.counter("evaluations_total").inc(n)
+            instrument = self._instrument
+            instrument("counter", "evaluations_total").inc(n)
             failures = n - sum(map(math.isfinite, runtimes))
             if failures and not math.isfinite(runtimes[0]):
                 # A failing first evaluation registers the failure
                 # counter before the histogram, as it would alone.
-                metrics.counter("launch_failures_total")
-            metrics.histogram("evaluate_seconds").observe(per_eval, count=n)
+                instrument("counter", "launch_failures_total")
+            instrument("histogram", "evaluate_seconds").observe(
+                per_eval, count=n
+            )
             if failures:
-                metrics.counter("launch_failures_total").inc(failures)
+                instrument("counter", "launch_failures_total").inc(failures)
         if tracing and configs is None:
             configs = self.space.flats_to_configs(
                 np.asarray(flats, dtype=np.int64)

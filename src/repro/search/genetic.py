@@ -20,16 +20,20 @@ population -> evaluate -> keep the best -> crossover + mutate -> repeat.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 import math
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .base import BudgetExhausted, Objective, SequentialTuner, TuningResult
 
 __all__ = ["GeneticAlgorithmTuner"]
+
+#: ``Generator.random()`` on a PCG64 word ``w`` is ``(w >> 11) * 2**-53``.
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
 
 
 @lru_cache(maxsize=None)
@@ -42,6 +46,110 @@ def _rank_cdf(survivors: int) -> Tuple[float, ...]:
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     return tuple(cdf.tolist())
+
+
+def _breed(
+    bit_generator: np.random.PCG64,
+    ranked: Sequence[Tuple[int, ...]],
+    pairs: int,
+    cards: Sequence[int],
+    threshold: float,
+) -> List[Tuple[int, ...]]:
+    """``2 * pairs`` children of ``ranked`` (best first), read from the
+    PCG64 words the per-child ``Generator`` calls would consume.
+
+    Each pair draws, in order: two parents (one ``random()`` each,
+    right-bisected in the :func:`_rank_cdf` of the top half of
+    ``ranked``), a ``random(d)`` uniform-crossover mask (the first child
+    takes the first parent's gene where the draw is below 0.5, the
+    second child the other gene) and then, for each child and each gene,
+    one ``random()`` mutation check followed, below ``threshold``, by
+    ``integers(card)``.
+
+    The ``pairs * (2 + 3d)`` doubles are the fewest words a generation
+    can use, so one ``random_raw`` call reads them up front.  A word an
+    integer draw takes pushes every later double one word on, so one
+    more word is read then; the step never reads past where the
+    per-call loop stops.  A double is ``(w >> 11) * 2**-53``.
+    ``integers(card)`` is Lemire's bounded method with its rejection
+    loop over PCG64's buffered ``next_uint32``, which hands out a word's
+    low half and keeps the high half in ``has_uint32``/``uinteger``;
+    ``integers(1)`` draws nothing.  That buffer is written back through
+    ``bit_generator.state`` when it changed, so children and generator
+    state equal the per-call loop's.  Cards are at most ``2**32``: a
+    ``SearchSpace`` lists every value of every parameter.
+    """
+    raw = bit_generator.random_raw
+    dims = len(cards)
+    block = raw(pairs * (2 + 3 * dims))
+    size = block.size
+    uniforms = (block >> 11) * _DOUBLE_SCALE
+    # ``doubles[k]`` is word ``k`` as a double; ``hits`` lists, in order,
+    # every ``k`` whose double would pass a mutation check.
+    doubles = uniforms.tolist()
+    hits = np.flatnonzero(uniforms < threshold).tolist()
+    late: List[int] = []  # words read after ``block``
+    state = bit_generator.state
+    has_half = has_half0 = state["has_uint32"]
+    half = half0 = state["uinteger"]
+    # Lemire keeps ``m = next_uint32 * card`` once its low 32 bits reach
+    # ``2**32 % card``; the value is the high bits.
+    rejects = [(1 << 32) % card for card in cards]
+    cdf = _rank_cdf(max(2, len(ranked) // 2))
+    children: List[Tuple[int, ...]] = []
+    pos = 0
+    for _ in range(pairs):
+        a = ranked[bisect_right(cdf, doubles[pos])]
+        b = ranked[bisect_right(cdf, doubles[pos + 1])]
+        mask = doubles[pos + 2 : pos + 2 + dims]
+        pos += 2 + dims
+        for child in (
+            [x if m < 0.5 else y for x, y, m in zip(a, b, mask)],
+            [y if m < 0.5 else x for x, y, m in zip(a, b, mask)],
+        ):
+            # Gene ``i``'s check is word ``first + i`` until an integer
+            # draw takes words and moves the checks after it.
+            first = pos
+            end = pos + dims
+            k = bisect_left(hits, pos)
+            while k < len(hits) and hits[k] < end:
+                i = hits[k] - first
+                pos = hits[k] + 1
+                card = cards[i]
+                if card == 1:
+                    k += 1
+                    continue
+                taken = pos
+                while True:
+                    if has_half:
+                        has_half = 0
+                        bits = half
+                    else:
+                        extra = raw()
+                        late.append(extra)
+                        doubles.append((extra >> 11) * _DOUBLE_SCALE)
+                        if doubles[-1] < threshold:
+                            hits.append(len(doubles) - 1)
+                        word = (
+                            block.item(pos) if pos < size else late[pos - size]
+                        )
+                        pos += 1
+                        has_half, half = 1, word >> 32
+                        bits = word & 0xFFFFFFFF
+                    m = bits * card
+                    if m & 0xFFFFFFFF >= rejects[i]:
+                        break
+                child[i] = m >> 32
+                first += pos - taken
+                end += pos - taken
+                k = bisect_left(hits, pos)
+            pos = end
+            children.append(tuple(child))
+    if (has_half, half) != (has_half0, half0):
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bit_generator.state = state
+    return children
 
 
 class GeneticAlgorithmTuner(SequentialTuner):
@@ -86,58 +194,20 @@ class GeneticAlgorithmTuner(SequentialTuner):
         )[0]
         return tuple(row.tolist())
 
-    @staticmethod
-    def _uniform_crossover(
-        a: Tuple[int, ...],
-        b: Tuple[int, ...],
-        random: Callable[[int], np.ndarray],
-    ) -> List[Tuple[int, ...]]:
-        """Two complementary children: each gene from one parent or the
-        other, chosen by a fair coin (Kernel Tuner's ``uniform`` method).
-        ``random`` is the bound ``Generator.random``."""
-        mask = (random(len(a)) < 0.5).tolist()
-        child1 = tuple(x if m else y for x, y, m in zip(a, b, mask))
-        child2 = tuple(y if m else x for x, y, m in zip(a, b, mask))
-        return [child1, child2]
-
-    @staticmethod
-    def _mutate(
-        genes: Tuple[int, ...],
-        cards: Sequence[int],
-        threshold: float,
-        random: Callable[[], float],
-        integers: Callable[[int], int],
-    ) -> Tuple[int, ...]:
-        """Per-gene uniform re-draw with probability ``threshold``
-        (``1 / mutation_chance``); ``random`` and ``integers`` are the
-        bound ``Generator`` methods."""
-        out = list(genes)
-        for i, card in enumerate(cards):
-            if random() < threshold:
-                out[i] = int(integers(card))
-        return tuple(out)
-
-    @staticmethod
-    def _rank_weighted_choice(
-        ranked: List[Tuple[Tuple[int, ...], float]], rng: np.random.Generator
-    ) -> Tuple[int, ...]:
-        """Pick a parent with linearly rank-weighted probability.
-
-        Selection happens among the *surviving* top half (Section III-B2
-        step 3: "The best chromosomes are kept, the rest discarded"), with
-        weights ``s, s-1, ..., 1`` from the best of the ``s`` survivors
-        down.  Draws exactly as ``rng.choice(s, p=weights)`` would.
-        """
-        cdf = _rank_cdf(max(2, len(ranked) // 2))
-        return ranked[bisect.bisect_right(cdf, rng.random())][0]
-
     # -- main loop -----------------------------------------------------------
     def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(
+                "GeneticAlgorithmTuner breeds from raw PCG64 words; got a "
+                f"{type(bit_generator).__name__}-backed generator"
+            )
         space = objective.space
         cache: Dict[Tuple[int, ...], float] = {}
-        random, integers = rng.random, rng.integers
         cards = [p.cardinality for p in space.parameters]
+        places = space.places()
         threshold = 1.0 / self.mutation_chance
+        pairs = (self.pop_size + 1) // 2
 
         def score_generation(
             population: List[Tuple[int, ...]],
@@ -150,7 +220,9 @@ class GeneticAlgorithmTuner(SequentialTuner):
             the cache would produce, but with a single table
             fancy-index per generation.  A mid-batch budget exhaustion
             propagates after the affordable prefix is recorded, just
-            like the per-individual loop's overflowing call.
+            like the per-individual loop's overflowing call.  Genes are
+            in range by construction, so each flat index is a plain-int
+            radix sum.
             """
             pending: List[Tuple[int, ...]] = []
             seen = set()
@@ -159,10 +231,9 @@ class GeneticAlgorithmTuner(SequentialTuner):
                     pending.append(genes)
                     seen.add(genes)
             if pending:
-                flats = space.index_matrix_to_flats(
-                    np.array(pending, dtype=np.int64)
+                runtimes = objective.evaluate_flats(
+                    [sum(map(mul, genes, places)) for genes in pending]
                 )
-                runtimes = objective.evaluate_flats(flats)
                 cache.update(zip(pending, runtimes))
             return [(genes, cache[genes]) for genes in population]
 
@@ -181,27 +252,22 @@ class GeneticAlgorithmTuner(SequentialTuner):
             while True:
                 before = objective.evaluations
                 scored = score_generation(population)
+                if objective.remaining <= 0:
+                    break
                 # Rank best-first; launch failures (inf) sink to the back.
                 scored.sort(key=lambda t: (not math.isfinite(t[1]), t[1]))
-
-                children: List[Tuple[int, ...]] = []
-                while len(children) < self.pop_size:
-                    p1 = self._rank_weighted_choice(scored, rng)
-                    p2 = self._rank_weighted_choice(scored, rng)
-                    for child in self._uniform_crossover(p1, p2, random):
-                        children.append(
-                            self._mutate(
-                                child, cards, threshold, random, integers
-                            )
-                        )
-                population = children[: self.pop_size]
+                population = _breed(
+                    bit_generator,
+                    [genes for genes, _ in scored],
+                    pairs,
+                    cards,
+                    threshold,
+                )[: self.pop_size]
                 if objective.evaluations == before:
                     # Fully converged generation (every individual cached):
                     # inject a random immigrant so remaining budget is
                     # spent exploring rather than spinning.
                     population[-1] = self._random_individual(objective, rng)
-                if objective.remaining <= 0:
-                    break
         except BudgetExhausted:
             pass
 

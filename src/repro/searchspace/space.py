@@ -165,6 +165,11 @@ class SearchSpace:
         """Per-parameter cardinality array (copy)."""
         return self._cardinalities.copy()
 
+    def places(self) -> List[int]:
+        """Per-parameter mixed-radix place values as plain ints: an index
+        row's flat index is ``sum(i * place)``."""
+        return [place for _, place in self._places]
+
     # -- representation conversions ------------------------------------------
     def validate_config(self, config: Mapping[str, Any]) -> None:
         """Raise ``ValueError``/``KeyError`` if ``config`` is malformed."""

@@ -110,6 +110,45 @@ class TestMetricRegistrationOrder:
         assert batched.flat_counters()["evaluations_total"] == len(runtimes)
 
 
+class TestInstrumentHandles:
+    """``Objective`` looks each instrument up in the registry once and
+    keeps the handle: later batches cost no label-key lookups and land in
+    the same series."""
+
+    def test_registry_lookups_once_per_instrument(self, space, monkeypatch):
+        calls = []
+        for kind in ("counter", "histogram"):
+            lookup = getattr(MetricsRegistry, kind)
+
+            def counted(self, name, *args, _lookup=lookup, **kwargs):
+                calls.append(name)
+                return _lookup(self, name, *args, **kwargs)
+
+            monkeypatch.setattr(MetricsRegistry, kind, counted)
+        table = {x: (math.inf if x in (2, 7) else float(x)) for x in range(10)}
+        registry = MetricsRegistry()
+        obj = Objective(
+            space, lambda c: table[c["x"]], budget=10, metrics=registry,
+            measure_flat=lambda f: table[f],
+            measure_flats=lambda flats: np.array([table[f] for f in flats]),
+        )
+        obj.evaluate_flats([0, 1])
+        obj.evaluate_flat(2)
+        obj.evaluate({"x": 3})
+        obj.evaluate_flats([4, 5, 6, 7])
+        assert calls == [
+            "evaluations_total", "evaluate_seconds", "launch_failures_total"
+        ]
+        counters = registry.flat_counters()
+        assert list(counters) == [
+            "evaluations_total", "evaluate_seconds_sum",
+            "evaluate_seconds_count", "launch_failures_total",
+        ]
+        assert counters["evaluations_total"] == 8
+        assert counters["evaluate_seconds_count"] == 8
+        assert counters["launch_failures_total"] == 2
+
+
 class TestFlatHistory:
     """The objective records flat indices and decodes configurations
     only when asked; the decoded history equals eager decoding."""

@@ -1,20 +1,29 @@
-"""The GA's parent choice keeps ``Generator.choice``'s RNG contract.
+"""The GA keeps ``Generator``'s RNG contract.
 
-``GeneticAlgorithmTuner._rank_weighted_choice`` draws one uniform and
-bisects a cached CDF instead of calling ``rng.choice(s, p=w)``.  These
-tests pin that the two pick the same index on every draw and leave the
-generator in the same state, and that whole GA histories are unchanged
-(the digest was recorded before the cached-CDF choice existed).  The
-initial population is one ``sample_indices`` draw; these tests pin that
-it equals one draw per individual, rows and generator state.
+The GA breeds a generation in one step, ``genetic._breed``, that reads
+raw PCG64 words and converts them the way ``Generator.random`` and
+``Generator.integers`` do.  The reference is the per-child operator loop
+it replaced, kept here verbatim: two parents picked by bisecting a cached
+CDF with one ``rng.random()`` each, a ``rng.random(d)`` crossover mask and
+one ``rng.random()`` per gene with an ``rng.integers(card)`` re-draw below
+the mutation threshold.  These tests pin that the cached-CDF pick equals
+``rng.choice(s, p=w)``, that the breeding step yields the reference's
+children and leaves the generator in the reference's state, and that whole
+GA histories are unchanged (the digest was recorded before either
+rewrite).  The initial population is one ``sample_indices`` draw; these
+tests pin that it equals one draw per individual, rows and generator
+state.
 """
 
+import bisect
 import hashlib
 
 import numpy as np
 import pytest
 
 from repro.search import GeneticAlgorithmTuner
+from repro.search import genetic
+from repro.search.genetic import _breed, _rank_cdf
 
 from .conftest import make_sim_objective
 
@@ -23,11 +32,41 @@ from .conftest import make_sim_objective
 GA_HISTORY_DIGEST = "df247662ca1efd27"
 
 
-def _ranked(survivors: int) -> list:
-    # ``_rank_weighted_choice`` draws among the top half of ``ranked``.
-    return [((i,), float(i)) for i in range(2 * survivors)]
+# -- the per-child operator loop the breeding step replaced ------------------
+def _pick(ranked, rng):
+    """A parent, linearly rank-weighted among the top half of ``ranked``."""
+    cdf = _rank_cdf(max(2, len(ranked) // 2))
+    return ranked[bisect.bisect_right(cdf, rng.random())]
 
 
+def _uniform_crossover(a, b, random):
+    mask = (random(len(a)) < 0.5).tolist()
+    child1 = tuple(x if m else y for x, y, m in zip(a, b, mask))
+    child2 = tuple(y if m else x for x, y, m in zip(a, b, mask))
+    return [child1, child2]
+
+
+def _mutate(genes, cards, threshold, random, integers):
+    out = list(genes)
+    for i, card in enumerate(cards):
+        if random() < threshold:
+            out[i] = int(integers(card))
+    return tuple(out)
+
+
+def _scalar_breed(rng, ranked, pop_size, cards, threshold):
+    children = []
+    while len(children) < pop_size:
+        p1 = _pick(ranked, rng)
+        p2 = _pick(ranked, rng)
+        for child in _uniform_crossover(p1, p2, rng.random):
+            children.append(
+                _mutate(child, cards, threshold, rng.random, rng.integers)
+            )
+    return children
+
+
+# -- parent choice ------------------------------------------------------------
 @pytest.mark.parametrize("survivors", [2, 3, 4, 5, 6, 7, 8, 9, 10, 37])
 def test_choice_matches_generator_choice(survivors):
     draws = 10_000
@@ -36,15 +75,124 @@ def test_choice_matches_generator_choice(survivors):
     ref = np.random.default_rng(survivors)
     expected = [int(ref.choice(survivors, p=weights)) for _ in range(draws)]
 
-    choose = GeneticAlgorithmTuner._rank_weighted_choice
-    ranked = _ranked(survivors)
+    ranked = list(range(2 * survivors))
     rng = np.random.default_rng(survivors)
-    got = [choose(ranked, rng)[0] for _ in range(draws)]
+    got = [_pick(ranked, rng) for _ in range(draws)]
 
     assert got == expected
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+# -- the breeding step against the scalar loop --------------------------------
+#: Lemire rejects about half of the ``next_uint32`` draws for 2**31 + 1;
+#: 2**32 is the largest card and the one that never rejects.
+CARD_SETS = {
+    "paper": (16, 16, 16, 8, 8, 8),
+    "odd": (1, 2, 3, 7, 10, 1000, 1, 2**31 + 1, 2**32),
+    "flat": (1,),
+}
+
+
+def _words_used(seed, draw):
+    """PCG64 words ``draw(rng)`` consumes from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    draw(rng)
+    target = rng.bit_generator.state["state"]
+    ref = np.random.default_rng(seed).bit_generator
+    for words in range(1_000):
+        if ref.state["state"] == target:
+            return words
+        ref.random_raw()
+    raise AssertionError("state not reached")
+
+
+def test_odd_cards_hit_lemire_rejections():
+    """64 ``integers(2**31 + 1)`` draws take more than the 32 words of
+    64 unrejected ``next_uint32`` halves."""
+    card = 2**31 + 1
+    assert _words_used(0, lambda rng: [rng.integers(card) for _ in range(64)]) > 32
+    assert _words_used(0, lambda rng: [rng.integers(2**32) for _ in range(64)]) == 32
+
+
+def _entry_state(seed):
+    """A generator whose ``has_uint32`` buffer is empty and fresh
+    (seed % 3 == 0), full (1) or empty with a stale half (2)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(seed % 3):
+        rng.integers(7)
+    assert rng.bit_generator.state["has_uint32"] == (seed % 3 == 1)
+    return rng
+
+
+@pytest.mark.parametrize("cards", sorted(CARD_SETS))
+@pytest.mark.parametrize("mutation_chance", [1, 10, 1000])
+@pytest.mark.parametrize("pop_size", [2, 7, 20, 21])
+def test_breed_matches_scalar_loop(pop_size, mutation_chance, cards):
+    cards = CARD_SETS[cards]
+    threshold = 1.0 / mutation_chance
+    pairs = (pop_size + 1) // 2
+    for seed in range(200):
+        # Between 2 and pop_size ranked individuals, as the GA breeds from.
+        layout = np.random.default_rng(10_000 + seed)
+        size = int(layout.integers(2, pop_size + 1))
+        ranked = [
+            tuple(int(layout.integers(card)) for card in cards)
+            for _ in range(size)
+        ]
+        ref = _entry_state(seed)
+        expected = _scalar_breed(ref, ranked, pop_size, cards, threshold)
+        rng = _entry_state(seed)
+        got = _breed(rng.bit_generator, ranked, pairs, cards, threshold)
+        assert got == expected, seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+
+
+def test_breed_requires_pcg64():
+    objective = make_sim_objective(25, kernel="add")
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="PCG64"):
+        GeneticAlgorithmTuner().tune(objective, rng)
+    assert objective.evaluations == 0
+
+
+@pytest.mark.parametrize("mutation_chance", [1, 10, 1000])
+@pytest.mark.parametrize("pop_size", [2, 7, 20, 21])
+def test_tune_matches_scalar_loop(monkeypatch, pop_size, mutation_chance):
+    """Whole GA runs bred by the scalar loop and by the breeding step
+    record the same history and leave the same generator state."""
+    tuner = GeneticAlgorithmTuner(
+        pop_size=pop_size, mutation_chance=mutation_chance
+    )
+
+    def run(seed):
+        objective = make_sim_objective(80, seed=seed, kernel="add")
+        rng = np.random.default_rng(seed)
+        tuner.tune(objective, rng)
+        return objective.flats, objective.runtimes, rng.bit_generator.state
+
+    def scalar(bit_generator, ranked, pairs, cards, threshold):
+        rng = np.random.Generator(bit_generator)
+        return _scalar_breed(rng, ranked, 2 * pairs, cards, threshold)
+
+    for seed in range(3):
+        got = run(seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(genetic, "_breed", scalar)
+            assert got == run(seed), seed
+
+
+def test_budget_of_one_stops_before_breeding():
+    """A budget spent by the first generation ends the run: a lone
+    individual is never bred from (its top-half CDF has two slots)."""
+    for seed in range(20):
+        objective = make_sim_objective(1, seed=seed, kernel="add")
+        result = GeneticAlgorithmTuner().tune(
+            objective, np.random.default_rng(seed)
+        )
+        assert result.samples_used == 1
+
+
+# -- histories and the initial population -----------------------------------
 def _history_digest() -> str:
     h = hashlib.sha256()
     for sample_size in (25, 100):

@@ -106,6 +106,14 @@ class TestEncodings:
                 mat[f], small_space.flat_to_indices(f)
             )
 
+    def test_places_encode_like_index_matrix(self, small_space):
+        places = small_space.places()
+        assert all(type(p) is int for p in places)
+        mat = small_space.flats_to_index_matrix(np.arange(small_space.size))
+        assert [
+            sum(i * p for i, p in zip(row, places)) for row in mat.tolist()
+        ] == list(range(small_space.size))
+
     def test_validate_config(self, small_space):
         small_space.validate_config({"a": 1, "b": 0, "c": 2})
         with pytest.raises(KeyError):
