@@ -126,7 +126,6 @@ def test_evaluate_flats_generation_speedup(warm_cache):
             SPACE,
             lambda cfg: device.measure(cfg).runtime_ms,
             budget=4096,
-            measure_flat=lambda f: device.measure_flat(f).runtime_ms,
             measure_flats=device.measure_flats_each,
         )
 

@@ -246,10 +246,7 @@ def test_landscape_dataset_collection_speedup(warm_table):
                              table=warm_table)
 
     def live_pass():
-        matrix = SPACE.index_matrix_to_features(
-            SPACE.flats_to_index_matrix(flats)
-        ).astype(np.int64)
-        return live.measure_matrix(matrix)
+        return live.measure_flats(flats)
 
     # Generous best-of: the table pass is sub-millisecond, so scheduler
     # noise inflates it relatively more than the multi-ms live pass.
@@ -312,11 +309,7 @@ def test_landscape_tuner_cell_speedup(warm_table):
             SPACE,
             lambda cfg: device.measure(cfg).runtime_ms,
             budget=400,
-            measure_flat=(
-                (lambda flat: device.measure_flat(flat).runtime_ms)
-                if with_table
-                else None
-            ),
+            measure_flats=device.measure_flats_each if with_table else None,
         )
         result = GeneticAlgorithmTuner().run(
             objective, np.random.default_rng(7)

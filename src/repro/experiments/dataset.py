@@ -75,21 +75,12 @@ def collect_dataset(
     """Measure ``n_samples`` feasible random configurations in one pass.
 
     Sampling respects the space's constraints (the paper's constraint
-    specification); measurement is one noisy run per configuration, using
-    the vectorized device path.
+    specification); measurement is one noisy run per configuration, in
+    one batched device call (a table lookup or one simulator pass).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     flats = space.sample_flat(rng, n_samples, feasible_only=True)
-    if device.table is not None:
-        # One fancy-index into the landscape table replaces the decode +
-        # simulate pass; the noise application is identical, so the
-        # resulting runtimes are bit-for-bit the same as the live path.
-        runtimes = device.measure_flats(flats)
-    else:
-        index_matrix = space.flats_to_index_matrix(flats)
-        value_matrix = space.index_matrix_to_features(index_matrix).astype(
-            np.int64
-        )
-        runtimes = device.measure_matrix(value_matrix)
-    return PrecollectedDataset(flats=flats, runtimes_ms=runtimes)
+    return PrecollectedDataset(
+        flats=flats, runtimes_ms=device.measure_flats(flats)
+    )

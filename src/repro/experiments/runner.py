@@ -240,7 +240,6 @@ def _run_cell(
     """
     _injected_failure_check(task.cell_key)
     space = ctx.space
-    table = ctx.table
 
     rngs = RngFactory(task.root_seed)
     device = SimulatedDevice(
@@ -248,7 +247,7 @@ def _run_cell(
         ctx.profile,
         noise=task.noise,
         rng=rngs.stream_for(task.cell_key + "/device"),
-        table=table,
+        table=ctx.table,
     )
     search_rng = rngs.stream_for(task.cell_key + "/search")
     tuner = make_tuner(task.algorithm, **dict(task.tuner_kwargs))
@@ -260,16 +259,6 @@ def _run_cell(
         else NULL_TRACER
     )
     registry = MetricsRegistry()
-
-    def measure(config: dict) -> float:
-        return device.measure(config).runtime_ms
-
-    measure_flat = (
-        (lambda flat: device.measure_flat(flat).runtime_ms)
-        if table is not None
-        else None
-    )
-    measure_flats = device.measure_flats_each if table is not None else None
 
     if isinstance(tuner, DatasetTuner):
         if task.dataset_flats is None or task.dataset_runtimes is None:
@@ -312,15 +301,14 @@ def _run_cell(
         objective = (
             Objective(
                 space,
-                measure,
+                None,
                 budget=reserve,
                 tracer=tracer,
                 metrics=registry,
                 cell=cell,
                 index_base=n_train,
                 initial_best_ms=dataset_best,
-                measure_flat=measure_flat,
-                measure_flats=measure_flats,
+                measure_flats=device.measure_flats_each,
             )
             if reserve > 0
             else None
@@ -343,22 +331,19 @@ def _run_cell(
     else:
         objective = Objective(
             space,
-            measure,
+            None,
             budget=task.sample_size,
             tracer=tracer,
             metrics=registry,
             cell=cell,
-            measure_flat=measure_flat,
-            measure_flats=measure_flats,
+            measure_flats=device.measure_flats_each,
         )
         result = tuner.run(objective, search_rng)
 
     # Final re-evaluation (Section VI-A): the chosen configuration runs
     # final_repeats more times; the mean is the reported outcome.
-    finals = [
-        m.runtime_ms
-        for m in device.measure_repeated(result.best_config, task.final_repeats)
-    ]
+    best_flat = space.config_to_flat(result.best_config)
+    finals = device.measure_flat_repeated(best_flat, task.final_repeats)
     final_ms = float(np.mean(finals))
     if not np.isfinite(final_ms):
         raise NonFiniteResultError(
@@ -387,7 +372,7 @@ def _run_cell(
             cell=cell,
             final_runtime_ms=final_ms,
             samples_used=int(result.samples_used),
-            best_flat=int(space.config_to_flat(result.best_config)),
+            best_flat=best_flat,
         )
 
     return ExperimentResult(
@@ -397,7 +382,7 @@ def _run_cell(
         sample_size=task.sample_size,
         experiment=task.experiment,
         final_runtime_ms=final_ms,
-        best_flat=space.config_to_flat(result.best_config),
+        best_flat=best_flat,
         observed_best_ms=result.best_runtime_ms,
         samples_used=result.samples_used,
         convergence=convergence,
@@ -471,11 +456,7 @@ def _run_group_inner(
         failure = TaskFailure.from_exception(exc)
         return [failure for _ in tasks]
 
-    if (
-        isinstance(tuner, DatasetTuner)
-        and ctx.table is not None
-        and not _events_enabled(first)
-    ):
+    if isinstance(tuner, DatasetTuner) and not _events_enabled(first):
         # Spans-only tracing keeps the vectorized fast path: spans need
         # no per-evaluate events, so group-level work stays collapsed.
         vectorized = _run_dataset_batch(tasks, ctx, tuner)

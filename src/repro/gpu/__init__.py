@@ -16,7 +16,7 @@ from .arch import (
     GpuArchitecture,
     get_architecture,
 )
-from .device import Measurement, SimulatedDevice, config_dict_to_row
+from .device import Measurement, SimulatedDevice
 from .geometry import LaunchGeometry, derive_geometry
 from .landscape import (
     LANDSCAPE_CACHE_ENV,
@@ -67,5 +67,4 @@ __all__ = [
     "NOISELESS",
     "Measurement",
     "SimulatedDevice",
-    "config_dict_to_row",
 ]

@@ -16,22 +16,26 @@ OpenCL ``CL_INVALID_WORK_GROUP_SIZE`` error.
 The device also counts every kernel launch, which is how experiment code
 enforces the paper's fixed *sample budgets*.
 
-A device may be backed by a precomputed :class:`~repro.gpu.landscape.
-LandscapeTable`, in which case every measurement is a flat-index lookup
-plus the same noise draw instead of a full simulator pipeline pass.
-Because the simulator is deterministic and noise is applied after the
-lookup, table-backed and live measurements are bit-identical — same
-runtimes, same RNG consumption.
+Every measurement route resolves noise-free runtimes for a batch of
+flat indices in one step: a fancy-index on a precomputed
+:class:`~repro.gpu.landscape.LandscapeTable` when the device has one,
+otherwise one simulator pass over the batch's decoded rows.  The
+simulator is deterministic and elementwise, and the noise is applied
+after the runtimes are resolved, so table-backed and live measurements
+are bit-identical — same runtimes, same RNG consumption — and a batch
+costs one pass whatever its size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..obs.metrics import global_registry
+from ..searchspace import SearchSpace, paper_search_space
 from .arch import GpuArchitecture
 from .noise import DEFAULT_NOISE, NoiseModel
 from .simulator import CONFIG_COLUMNS, SimulationResult, simulate_runtimes
@@ -61,17 +65,6 @@ class Measurement:
         return self.runtime_ms + self.transfer_ms
 
 
-def config_dict_to_row(config: Mapping[str, int]) -> np.ndarray:
-    """Configuration dict -> simulator row in :data:`CONFIG_COLUMNS` order."""
-    try:
-        return np.array([int(config[c]) for c in CONFIG_COLUMNS], dtype=np.int64)
-    except KeyError as exc:
-        raise KeyError(
-            f"configuration is missing parameter {exc.args[0]!r}; the GPU "
-            f"simulator needs all of {CONFIG_COLUMNS}"
-        ) from None
-
-
 #: Cached (registry, lookups counter) — same pattern as the simulator's
 #: counters: one identity check per measurement instead of a dict lookup.
 _COUNTERS: tuple = (None, None)
@@ -83,6 +76,12 @@ def _lookup_counter():
     if _COUNTERS[0] is not registry:
         _COUNTERS = (registry, registry.counter("landscape_lookups_total"))
     return _COUNTERS[1]
+
+
+@functools.lru_cache(maxsize=1)
+def _paper_space() -> SearchSpace:
+    """The paper's space, built once for every table-less device."""
+    return paper_search_space()
 
 
 class SimulatedDevice:
@@ -104,6 +103,11 @@ class SimulatedDevice:
         for this (profile, arch) landscape.  When present, measurements
         resolve true runtimes by table lookup (bit-identical to the live
         simulator) instead of running the analytic pipeline.
+
+    Flat indices, and the configurations :meth:`measure` takes, belong
+    to :attr:`space`: the table's space, else the paper's.  Its
+    parameters must be the simulator's :data:`CONFIG_COLUMNS`, in that
+    order.
     """
 
     def __init__(
@@ -123,11 +127,18 @@ class SimulatedDevice:
                 f"{table.arch_codename} cannot back a device running "
                 f"{profile.name}/{arch.codename}"
             )
+        space = table.space if table is not None else _paper_space()
+        if tuple(space.names) != CONFIG_COLUMNS:
+            raise ValueError(
+                f"the GPU simulator needs the parameters {CONFIG_COLUMNS} "
+                f"in that order; the search space has {tuple(space.names)}"
+            )
         self.arch = arch
         self.profile = profile
         self.noise = noise
         self.rng = rng if rng is not None else np.random.default_rng()
         self.table = table
+        self.space = space
         self._launches = 0
         # Constant per device (profile and bandwidth are fixed), yet it
         # used to be recomputed on every single measurement.
@@ -153,55 +164,66 @@ class SimulatedDevice:
         return self._transfer_ms
 
     # -- true (noise-free) runtimes ------------------------------------------
-    def _true_runtime(self, config: Mapping[str, int]) -> tuple:
-        """(noise-free runtime ms, valid) — table lookup or 1-row pipeline."""
+    def _true_runtimes(
+        self, flats: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(noise-free runtimes ms, launch-failure flags) of a batch of
+        flat indices: a table fancy-index, or one simulator pass over
+        the decoded rows."""
         if self.table is not None:
-            flat = self.table.flat_of(config)
-            _lookup_counter().inc()
-            return self.table.runtime_at(flat), not self.table.failure_at(flat)
-        row = config_dict_to_row(config)
-        sim = simulate_runtimes(self.profile, self.arch, row)
-        return float(sim.runtime_ms[0]), not bool(sim.launch_failure[0])
+            _lookup_counter().inc(float(flats.size))
+            return self.table.runtimes_at(flats), self.table.failures_at(flats)
+        sim = simulate_runtimes(
+            self.profile, self.arch, self.space.flats_to_values(flats)
+        )
+        return sim.runtime_ms, sim.launch_failure
+
+    def _measurement(self, flat: int) -> Measurement:
+        runtime, failure = self._true_runtimes(
+            np.array([flat], dtype=np.int64)
+        )
+        noisy = self.noise.apply(runtime, self.rng)
+        self._launches += 1
+        return Measurement(
+            runtime_ms=float(noisy[0]), valid=not failure[0],
+            transfer_ms=self._transfer_ms,
+        )
+
+    def _repeated(self, true_ms: float, repeats: int) -> np.ndarray:
+        """``repeats`` noisy runs of one true runtime: one batched noise
+        draw over ``repeats`` copies of it."""
+        if repeats < 1:
+            raise ValueError("repeats must be >= 1")
+        noisy = self.noise.apply(
+            np.full(repeats, true_ms, dtype=np.float64), self.rng
+        )
+        self._launches += repeats
+        return noisy
 
     # -- measurement ----------------------------------------------------------
+    # The public routes share the private helpers above and never call
+    # one another, so a timer wrapped around each counts every
+    # measurement once.
     def measure(self, config: Mapping[str, int]) -> Measurement:
-        """Run the kernel once with ``config`` and time it."""
-        true_ms, valid = self._true_runtime(config)
-        noisy = self.noise.apply(np.array([true_ms]), self.rng)
-        self._launches += 1
-        return Measurement(
-            runtime_ms=float(noisy[0]), valid=valid,
-            transfer_ms=self._transfer_ms,
-        )
+        """Run the kernel once with ``config`` and time it.  ``config``
+        must lie in :attr:`space` (a ``KeyError`` or ``ValueError``
+        otherwise)."""
+        return self._measurement(self.space.config_to_flat(config))
 
     def measure_flat(self, flat: int) -> Measurement:
-        """Run the configuration at flat index ``flat`` once (table-backed
-        fast path: no configuration dict or simulator row is built)."""
-        table = self._require_table("measure_flat")
-        flat = int(flat)
-        _lookup_counter().inc()
-        noisy = self.noise.apply(
-            np.array([table.runtime_at(flat)]), self.rng
-        )
-        self._launches += 1
-        return Measurement(
-            runtime_ms=float(noisy[0]),
-            valid=not table.failure_at(flat),
-            transfer_ms=self._transfer_ms,
-        )
+        """Run the configuration at flat index ``flat`` once."""
+        return self._measurement(int(flat))
 
     def measure_repeated(
         self, config: Mapping[str, int], repeats: int
     ) -> List[Measurement]:
         """Run the kernel ``repeats`` times (the paper re-runs the final
         configuration 10x to compensate for runtime variance)."""
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        true_ms, valid = self._true_runtime(config)
-        noisy = self.noise.apply(
-            np.full(repeats, true_ms, dtype=np.float64), self.rng
+        runtime, failure = self._true_runtimes(
+            np.array([self.space.config_to_flat(config)], dtype=np.int64)
         )
-        self._launches += repeats
+        noisy = self._repeated(runtime[0], repeats)
+        valid = not failure[0]
         return [
             Measurement(
                 runtime_ms=float(t), valid=valid,
@@ -210,26 +232,19 @@ class SimulatedDevice:
             for t in noisy
         ]
 
-    def measure_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """One noisy measurement per row of an ``(n, 6)`` configuration
-        matrix (vectorized).  Returns runtimes in ms; ``inf`` marks launch
-        failures."""
-        sim = simulate_runtimes(self.profile, self.arch, matrix)
-        noisy = self.noise.apply(sim.runtime_ms, self.rng)
-        self._launches += int(matrix.shape[0] if matrix.ndim == 2 else 1)
-        return noisy
+    def measure_flat_repeated(self, flat: int, repeats: int) -> np.ndarray:
+        """:meth:`measure_repeated` by flat index: the noisy runtimes,
+        bit-identical to its ``runtime_ms`` values."""
+        runtime, _ = self._true_runtimes(np.array([flat], dtype=np.int64))
+        return self._repeated(runtime[0], repeats)
 
     def measure_flats(self, flats: np.ndarray) -> np.ndarray:
-        """One noisy measurement per flat index: a single fancy-index on
-        the landscape table plus one vectorized noise draw.
-
-        The table-backed equivalent of :meth:`measure_matrix` — dataset
-        pre-collection routes here when a table is present.
-        """
-        table = self._require_table("measure_flats")
+        """One noisy measurement per flat index (``inf`` marks launch
+        failures), with one vectorized noise draw over the batch: the
+        dataset-collection stream contract."""
         flats = np.asarray(flats, dtype=np.int64)
-        _lookup_counter().inc(float(flats.size))
-        noisy = self.noise.apply(table.runtimes_at(flats), self.rng)
+        runtimes, _ = self._true_runtimes(flats)
+        noisy = self.noise.apply(runtimes, self.rng)
         self._launches += int(flats.size)
         return noisy
 
@@ -237,50 +252,21 @@ class SimulatedDevice:
         """One noisy measurement per flat index with *per-measurement*
         noise-draw granularity.
 
-        The batched-evaluation fast path for sequential tuners: one
-        fancy-index resolves every true runtime, then
+        The batched-evaluation route for sequential tuners: the batch's
+        true runtimes are resolved at once, then
         :meth:`NoiseModel.apply_each` replays the element-at-a-time draw
         order — so the result is bit-identical to calling
         :meth:`measure_flat` once per index on the same stream, unlike
         :meth:`measure_flats` whose single batched draw belongs to the
         dataset-collection stream contract.
         """
-        table = self._require_table("measure_flats_each")
         flats = np.asarray(flats, dtype=np.int64)
-        _lookup_counter().inc(float(flats.size))
-        noisy = self.noise.apply_each(table.runtimes_at(flats), self.rng)
+        runtimes, _ = self._true_runtimes(flats)
+        noisy = self.noise.apply_each(runtimes, self.rng)
         self._launches += int(flats.size)
-        return noisy
-
-    def measure_flat_repeated(self, flat: int, repeats: int) -> np.ndarray:
-        """Table-backed :meth:`measure_repeated` by flat index.
-
-        Returns the noisy runtimes array; bit-identical to
-        ``[m.runtime_ms for m in measure_repeated(config, repeats)]`` for
-        the configuration at ``flat`` (one lookup, one batched noise
-        draw over ``repeats`` copies of the true runtime).
-        """
-        table = self._require_table("measure_flat_repeated")
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        _lookup_counter().inc()
-        true_ms = table.runtime_at(int(flat))
-        noisy = self.noise.apply(
-            np.full(repeats, true_ms, dtype=np.float64), self.rng
-        )
-        self._launches += repeats
         return noisy
 
     def true_runtimes(self, matrix: np.ndarray) -> SimulationResult:
         """Noise-free simulation (for optima and tests); not counted as
         launches — nothing 'runs'."""
         return simulate_runtimes(self.profile, self.arch, matrix)
-
-    def _require_table(self, method: str):
-        if self.table is None:
-            raise RuntimeError(
-                f"SimulatedDevice.{method} needs a landscape table; "
-                f"construct the device with table=... (see "
-                f"repro.gpu.landscape.load_or_compute_landscape)"
-            )
-        return self.table

@@ -79,9 +79,10 @@ class Objective:
     space:
         The search space (used for validation and feature encoding).
     measure:
-        ``config -> runtime_ms`` callable; returns ``inf`` for launch
-        failures.  Usually ``SimulatedDevice.measure(...).runtime_ms``
-        bound by the experiment runner.
+        ``config -> runtime_ms`` callable, returning ``inf`` for launch
+        failures: a user measurement function, e.g. ``lambda c:
+        device.measure(c).runtime_ms``.  May be ``None`` when
+        ``measure_flats`` is given.
     budget:
         Maximum number of evaluations.
     tracer:
@@ -101,41 +102,34 @@ class Objective:
         Incumbent seed for ``incumbent_update`` events — the best of any
         dataset rows replayed (via :func:`trace_dataset_rows`) before
         this objective's live measurements begin.
-    measure_flat:
-        Optional ``flat_index -> runtime_ms`` callable (usually a
-        table-backed ``SimulatedDevice.measure_flat``).  When present,
-        :meth:`evaluate_flat` measures by flat index directly, skipping
-        the config-dict -> simulator-row -> full-pipeline round trip;
-        when absent, :meth:`evaluate_flat` falls back to the dict route
-        with identical results.
     measure_flats:
         Optional ``flat_index_array -> runtime_ms_array`` callable
-        (usually ``SimulatedDevice.measure_flats_each``) backing
-        :meth:`evaluate_flats`.  It MUST consume the noise stream with
+        (usually ``SimulatedDevice.measure_flats_each``).  When present,
+        every evaluation route measures through it — :meth:`evaluate`
+        and :meth:`evaluate_flat` as 1-element batches — and ``measure``
+        is never called.  It MUST consume the noise stream with
         per-measurement draw granularity — the batch is a convenience
         over the element-at-a-time sequence, not a different experiment.
-        When absent, :meth:`evaluate_flats` loops :meth:`evaluate_flat`
-        with identical results.
     """
 
     def __init__(
         self,
         space: SearchSpace,
-        measure: Callable[[Configuration], float],
+        measure: Optional[Callable[[Configuration], float]],
         budget: int,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         cell: str = "",
         index_base: int = 0,
         initial_best_ms: float = math.inf,
-        measure_flat: Optional[Callable[[int], float]] = None,
         measure_flats: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        if measure is None and measure_flats is None:
+            raise ValueError("an Objective needs measure or measure_flats")
         self.space = space
         self._measure = measure
-        self._measure_flat = measure_flat
         self._measure_flats = measure_flats
         self.budget = int(budget)
         #: Flat index of every configuration evaluated, in order.
@@ -180,21 +174,12 @@ class Objective:
         """Measure one configuration (counts against the budget)."""
         if self.remaining <= 0:
             raise self._exhausted()
-        flat = self.space.config_to_flat(config)
-        t0 = time.perf_counter() if self._observed() else 0.0
-        runtime = float(self._measure(dict(config)))
-        return self._record([flat], [runtime], t0, [config])[0]
+        return self._evaluate_one(self.space.config_to_flat(config), config)
 
     def evaluate_flat(self, flat: int) -> float:
         """Measure one configuration by flat index (counts against the
-        budget).
-
-        With a ``measure_flat`` route configured this skips the
-        config-dict -> row -> full-pipeline conversion entirely; without
-        one it measures the decoded configuration, as :meth:`evaluate`
-        does.  Either way the recorded history, trace events, and RNG
-        consumption are identical to the dict route.
-        """
+        budget).  History, trace events and RNG consumption are those of
+        :meth:`evaluate` on the decoded configuration."""
         flat = int(flat)
         if not 0 <= flat < self.space.size:
             raise ValueError(
@@ -202,13 +187,25 @@ class Objective:
             )
         if self.remaining <= 0:
             raise self._exhausted()
+        return self._evaluate_one(flat)
+
+    def _evaluate_one(
+        self, flat: int, config: Optional[Configuration] = None
+    ) -> float:
+        """Measure and record one in-budget evaluation: through
+        ``measure_flats`` as a 1-element batch when it is given, else
+        through the dict ``measure``."""
         t0 = time.perf_counter() if self._observed() else 0.0
-        if self._measure_flat is None:
-            config = self.space.flat_to_config(flat)
-            runtime = float(self._measure(config))
-            return self._record([flat], [runtime], t0, [config])[0]
-        runtime = float(self._measure_flat(flat))
-        return self._record([flat], [runtime], t0)[0]
+        if self._measure_flats is not None:
+            runtime = float(
+                self._measure_flats(np.array([flat], dtype=np.int64))[0]
+            )
+        else:
+            if config is None:
+                config = self.space.flat_to_config(flat)
+            runtime = float(self._measure(dict(config)))
+        configs = None if config is None else [config]
+        return self._record([flat], [runtime], t0, configs)[0]
 
     def evaluate_flats(self, flats) -> List[float]:
         """Measure many configurations by flat index (each counts
@@ -224,8 +221,6 @@ class Objective:
         behind when its next call raises.
         """
         arr = np.asarray(flats, dtype=np.int64).ravel()
-        if self._measure_flats is None:
-            return [self.evaluate_flat(f) for f in arr.tolist()]
         remaining = self.remaining
         if remaining <= 0:
             raise self._exhausted()
@@ -234,9 +229,14 @@ class Objective:
         if take.size:
             if take.min() < 0 or take.max() >= self.space.size:
                 raise ValueError("flat index out of range")
-            t0 = time.perf_counter() if self._observed() else 0.0
-            runtimes = np.asarray(self._measure_flats(take), dtype=np.float64)
-            out = self._record(take.tolist(), runtimes.tolist(), t0)
+            if self._measure_flats is None:
+                out = [self._evaluate_one(f) for f in take.tolist()]
+            else:
+                t0 = time.perf_counter() if self._observed() else 0.0
+                runtimes = np.asarray(
+                    self._measure_flats(take), dtype=np.float64
+                )
+                out = self._record(take.tolist(), runtimes.tolist(), t0)
         if take.size < arr.size:
             raise self._exhausted()
         return out

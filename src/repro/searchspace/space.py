@@ -282,6 +282,15 @@ class SearchSpace:
             self.flats_to_index_matrix(np.asarray(flats, dtype=np.int64))
         )
 
+    def flats_to_values(self, flats: np.ndarray) -> np.ndarray:
+        """Flat indices -> ``(n, d)`` int64 matrix of parameter *values*
+        (not ordinal indices or features): the GPU simulator's rows."""
+        indices = self.flats_to_index_matrix(flats)
+        values = np.empty(indices.shape, dtype=np.int64)
+        for c, column in enumerate(self._value_arrays):
+            values[:, c] = column[indices[:, c]]
+        return values
+
     # -- model features -------------------------------------------------------
     def to_features(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Configurations -> ``(n, d)`` float feature matrix for surrogates."""

@@ -6,8 +6,7 @@ injected per-cell failure completes, names the exact failing cell(s) in
 bit-identical to an uninterrupted run with the same ``root_seed``.
 """
 
-import types
-
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -148,13 +147,11 @@ class TestNonFiniteResult:
     def test_non_finite_final_runtime_raises(self, monkeypatch):
         from repro.gpu.device import SimulatedDevice
 
-        def all_launches_fail(self, config, repeats):
-            return [
-                types.SimpleNamespace(runtime_ms=float("inf"))
-            ] * repeats
+        def all_launches_fail(self, flat, repeats):
+            return np.full(repeats, np.inf)
 
         monkeypatch.setattr(
-            SimulatedDevice, "measure_repeated", all_launches_fail
+            SimulatedDevice, "measure_flat_repeated", all_launches_fail
         )
         with pytest.raises(NonFiniteResultError, match="non-finite"):
             run_experiment(self._task())
@@ -162,17 +159,11 @@ class TestNonFiniteResult:
     def test_recorded_as_failed_cell_in_collect_mode(self, monkeypatch):
         from repro.gpu.device import SimulatedDevice
 
-        real = SimulatedDevice.measure_repeated
-
-        def fail_final_evaluation(self, config, repeats):
-            if repeats > 1:  # only the final 10x re-evaluation
-                return [
-                    types.SimpleNamespace(runtime_ms=float("inf"))
-                ] * repeats
-            return real(self, config, repeats)
+        def fail_final_evaluation(self, flat, repeats):
+            return np.full(repeats, np.inf)
 
         monkeypatch.setattr(
-            SimulatedDevice, "measure_repeated", fail_final_evaluation
+            SimulatedDevice, "measure_flat_repeated", fail_final_evaluation
         )
         results = run_study(
             tiny_config(algorithms=("genetic_algorithm",)),

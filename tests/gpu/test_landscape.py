@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.gpu import GTX_980, TITAN_V, simulate_runtimes
+from repro.gpu import CONFIG_COLUMNS, GTX_980, TITAN_V, simulate_runtimes
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.landscape import (
     BLOCK_ROWS,
@@ -19,7 +19,12 @@ from repro.gpu.landscape import (
     default_cache_dir,
 )
 from repro.kernels import get_kernel
-from repro.searchspace import IntegerParameter, SearchSpace, workgroup_product_limit
+from repro.searchspace import (
+    IntegerParameter,
+    SearchSpace,
+    paper_search_space,
+    workgroup_product_limit,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +46,16 @@ def small_space():
             IntegerParameter("wg_y", 1, 8),
             IntegerParameter("wg_z", 1, 2),
         ]
+    )
+
+
+def paper_flats(space, flats):
+    """The paper-space flat indices of ``space``'s configurations at
+    ``flats``: what a table-less device measures them by."""
+    paper = paper_search_space()
+    return np.array(
+        [paper.config_to_flat(c) for c in space.flats_to_configs(flats)],
+        dtype=np.int64,
     )
 
 
@@ -240,22 +255,21 @@ class TestTableBackedDevice:
         ).measure_flat(17)
         assert a == b
 
-    def test_measure_flats_matches_measure_matrix(
+    def test_live_measure_flats_matches_table(
         self, profile, small_space, table
     ):
         flats = small_space.sample_flat(
             np.random.default_rng(2), 128, feasible_only=True
         )
-        matrix = small_space.index_matrix_to_features(
-            small_space.flats_to_index_matrix(flats)
-        ).astype(np.int64)
         live = SimulatedDevice(TITAN_V, profile, rng=np.random.default_rng(8))
         backed = SimulatedDevice(
             TITAN_V, profile, rng=np.random.default_rng(8), table=table
         )
         np.testing.assert_array_equal(
-            live.measure_matrix(matrix), backed.measure_flats(flats)
+            live.measure_flats(paper_flats(small_space, flats)),
+            backed.measure_flats(flats),
         )
+        assert live.rng.bit_generator.state == backed.rng.bit_generator.state
 
     def test_measure_repeated_parity(self, profile, small_space, table):
         cfg = small_space.flat_to_config(99)
@@ -267,12 +281,39 @@ class TestTableBackedDevice:
         ).measure_repeated(cfg, 10)
         assert [m.runtime_ms for m in a] == [m.runtime_ms for m in b]
 
-    def test_flat_methods_require_table(self, profile):
-        device = SimulatedDevice(TITAN_V, profile)
-        with pytest.raises(RuntimeError, match="landscape table"):
-            device.measure_flat(0)
-        with pytest.raises(RuntimeError, match="landscape table"):
-            device.measure_flats(np.array([0]))
+    def test_live_flat_routes_match_table(self, profile):
+        """Every flat route gives a table-less device the table's bits,
+        launch failures included."""
+        space = SearchSpace(
+            [IntegerParameter(n, 1, 2) for n in CONFIG_COLUMNS[:3]]
+            + [IntegerParameter(n, 1, 8) for n in CONFIG_COLUMNS[3:]]
+        )
+        table = compute_landscape(profile, TITAN_V, space)
+        live = SimulatedDevice(TITAN_V, profile, rng=np.random.default_rng(6))
+        backed = SimulatedDevice(
+            TITAN_V, profile, rng=np.random.default_rng(6), table=table
+        )
+        failing = int(np.flatnonzero(
+            table.failures_at(np.arange(space.size))
+        )[0])
+        batch = np.array([3, failing, 250, 17, failing, 4000], dtype=np.int64)
+        for device, to_flats in (
+            (live, lambda flats: paper_flats(space, flats)),
+            (backed, lambda flats: np.asarray(flats, dtype=np.int64)),
+        ):
+            device.out = [
+                device.measure_flat(to_flats([17])[0]),
+                device.measure_flat(to_flats([failing])[0]),
+                device.measure_flats_each(to_flats(batch)).tolist(),
+                device.measure_flat_repeated(to_flats([99])[0], 10).tolist(),
+                device.measure_flat_repeated(
+                    to_flats([failing])[0], 3
+                ).tolist(),
+            ]
+        assert not live.out[1].valid and np.isinf(live.out[1].runtime_ms)
+        assert live.out == backed.out
+        assert live.rng.bit_generator.state == backed.rng.bit_generator.state
+        assert live.launches == backed.launches == 2 + 6 + 10 + 3
 
     def test_mismatched_table_rejected(self, profile, small_space, table):
         other = get_kernel("harris", 512, 512).profile()

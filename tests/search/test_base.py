@@ -62,6 +62,23 @@ class TestObjective:
         with pytest.raises(RuntimeError):
             obj.best_observed()
 
+    def test_measure_flats_serves_every_route(self, space):
+        batches = []
+
+        def measure_flats(flats):
+            batches.append(flats.tolist())
+            return flats * 2.0
+
+        obj = Objective(space, None, budget=5, measure_flats=measure_flats)
+        assert obj.evaluate({"x": 3}) == 6.0
+        assert obj.evaluate_flat(4) == 8.0
+        assert obj.evaluate_flats([1, 2, 7]) == [2.0, 4.0, 14.0]
+        assert batches == [[3], [4], [1, 2, 7]]
+
+    def test_needs_a_measurement_route(self, space):
+        with pytest.raises(ValueError, match="measure"):
+            Objective(space, None, budget=1)
+
     def test_evaluate_copies_config(self, space):
         obj = Objective(space, lambda c: 0.0, budget=2)
         cfg = {"x": 3}
@@ -129,7 +146,6 @@ class TestInstrumentHandles:
         registry = MetricsRegistry()
         obj = Objective(
             space, lambda c: table[c["x"]], budget=10, metrics=registry,
-            measure_flat=lambda f: table[f],
             measure_flats=lambda flats: np.array([table[f] for f in flats]),
         )
         obj.evaluate_flats([0, 1])
@@ -169,7 +185,6 @@ class TestFlatHistory:
         kwargs = {}
         if tables:
             kwargs = dict(
-                measure_flat=lambda f: values[f],
                 measure_flats=lambda fs: np.array([values[f] for f in fs]),
             )
         return Objective(space2, measure, budget, **kwargs), values
@@ -225,7 +240,6 @@ class TestFlatHistory:
         measured = []
         obj = Objective(
             space2, lambda c: 0.0, 4,
-            measure_flat=lambda f: measured.append(f) or 0.0,
             measure_flats=lambda fs: measured.extend(fs) or np.zeros(len(fs)),
         )
         with pytest.raises(ValueError):

@@ -114,6 +114,24 @@ class TestEncodings:
             sum(i * p for i, p in zip(row, places)) for row in mat.tolist()
         ] == list(range(small_space.size))
 
+    def test_flats_to_values_decodes_values_not_features(self):
+        """Rows carry parameter values; a categorical's feature is its
+        ordinal index, which the GPU simulator must never see."""
+        space = SearchSpace([
+            IntegerParameter("a", 3, 5),
+            CategoricalParameter("b", choices=(8, 1, 4)),
+        ])
+        flats = np.arange(space.size)
+        values = space.flats_to_values(flats)
+        assert values.dtype == np.int64
+        assert values.tolist() == [
+            [c["a"], c["b"]] for c in space.flats_to_configs(flats)
+        ]
+        features = space.index_matrix_to_features(
+            space.flats_to_index_matrix(flats)
+        )
+        assert (features[:, 1] != values[:, 1]).any()
+
     def test_validate_config(self, small_space):
         small_space.validate_config({"a": 1, "b": 0, "c": 2})
         with pytest.raises(KeyError):
