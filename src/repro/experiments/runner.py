@@ -241,15 +241,10 @@ def _run_cell(
     _injected_failure_check(task.cell_key)
     space = ctx.space
 
-    rngs = RngFactory(task.root_seed)
-    device = SimulatedDevice(
-        ctx.arch,
-        ctx.profile,
-        noise=task.noise,
-        rng=rngs.stream_for(task.cell_key + "/device"),
-        table=ctx.table,
+    device = _cell_device(task, ctx)
+    search_rng = RngFactory(task.root_seed).stream_for(
+        task.cell_key + "/search"
     )
-    search_rng = rngs.stream_for(task.cell_key + "/search")
     tuner = make_tuner(task.algorithm, **dict(task.tuner_kwargs))
 
     cell = task.cell_key
@@ -261,28 +256,12 @@ def _run_cell(
     registry = MetricsRegistry()
 
     if isinstance(tuner, DatasetTuner):
-        if task.dataset_flats is None or task.dataset_runtimes is None:
-            raise ValueError(
-                f"{task.algorithm} is a dataset (non-SMBO) tuner; the task "
-                f"must carry a dataset slice"
-            )
-        dataset = PrecollectedDataset(
+        reserve = tuner.live_reserve()
+        n_train = _training_rows(task, reserve)
+        train = PrecollectedDataset(
             flats=np.asarray(task.dataset_flats, dtype=np.int64),
             runtimes_ms=np.asarray(task.dataset_runtimes, dtype=np.float64),
-        )
-        if dataset.size != task.sample_size:
-            raise ValueError(
-                f"dataset slice has {dataset.size} rows, expected "
-                f"sample_size={task.sample_size}"
-            )
-        reserve = tuner.live_reserve()
-        n_train = task.sample_size - reserve
-        if n_train < 1:
-            raise ValueError(
-                f"sample size {task.sample_size} too small for "
-                f"{task.algorithm} (reserves {reserve} live runs)"
-            )
-        train = dataset.slice_for(n_train, 0)
+        ).slice_for(n_train, 0)
         if train_configs is None:
             train_configs = train.configs(space)
         dataset_best = math.inf
@@ -340,41 +319,109 @@ def _run_cell(
         )
         result = tuner.run(objective, search_rng)
 
-    # Final re-evaluation (Section VI-A): the chosen configuration runs
-    # final_repeats more times; the mean is the reported outcome.
     best_flat = space.config_to_flat(result.best_config)
+    experiment = _finish_cell(
+        registry.flat_counters(),
+        task,
+        ctx,
+        device,
+        best_flat,
+        result.history_runtimes,
+        result.samples_used,
+        result.best_runtime_ms,
+    )
+    if tracer.enabled:
+        tracer.event(
+            "experiment_end",
+            cell=cell,
+            final_runtime_ms=experiment.final_runtime_ms,
+            samples_used=int(result.samples_used),
+            best_flat=best_flat,
+        )
+    return experiment
+
+
+def _cell_device(task: ExperimentTask, ctx: _CellContext) -> SimulatedDevice:
+    """The cell's device, its noise drawn from a stream derived from the
+    cell key alone."""
+    return SimulatedDevice(
+        ctx.arch,
+        ctx.profile,
+        noise=task.noise,
+        rng=RngFactory(task.root_seed).stream_for(task.cell_key + "/device"),
+        table=ctx.table,
+    )
+
+
+def _training_rows(task: ExperimentTask, reserve: int) -> int:
+    """Check a dataset tuner's payload; return how many of its rows the
+    tuner trains on (the rest of its budget is ``reserve`` live runs).
+
+    Raises the ``ValueError`` the cell reports for a missing or
+    mis-sized payload, or for a budget the live reserve uses up.
+    """
+    flats, runtimes = task.dataset_flats, task.dataset_runtimes
+    if flats is None or runtimes is None:
+        raise ValueError(
+            f"{task.algorithm} is a dataset (non-SMBO) tuner; the task "
+            f"must carry a dataset slice"
+        )
+    if len(flats) != len(runtimes):
+        raise ValueError("flats/runtimes shape mismatch")
+    if len(flats) != task.sample_size:
+        raise ValueError(
+            f"dataset slice has {len(flats)} rows, expected "
+            f"sample_size={task.sample_size}"
+        )
+    n_train = task.sample_size - reserve
+    if n_train < 1:
+        raise ValueError(
+            f"sample size {task.sample_size} too small for "
+            f"{task.algorithm} (reserves {reserve} live runs)"
+        )
+    return n_train
+
+
+def _finish_cell(
+    metrics: Dict[str, float],
+    task: ExperimentTask,
+    ctx: _CellContext,
+    device: SimulatedDevice,
+    best_flat: int,
+    history,
+    samples_used: int,
+    observed_best_ms: float,
+) -> ExperimentResult:
+    """End one experiment (Section VI-A): the chosen configuration runs
+    ``final_repeats`` more times and the mean is the reported outcome.
+
+    ``metrics`` holds the search's own counters; the four cell counters
+    are added after them, so every route writes its metric keys in the
+    same order.  The convergence curve comes from the full evaluation
+    ``history`` (dataset rows included), so every technique gets one;
+    :func:`best_so_far` builds it, so a result holds one float object
+    per improvement rather than one per evaluation.
+
+    Raises :class:`NonFiniteResultError` when the final runtime is
+    non-finite (the configuration fails to launch).
+    """
     finals = device.measure_flat_repeated(best_flat, task.final_repeats)
     final_ms = float(np.mean(finals))
     if not np.isfinite(final_ms):
         raise NonFiniteResultError(
             f"cell {task.cell_key}: chosen configuration "
-            f"{result.best_config!r} produced a non-finite final runtime "
-            f"({final_ms} ms over {task.final_repeats} repeats) — the "
-            f"configuration likely fails to launch on {task.arch}"
+            f"{ctx.space.flat_to_config(best_flat)!r} produced a "
+            f"non-finite final runtime ({final_ms} ms over "
+            f"{task.final_repeats} repeats) — the configuration likely "
+            f"fails to launch on {task.arch}"
         )
-
-    # Observability payloads.  The convergence curve comes from the full
-    # evaluation history (dataset rows included), so every technique gets
-    # one; the metrics dict carries this cell's counter deltas back to
-    # the study parent across the process-pool boundary.
-    convergence = best_so_far(result.history_runtimes)
-    cell_metrics = registry.flat_counters()
-    cell_metrics["evaluations_total"] = float(result.samples_used)
-    cell_metrics["launch_failures_total"] = float(
-        sum(1 for r in result.history_runtimes if not math.isfinite(r))
+    history = np.asarray(history, dtype=np.float64)
+    metrics["evaluations_total"] = float(samples_used)
+    metrics["launch_failures_total"] = float(
+        np.count_nonzero(~np.isfinite(history))
     )
-    cell_metrics["device_launches_total"] = float(device.launches)
-    cell_metrics["final_repeats_total"] = float(task.final_repeats)
-
-    if tracer.enabled:
-        tracer.event(
-            "experiment_end",
-            cell=cell,
-            final_runtime_ms=final_ms,
-            samples_used=int(result.samples_used),
-            best_flat=best_flat,
-        )
-
+    metrics["device_launches_total"] = float(device.launches)
+    metrics["final_repeats_total"] = float(task.final_repeats)
     return ExperimentResult(
         algorithm=task.algorithm,
         kernel=task.kernel,
@@ -383,10 +430,10 @@ def _run_cell(
         experiment=task.experiment,
         final_runtime_ms=final_ms,
         best_flat=best_flat,
-        observed_best_ms=result.best_runtime_ms,
-        samples_used=result.samples_used,
-        convergence=convergence,
-        metrics=cell_metrics,
+        observed_best_ms=float(observed_best_ms),
+        samples_used=int(samples_used),
+        convergence=best_so_far(history.tolist()),
+        metrics=metrics,
     )
 
 
@@ -456,20 +503,26 @@ def _run_group_inner(
         failure = TaskFailure.from_exception(exc)
         return [failure for _ in tasks]
 
-    if isinstance(tuner, DatasetTuner) and not _events_enabled(first):
-        # Spans-only tracing keeps the vectorized fast path: spans need
-        # no per-evaluate events, so group-level work stays collapsed.
-        vectorized = _run_dataset_batch(tasks, ctx, tuner)
-        if vectorized is not None:
-            return vectorized
+    shared: Dict[int, tuple] = {}
+    if isinstance(tuner, DatasetTuner):
+        reserve = tuner.live_reserve()
+        try:
+            for task in tasks:
+                n_train = _training_rows(task, reserve)
+        except ValueError:
+            pass  # each bad cell raises it again on the per-cell path
+        else:
+            # Spans-only tracing keeps the vectorized fast path: spans
+            # need no per-evaluate events, so group-level work stays
+            # collapsed.
+            if reserve == 0 and not _events_enabled(first):
+                vectorized = _run_dataset_batch(tasks, ctx, tuner)
+                if vectorized is not None:
+                    return vectorized
+            shared = _decode_dataset_group(ctx.space, tasks, n_train)
 
     # Generic path: per-cell execution against the shared context, with
     # the whole group's dataset rows decoded in one vectorized pass.
-    shared: Dict[int, tuple] = (
-        _decode_dataset_group(ctx.space, tasks, tuner)
-        if isinstance(tuner, DatasetTuner)
-        else {}
-    )
     spans_on = first.trace_dir is not None
     out: List[BatchItem] = []
     for i, task in enumerate(tasks):
@@ -493,26 +546,10 @@ def _run_group_inner(
 
 
 def _decode_dataset_group(
-    space, tasks: List[ExperimentTask], tuner: DatasetTuner
+    space, tasks: List[ExperimentTask], n_train: int
 ) -> Dict[int, tuple]:
-    """Decode every replication's training rows in one vectorized pass.
-
-    Returns ``{task_position: (configs, features)}`` — or ``{}`` when any
-    task's dataset payload is missing or mis-sized, in which case the
-    per-cell path re-raises the exact sequential validation errors.
-    """
-    reserve = tuner.live_reserve()
-    n_train = tasks[0].sample_size - reserve
-    if n_train < 1:
-        return {}
-    for task in tasks:
-        if task.dataset_flats is None or task.dataset_runtimes is None:
-            return {}
-        if (
-            len(task.dataset_flats) != task.sample_size
-            or len(task.dataset_runtimes) != task.sample_size
-        ):
-            return {}
+    """Decode every replication's ``n_train`` training rows in one
+    vectorized pass: ``{task_position: (configs, features)}``."""
     flat_matrix = np.array(
         [task.dataset_flats[:n_train] for task in tasks], dtype=np.int64
     )
@@ -531,26 +568,13 @@ def _decode_dataset_group(
 def _run_dataset_batch(
     tasks: List[ExperimentTask], ctx: _CellContext, tuner: DatasetTuner
 ) -> Optional[List[BatchItem]]:
-    """Fully vectorized replication group via :meth:`Tuner.tune_batch`.
+    """Fully vectorized replication group via :meth:`Tuner.tune_batch`,
+    for a tuner that reserves no live runs and tasks whose payloads
+    passed :func:`_training_rows`.
 
-    Returns ``None`` when the group doesn't qualify (the tuner reserves
-    live measurements, a dataset payload is missing or mis-sized, or the
-    tuner declines ``tune_batch``) — the caller then takes the generic
-    per-cell path, which reproduces every sequential error verbatim.
+    Returns ``None`` when the tuner declines ``tune_batch``; the caller
+    then takes the generic per-cell path.
     """
-    if tuner.live_reserve() != 0:
-        return None
-    sample_size = tasks[0].sample_size
-    for task in tasks:
-        if task.dataset_flats is None or task.dataset_runtimes is None:
-            return None
-        if (
-            len(task.dataset_flats) != sample_size
-            or len(task.dataset_runtimes) != sample_size
-        ):
-            return None
-
-    space = ctx.space
     batch = DatasetBatch(
         flats=np.array(
             [task.dataset_flats for task in tasks], dtype=np.int64
@@ -559,7 +583,7 @@ def _run_dataset_batch(
             [task.dataset_runtimes for task in tasks], dtype=np.float64
         ),
     )
-    result = tuner.tune_batch(space, batch)
+    result = tuner.tune_batch(ctx.space, batch)
     if result is None:
         return None
 
@@ -567,58 +591,20 @@ def _run_dataset_batch(
     for i, task in enumerate(tasks):
         try:
             _injected_failure_check(task.cell_key)
-        except InjectedFailure as exc:
-            out.append(TaskFailure.from_exception(exc))
-            continue
-        best_flat = int(result.best_flats[i])
-        # Per-replication device stream, derived from the cell key alone —
-        # the final re-evaluation consumes the identical noise draws the
-        # sequential path would.  (The "/search" stream is never drawn
-        # from by a zero-reserve dataset tuner, so it isn't created.)
-        rngs = RngFactory(task.root_seed)
-        device = SimulatedDevice(
-            ctx.arch,
-            ctx.profile,
-            noise=task.noise,
-            rng=rngs.stream_for(task.cell_key + "/device"),
-            table=ctx.table,
-        )
-        finals = device.measure_flat_repeated(best_flat, task.final_repeats)
-        final_ms = float(np.mean(finals))
-        if not np.isfinite(final_ms):
-            try:
-                raise NonFiniteResultError(
-                    f"cell {task.cell_key}: chosen configuration "
-                    f"{space.flat_to_config(best_flat)!r} produced a "
-                    f"non-finite final runtime ({final_ms} ms over "
-                    f"{task.final_repeats} repeats) — the configuration "
-                    f"likely fails to launch on {task.arch}"
+            # The "/search" stream is never drawn from by a zero-reserve
+            # dataset tuner, so only the device's is created.
+            out.append(
+                _finish_cell(
+                    {},
+                    task,
+                    ctx,
+                    _cell_device(task, ctx),
+                    int(result.best_flats[i]),
+                    result.history_runtimes[i],
+                    result.samples_used,
+                    result.best_runtimes_ms[i],
                 )
-            except NonFiniteResultError as exc:
-                out.append(TaskFailure.from_exception(exc))
-            continue
-        history = result.history_runtimes[i]
-        cell_metrics = {
-            "evaluations_total": float(result.samples_used),
-            "launch_failures_total": float(
-                np.count_nonzero(~np.isfinite(history))
-            ),
-            "device_launches_total": float(device.launches),
-            "final_repeats_total": float(task.final_repeats),
-        }
-        out.append(
-            ExperimentResult(
-                algorithm=task.algorithm,
-                kernel=task.kernel,
-                arch=task.arch,
-                sample_size=task.sample_size,
-                experiment=task.experiment,
-                final_runtime_ms=final_ms,
-                best_flat=best_flat,
-                observed_best_ms=float(result.best_runtimes_ms[i]),
-                samples_used=int(result.samples_used),
-                convergence=np.minimum.accumulate(history).tolist(),
-                metrics=cell_metrics,
             )
-        )
+        except (InjectedFailure, NonFiniteResultError) as exc:
+            out.append(TaskFailure.from_exception(exc))
     return out

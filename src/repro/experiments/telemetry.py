@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..obs.spans import SpanScope, span_clock
+from ..obs.spans import SpanScope, format_seconds, span_clock
 
 __all__ = ["StudyTelemetry"]
 
@@ -162,7 +162,7 @@ class StudyTelemetry:
             parts.append(f"{rate:.1f}/s")
         eta = self.eta_seconds()
         if eta is not None and done < self.total:
-            parts.append(f"ETA {_format_seconds(eta)}")
+            parts.append(f"ETA {format_seconds(eta)}")
         return ", ".join(parts)
 
     # -- export ---------------------------------------------------------------
@@ -192,14 +192,3 @@ class StudyTelemetry:
                 for doc in self._phase_docs()
             ],
         }
-
-
-def _format_seconds(seconds: float) -> str:
-    seconds = int(round(seconds))
-    if seconds < 60:
-        return f"{seconds}s"
-    minutes, sec = divmod(seconds, 60)
-    if minutes < 60:
-        return f"{minutes}m{sec:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    return f"{hours}h{minutes:02d}m"

@@ -196,26 +196,11 @@ class LandscapeTable:
         return int(self.runtime_ms.shape[0])
 
     # -- lookups -------------------------------------------------------------
-    def flat_of(self, config) -> int:
-        """Configuration dict -> flat table index."""
-        return self.space.config_to_flat(config)
-
-    def runtime_at(self, flat: int) -> float:
-        """Noise-free runtime of one configuration (ms)."""
-        return float(self.runtime_ms[flat])
-
     def runtimes_at(self, flats: np.ndarray) -> np.ndarray:
         """Fancy-indexed noise-free runtimes (always an in-memory copy)."""
         return np.asarray(
             self.runtime_ms[np.asarray(flats, dtype=np.int64)],
             dtype=np.float64,
-        )
-
-    def failure_at(self, flat: int) -> bool:
-        """Whether one configuration fails to launch."""
-        flat = int(flat)
-        return bool(
-            (int(self.failure_bits[flat >> 3]) >> (7 - (flat & 7))) & 1
         )
 
     def failures_at(self, flats: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .read import JsonlTail, TraceTail
+from .spans import format_seconds
 
 __all__ = ["StudyWatch", "watch_study"]
 
@@ -154,7 +155,7 @@ class StudyWatch:
         if rate:
             parts.append(f"{rate:.1f}/s")
         if st["eta_seconds"] is not None and total and done < total:
-            parts.append(f"ETA {_format_seconds(st['eta_seconds'])}")
+            parts.append(f"ETA {format_seconds(st['eta_seconds'])}")
         if st["event_kinds"]:
             evals = st["event_kinds"].get("evaluate", 0)
             spans = st["event_kinds"].get("span", 0)
@@ -165,17 +166,6 @@ class StudyWatch:
         if st["last_cell"]:
             parts.append(f"last {st['last_cell']}")
         return " | ".join(parts)
-
-
-def _format_seconds(seconds: float) -> str:
-    seconds = int(round(seconds))
-    if seconds < 60:
-        return f"{seconds}s"
-    minutes, sec = divmod(seconds, 60)
-    if minutes < 60:
-        return f"{minutes}m{sec:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    return f"{hours}h{minutes:02d}m"
 
 
 def watch_study(

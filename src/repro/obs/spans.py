@@ -62,6 +62,7 @@ __all__ = [
     "SpanScope",
     "SpanNode",
     "span_clock",
+    "format_seconds",
     "new_span_id",
     "child_span",
     "build_span_forest",
@@ -82,6 +83,18 @@ def span_clock() -> float:
     processes) and its ``duration_s`` (monotonic, high resolution).
     """
     return _EPOCH_OFFSET + time.perf_counter()
+
+
+def format_seconds(seconds: float) -> str:
+    """A duration as ``42s``, ``3m07s`` or ``2h05m``."""
+    seconds = int(round(seconds))
+    if seconds < 60:
+        return f"{seconds}s"
+    minutes, sec = divmod(seconds, 60)
+    if minutes < 60:
+        return f"{minutes}m{sec:02d}s"
+    hours, minutes = divmod(minutes, 60)
+    return f"{hours}h{minutes:02d}m"
 
 
 def new_span_id() -> str:

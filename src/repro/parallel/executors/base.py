@@ -34,7 +34,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Type,
 )
 
 from ..pool import TaskOutcome, _run_batch
@@ -44,12 +43,10 @@ __all__ = ["ExecutionSettings", "WorkUnit", "UnitResult", "Executor"]
 
 @dataclass(frozen=True)
 class ExecutionSettings:
-    """Per-dispatch knobs threaded into the worker entry points."""
+    """Per-dispatch settings, shipped with every unit to the worker entry
+    point :func:`~repro.parallel.pool._run_batch`."""
 
     retries: int = 0
-    backoff: float = 0.05
-    backoff_cap: float = 2.0
-    retryable: Tuple[Type[BaseException], ...] = ()
     #: Opaque :class:`~repro.obs.spans.SpanContext` parent (or ``None``).
     span_context: Any = None
 
@@ -132,12 +129,7 @@ class Executor:
             WorkUnit(
                 uid=uid,
                 entry=_run_batch,
-                payload=(
-                    fn, batch_fn, list(indices), list(batch),
-                    settings.retries, settings.backoff,
-                    settings.backoff_cap, settings.retryable,
-                    settings.span_context,
-                ),
+                payload=(fn, batch_fn, list(indices), list(batch), settings),
                 members=tuple(zip(indices, batch)),
             )
             for uid, (indices, batch) in enumerate(batches)

@@ -44,7 +44,7 @@ __all__ = [
     "recv_msg",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MAGIC = b"REPX"
 _HEADER = struct.Struct(">4sQ")

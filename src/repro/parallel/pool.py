@@ -19,8 +19,10 @@ by cost, and every batch travels to a worker as one message
 * supports two failure policies: ``"fail_fast"`` (raise
   :class:`TaskError` on the first failure) and ``"collect"`` (run every
   task to completion and report failures alongside successes), and
-* optionally retries tasks that raise *transient* errors with capped
-  exponential backoff.
+* optionally retries tasks that raise one of the
+  :data:`DEFAULT_RETRYABLE` types, sleeping a capped exponential backoff
+  (:data:`BACKOFF_S`, :data:`BACKOFF_CAP_S`) between attempts.  Only the
+  number of retries is a setting.
 
 *Transport* is delegated to a pluggable
 :class:`~repro.parallel.executors.Executor` backend — ``serial``
@@ -43,7 +45,14 @@ import pickle
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Type
+from contextlib import nullcontext
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple,
+    Type,
+)
+
+if TYPE_CHECKING:
+    from .executors import ExecutionSettings
 
 __all__ = [
     "ParallelMap",
@@ -91,18 +100,23 @@ def default_worker_count() -> int:
 
 class TransientError(RuntimeError):
     """An error the caller knows may succeed on retry (e.g. a flaky I/O
-    path or an external measurement service hiccup).  Raise it — or list
-    other exception types in ``ParallelMap(retryable=...)`` — to opt a
-    failure into the retry-with-backoff path."""
+    path or an external measurement service hiccup).  Raise it to opt a
+    failure into the retry-with-backoff path; :data:`DEFAULT_RETRYABLE`
+    lists every type that is retried."""
 
 
-#: Exception types retried by default (when ``retries > 0``).
+#: Exception types retried when ``retries > 0``.
 DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
     TransientError,
     OSError,
     TimeoutError,
     ConnectionError,
 )
+
+#: The n-th retry of a task sleeps ``min(BACKOFF_S * 2**(n-1),
+#: BACKOFF_CAP_S)`` seconds first.
+BACKOFF_S = 0.05
+BACKOFF_CAP_S = 2.0
 
 
 class TaskError(RuntimeError):
@@ -184,43 +198,46 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _run_one(
+def _run_task(
     fn: Callable[[Any], Any],
     index: int,
     task: Any,
     retries: int,
-    backoff: float,
-    backoff_cap: float,
-    retryable: Tuple[Type[BaseException], ...],
-    prior_attempts: int = 0,
+    attempt: int = 0,
+    failure: Optional[TaskFailure] = None,
 ) -> TaskOutcome:
-    """Run one task, retrying transient failures with capped backoff.
+    """Run one task through ``fn`` until it succeeds, fails with an error
+    that is not retryable, or has used ``retries`` extra attempts.
 
-    ``prior_attempts`` counts attempts already spent on this task before
-    this call (e.g. a wholesale-failed batch execution), so the reported
-    ``TaskOutcome.attempts`` — and the ``task_retries_total`` counter
-    derived from it — reflect every attempt, and prior attempts consume
-    the same retry budget they would have sequentially.
+    ``attempt`` counts the attempts already spent on the task by a batch
+    execution, and ``failure`` is the error the last of them left, if it
+    left one.  With a ``failure``, the next try through ``fn`` follows
+    the backoff sleep for attempt ``attempt``; without one, ``fn`` runs
+    at once.  Attempts spent in the batch count against the retry
+    budget, and :attr:`TaskOutcome.attempts` (and the
+    ``task_retries_total`` counter derived from it) includes them.
     """
-    attempt = prior_attempts
     while True:
+        if failure is not None:
+            if attempt > retries or not isinstance(
+                failure.error, DEFAULT_RETRYABLE
+            ):
+                return TaskOutcome(
+                    index=index,
+                    task=task,
+                    error=failure.error,
+                    error_type=failure.error_type,
+                    traceback=failure.traceback,
+                    attempts=attempt,
+                )
+            time.sleep(min(BACKOFF_S * 2 ** (attempt - 1), BACKOFF_CAP_S))
         attempt += 1
         try:
             return TaskOutcome(
                 index=index, task=task, result=fn(task), attempts=attempt
             )
         except Exception as exc:  # noqa: BLE001 - captured, not swallowed
-            if attempt <= retries and isinstance(exc, retryable):
-                time.sleep(min(backoff * 2 ** (attempt - 1), backoff_cap))
-                continue
-            return TaskOutcome(
-                index=index,
-                task=task,
-                error=_picklable_error(exc),
-                error_type=type(exc).__name__,
-                traceback=_traceback.format_exc(),
-                attempts=attempt,
-            )
+            failure = TaskFailure.from_exception(exc)
 
 
 def _stamp_node(outcomes: List[TaskOutcome]) -> List[TaskOutcome]:
@@ -240,57 +257,12 @@ def _span_fields(**fields: Any) -> dict:
     return fields
 
 
-def _finish_failed(
-    fn: Callable[[Any], Any],
-    index: int,
-    task: Any,
-    failure: TaskFailure,
-    retries: int,
-    backoff: float,
-    backoff_cap: float,
-    retryable: Tuple[Type[BaseException], ...],
-) -> TaskOutcome:
-    """Continue a batch-failed task's attempt sequence individually.
-
-    The batch execution counts as attempt 1; retryable errors re-run the
-    task through plain ``fn`` with the same capped backoff schedule
-    :func:`_run_one` would use from its second attempt onward.
-    """
-    attempt = 1
-    error = failure.error
-    error_type = failure.error_type
-    tb = failure.traceback
-    while attempt <= retries and isinstance(error, retryable):
-        time.sleep(min(backoff * 2 ** (attempt - 1), backoff_cap))
-        attempt += 1
-        try:
-            return TaskOutcome(
-                index=index, task=task, result=fn(task), attempts=attempt
-            )
-        except Exception as exc:  # noqa: BLE001 - captured, not swallowed
-            error = _picklable_error(exc)
-            error_type = type(exc).__name__
-            tb = _traceback.format_exc()
-    return TaskOutcome(
-        index=index,
-        task=task,
-        error=error,
-        error_type=error_type,
-        traceback=tb,
-        attempts=attempt,
-    )
-
-
 def _run_batch(
     fn: Callable[[Any], Any],
     batch_fn: Optional[Callable[[Sequence[Any]], Sequence[Any]]],
     indices: Sequence[int],
     batch: Sequence[Any],
-    retries: int,
-    backoff: float,
-    backoff_cap: float,
-    retryable: Tuple[Type[BaseException], ...],
-    span_context: Any = None,
+    settings: "ExecutionSettings",
 ) -> List[TaskOutcome]:
     """Worker entry point: one batch with per-task attribution.
 
@@ -300,50 +272,50 @@ def _run_batch(
     that raises wholesale (or returns the wrong arity) falls back to
     per-task ``fn`` execution, so a batch-engine defect can cost
     throughput but never attribution or results.  ``batch_fn=None``
-    runs every task through ``fn``.  ``span_context``
+    runs every task through ``fn``.  ``settings.span_context``
     (:class:`repro.obs.spans.SpanContext`) wraps the batch in a
     ``worker-chunk`` span, so the span-tree reader can attribute wall
     time to this worker process (and, under the socket executor, to its
     node).
     """
-    if span_context is not None:
+    retries = settings.retries
+    scope: Any = nullcontext()
+    if settings.span_context is not None:
         from ..obs.spans import child_span
 
-        with child_span(
-            span_context,
+        scope = child_span(
+            settings.span_context,
             "worker-chunk",
             subject=f"batch of {len(batch)} tasks",
             **_span_fields(tasks=len(batch)),
-        ):
-            return _run_batch(fn, batch_fn, indices, batch, retries,
-                              backoff, backoff_cap, retryable)
-    prior_attempts = 0
-    if batch_fn is not None:
-        try:
-            items = batch_fn(batch)
-            if len(items) != len(batch):
-                raise RuntimeError(
-                    f"batch_fn returned {len(items)} entries for "
-                    f"{len(batch)} tasks"
-                )
-        except Exception:  # repro: noqa[REP008] engine failure falls through to per-task execution, which attributes every error
-            # The batch execution counts as each task's first attempt, so
-            # the fallback runs report attempts >= 2 and retry metrics
-            # include the attempt the broken engine consumed.
-            prior_attempts = 1
-        else:
-            return _stamp_node([
-                _finish_failed(fn, index, task, item, retries, backoff,
-                               backoff_cap, retryable)
-                if isinstance(item, TaskFailure)
-                else TaskOutcome(index=index, task=task, result=item)
-                for index, task, item in zip(indices, batch, items)
-            ])
-    return _stamp_node([
-        _run_one(fn, index, task, retries, backoff, backoff_cap, retryable,
-                 prior_attempts=prior_attempts)
-        for index, task in zip(indices, batch)
-    ])
+        )
+    with scope:
+        attempt = 0
+        if batch_fn is not None:
+            try:
+                items = batch_fn(batch)
+                if len(items) != len(batch):
+                    raise RuntimeError(
+                        f"batch_fn returned {len(items)} entries for "
+                        f"{len(batch)} tasks"
+                    )
+            except Exception:  # repro: noqa[REP008] engine failure falls through to per-task execution, which attributes every error
+                # The batch execution counts as each task's first
+                # attempt, so the fallback runs report attempts >= 2 and
+                # retry metrics include the attempt the broken engine
+                # consumed.
+                attempt = 1
+            else:
+                return _stamp_node([
+                    _run_task(fn, index, task, retries, 1, item)
+                    if isinstance(item, TaskFailure)
+                    else TaskOutcome(index=index, task=task, result=item)
+                    for index, task, item in zip(indices, batch, items)
+                ])
+        return _stamp_node([
+            _run_task(fn, index, task, retries, attempt)
+            for index, task in zip(indices, batch)
+        ])
 
 
 class ParallelMap:
@@ -370,14 +342,10 @@ class ParallelMap:
         ``"collect"``: every task runs to completion; failures come back
         as non-``ok`` :class:`TaskOutcome` rows.
     retries:
-        Extra attempts per task for exceptions matching ``retryable``
-        (0 = no retries).  Non-retryable exceptions fail immediately.
-    backoff / backoff_cap:
-        Exponential backoff between attempts: the n-th retry sleeps
-        ``min(backoff * 2**(n-1), backoff_cap)`` seconds.
-    retryable:
-        Exception types eligible for retry (default
-        :data:`DEFAULT_RETRYABLE`).
+        Extra attempts per task for exceptions of a
+        :data:`DEFAULT_RETRYABLE` type (0 = no retries), each after a
+        capped exponential backoff sleep.  Other exceptions fail
+        immediately.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         pool-level instrumentation, recorded parent-side as outcomes
@@ -398,9 +366,6 @@ class ParallelMap:
         workers: Optional[int] = None,
         failure_policy: str = "fail_fast",
         retries: int = 0,
-        backoff: float = 0.05,
-        backoff_cap: float = 2.0,
-        retryable: Tuple[Type[BaseException], ...] = DEFAULT_RETRYABLE,
         metrics: Optional[object] = None,
         span_context: Optional[object] = None,
         executor: Optional[object] = None,
@@ -414,9 +379,6 @@ class ParallelMap:
         self.executor = executor
         self.failure_policy = failure_policy
         self.retries = max(0, int(retries))
-        self.backoff = float(backoff)
-        self.backoff_cap = float(backoff_cap)
-        self.retryable = tuple(retryable)
         self.metrics = metrics
         self.span_context = span_context
 
@@ -467,9 +429,6 @@ class ParallelMap:
 
         return ExecutionSettings(
             retries=self.retries,
-            backoff=self.backoff,
-            backoff_cap=self.backoff_cap,
-            retryable=self.retryable,
             span_context=None if inline else self.span_context,
         )
 

@@ -38,7 +38,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -240,20 +239,6 @@ class SearchSpace:
             out[:, i], rem = np.divmod(rem, int(place))
         return out
 
-    def index_matrix_to_flats(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`indices_to_flat` for an ``(n, d)`` matrix."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.ndim != 2 or indices.shape[1] != self.dimensions:
-            raise ValueError(
-                f"expected an (n, {self.dimensions}) index matrix, got "
-                f"shape {indices.shape}"
-            )
-        if indices.size and (
-            indices.min() < 0 or (indices >= self._cardinalities).any()
-        ):
-            raise ValueError("index matrix has out-of-range entries")
-        return indices @ self._radix
-
     def index_matrix_to_configs(
         self, indices: np.ndarray
     ) -> List[Configuration]:
@@ -307,13 +292,6 @@ class SearchSpace:
         for c, table in enumerate(self._feature_tables):
             feats[:, c] = table[indices[:, c]]
         return feats
-
-    def feature_bounds(self) -> np.ndarray:
-        """``(d, 2)`` array of [min, max] feature values per dimension."""
-        bounds = np.empty((self.dimensions, 2), dtype=np.float64)
-        for c, table in enumerate(self._feature_tables):
-            bounds[c] = (table.min(), table.max())
-        return bounds
 
     # -- feasibility ----------------------------------------------------------
     def is_feasible(self, config: Mapping[str, Any]) -> bool:
@@ -576,16 +554,6 @@ class SearchSpace:
         for cfg in self.enumerate():
             if self.is_feasible(cfg):
                 yield cfg
-
-    def count_feasible(self, sample: Optional[int] = None,
-                       rng: Optional[np.random.Generator] = None) -> int:
-        """Count (or with ``sample``, estimate) the feasible configurations."""
-        if sample is None:
-            return sum(1 for _ in self.enumerate_feasible())
-        rng = rng or np.random.default_rng(0)
-        flats = rng.integers(0, self._size, size=sample)
-        hits = int(self.feasible_mask(flats).sum())
-        return int(round(hits / sample * self._size))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         params = ", ".join(

@@ -156,7 +156,13 @@ class TestNonFiniteResult:
         with pytest.raises(NonFiniteResultError, match="non-finite"):
             run_experiment(self._task())
 
-    def test_recorded_as_failed_cell_in_collect_mode(self, monkeypatch):
+    # random_search ends its cells in the vectorized replication tier.
+    @pytest.mark.parametrize(
+        "algorithm", ["genetic_algorithm", "random_search"]
+    )
+    def test_recorded_as_failed_cell_in_collect_mode(
+        self, monkeypatch, algorithm
+    ):
         from repro.gpu.device import SimulatedDevice
 
         def fail_final_evaluation(self, flat, repeats):
@@ -166,7 +172,7 @@ class TestNonFiniteResult:
             SimulatedDevice, "measure_flat_repeated", fail_final_evaluation
         )
         results = run_study(
-            tiny_config(algorithms=("genetic_algorithm",)),
+            tiny_config(algorithms=(algorithm,)),
             compute_optima=False,
             failure_policy="collect",
         )

@@ -148,7 +148,7 @@ def _failing_flats(rng, n):
         rng.integers(0, SPACE.size, size=n, dtype=np.int64)
     )
     idx[:, 3:] = 7
-    return SPACE.index_matrix_to_flats(idx)
+    return idx @ np.array(SPACE.places(), dtype=np.int64)
 
 
 class TestLiveFlatRoutes:

@@ -82,8 +82,9 @@ class TestComputedTable:
                 )
             ).astype(np.int64)
             sim = simulate_runtimes(profile, TITAN_V, row)
-            assert table.runtime_at(int(flat)) == float(sim.runtime_ms[0])
-            assert table.failure_at(int(flat)) == bool(sim.launch_failure[0])
+            one = np.array([flat], dtype=np.int64)
+            assert table.runtimes_at(one)[0] == sim.runtime_ms[0]
+            assert table.failures_at(one)[0] == sim.launch_failure[0]
 
     def test_failure_bitmask_roundtrip(self, small_space, table):
         flats = np.arange(small_space.size, dtype=np.int64)
@@ -96,10 +97,11 @@ class TestComputedTable:
         np.testing.assert_array_equal(
             table.failures_at(flats), sim.launch_failure
         )
-        # Scalar and vector accessors agree.
+        # One-element lookups at the edges of a bitmask byte.
         for flat in (0, 1, 7, 8, small_space.size - 1):
-            assert table.failure_at(flat) == bool(
+            assert (
                 table.failures_at(np.array([flat]))[0]
+                == sim.launch_failure[flat]
             )
 
     def test_runtimes_at_is_in_memory_float64(self, table):

@@ -31,6 +31,7 @@ from repro.parallel.executors import (
 from repro.parallel.executors.socket import parse_bind
 from repro.parallel.executors.wire import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     WireError,
     recv_msg,
     send_msg,
@@ -60,13 +61,18 @@ def unpicklable_at_two(x):
 
 
 def die_once(arg):
-    """Kill this worker process the first time the marker is absent."""
+    """Kill this worker process the first time the marker is absent.
+
+    The marker is created exclusively, so of two workers that start a
+    unit at the same moment only one dies; were both to die, no worker
+    would be left to finish the requeued units and the run would hang.
+    """
     x, marker = arg
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("died")
-        os._exit(17)
-    return x + 100
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return x + 100
+    os._exit(17)
 
 
 def _worker_env():
@@ -283,7 +289,7 @@ def _hello(executor, node, simulator_version):
         conn,
         {
             "kind": "hello",
-            "protocol": 1,
+            "protocol": PROTOCOL_VERSION,
             "node": node,
             "pid": 0,
             "simulator_version": simulator_version,

@@ -146,7 +146,7 @@ class TestCollectPolicy:
 class TestRetry:
     def test_serial_retry_transient(self, tmp_path):
         marker = str(tmp_path / "marker")
-        pm = ParallelMap(workers=1, retries=2, backoff=0.001)
+        pm = ParallelMap(workers=1, retries=2)
         outcomes = pm.run(flaky_until_marker, [(7, marker)])
         assert outcomes[0].ok
         assert outcomes[0].result == 14
@@ -154,7 +154,7 @@ class TestRetry:
 
     def test_parallel_retry_transient(self, tmp_path):
         marker = str(tmp_path / "marker")
-        pm = ParallelMap(workers=2, retries=2, backoff=0.001)
+        pm = ParallelMap(workers=2, retries=2)
         outcomes = pm.run(
             flaky_until_marker, [(7, marker), (8, str(tmp_path / "m2"))]
         )
@@ -162,9 +162,7 @@ class TestRetry:
         assert [o.result for o in outcomes] == [14, 16]
 
     def test_non_retryable_fails_immediately(self):
-        pm = ParallelMap(
-            workers=1, retries=3, backoff=0.001, failure_policy="collect"
-        )
+        pm = ParallelMap(workers=1, retries=3, failure_policy="collect")
         outcomes = pm.run(failing, [3])
         assert not outcomes[0].ok
         assert outcomes[0].attempts == 1

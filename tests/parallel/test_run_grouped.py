@@ -13,7 +13,11 @@ non-inline executor, by a share of the total cost.
 import pytest
 
 from repro.parallel import ParallelMap, TaskError, TaskFailure, TransientError
-from repro.parallel.executors.base import Executor, UnitResult
+from repro.parallel.executors.base import (
+    ExecutionSettings,
+    Executor,
+    UnitResult,
+)
 from repro.parallel.pool import DEFAULT_GROUP_BATCH, _run_batch
 
 # Module-level functions so the workers>1 paths can pickle them.
@@ -169,7 +173,7 @@ class TestRetryWithinBatch:
             return out
 
         pool = ParallelMap(
-            workers=1, failure_policy="collect", retries=2, backoff=0.0
+            workers=1, failure_policy="collect", retries=2
         )
         outcomes = pool.run_grouped(
             flaky, transient_batch, [1, 3, 5], lambda t: 0
@@ -190,7 +194,7 @@ class TestRetryWithinBatch:
             return task * task
 
         pool = ParallelMap(
-            workers=1, failure_policy="collect", retries=3, backoff=0.0
+            workers=1, failure_policy="collect", retries=3
         )
         outcomes = pool.run_grouped(
             flaky, batch_with_failures, [1, 3], lambda t: 0
@@ -213,7 +217,7 @@ class TestRetryWithinBatch:
             return out
 
         pool = ParallelMap(
-            workers=1, failure_policy="collect", retries=2, backoff=0.0
+            workers=1, failure_policy="collect", retries=2
         )
         outcomes = pool.run_grouped(
             always_fails, transient_batch, [7], lambda t: 0
@@ -252,7 +256,7 @@ class TestRunBatchUnit:
     def test_result_slots_map_one_to_one(self):
         outcomes = _run_batch(
             square, batch_with_failures, [10, 11, 12], [5, 3, 9],
-            retries=0, backoff=0.0, backoff_cap=0.0, retryable=(),
+            ExecutionSettings(),
         )
         assert [o.index for o in outcomes] == [10, 11, 12]
         assert [o.task for o in outcomes] == [5, 3, 9]
@@ -298,7 +302,7 @@ class TestWholesaleFallbackAccounting:
             raise TransientError("still warming up")
 
         pool = ParallelMap(
-            workers=1, failure_policy="collect", retries=1, backoff=0.0
+            workers=1, failure_policy="collect", retries=1
         )
         (outcome,) = pool.run_grouped(
             transient_once, exploding_batch, [7], lambda t: 0
@@ -306,6 +310,67 @@ class TestWholesaleFallbackAccounting:
         assert not outcome.ok
         assert outcome.attempts == 2  # batch + one per-task attempt
         assert calls == [7]
+
+
+def transient_failure_batch(batch):
+    out = []
+    for _ in batch:
+        try:
+            raise TransientError("batch try failed")
+        except TransientError as exc:
+            out.append(TaskFailure.from_exception(exc))
+    return out
+
+
+class TestRetrySchedule:
+    """Attempts and backoff sleeps of a task that never succeeds, on each
+    route into the retry loop: a first try through ``fn``, a
+    ``TaskFailure`` slot from the batch function, and a batch function
+    that raises as a whole (its attempt is followed by one through
+    ``fn`` at once, with no sleep)."""
+
+    @pytest.mark.parametrize(
+        "route, retries, attempts, sleeps",
+        [
+            ("fn", 0, 1, []),
+            ("fn", 1, 2, [0.05]),
+            ("fn", 3, 4, [0.05, 0.1, 0.2]),
+            ("task_failure", 0, 1, []),
+            ("task_failure", 1, 2, [0.05]),
+            ("task_failure", 3, 4, [0.05, 0.1, 0.2]),
+            ("batch_raises", 0, 2, []),
+            ("batch_raises", 1, 2, []),
+            ("batch_raises", 3, 4, [0.1, 0.2]),
+        ],
+    )
+    def test_attempts_and_sleeps(
+        self, monkeypatch, route, retries, attempts, sleeps
+    ):
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        calls = []
+
+        def fn(task):
+            calls.append(task)
+            raise TransientError(f"still down ({task})")
+
+        pool = ParallelMap(
+            workers=1, failure_policy="collect", retries=retries
+        )
+        if route == "fn":
+            (outcome,) = pool.run(fn, [7])
+        else:
+            batch_fn = (
+                transient_failure_batch
+                if route == "task_failure"
+                else exploding_batch
+            )
+            (outcome,) = pool.run_grouped(fn, batch_fn, [7], lambda t: 0)
+        assert not outcome.ok
+        assert outcome.error_type == "TransientError"
+        assert outcome.attempts == attempts
+        assert len(calls) == attempts - (route != "fn")
+        assert slept == pytest.approx(sleeps)
 
 
 class RecordingExecutor(Executor):
