@@ -54,7 +54,7 @@ class TestWarmStudy:
             design=ExperimentDesign(
                 sample_sizes=(200, 400), experiments_at_largest=16
             ),
-            algorithms=("random_search", "simulated_annealing"),
+            algorithms=("random_search", "genetic_algorithm"),
             kernels=("add",),
             archs=("titan_v",),
             image_x=512,

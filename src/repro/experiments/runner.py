@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,7 +41,7 @@ from ..gpu.device import SimulatedDevice
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
 from ..kernels import get_kernel
 from ..obs import NULL_TRACER, MetricsRegistry, tracer_for_dir
-from ..obs.spans import SpanContext, SpanScope, child_span
+from ..obs.spans import SpanContext, SpanScope
 from ..parallel.pool import TaskFailure
 from ..parallel.rng import RngFactory
 from ..search import (

@@ -17,7 +17,7 @@ calibration choices, documented inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 __all__ = [

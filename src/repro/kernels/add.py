@@ -17,7 +17,7 @@ from typing import Dict
 import numpy as np
 
 from ..gpu.workload import WorkloadProfile
-from .base import PAPER_IMAGE_SIZE, KernelSpec
+from .base import KernelSpec
 
 __all__ = ["AddKernel"]
 

@@ -9,8 +9,9 @@ invariants *statically*, at the source level, before anything runs.
 Built on stdlib :mod:`ast` only (no third-party dependencies, matching
 the repo's no-deps policy):
 
-* a rule registry (:mod:`repro.lint.rules`) with ~8 rules, REP001–REP008,
-  each encoding one real reproducibility invariant of this codebase;
+* a rule registry (:mod:`repro.lint.rules`) with nine rules,
+  REP001–REP009: eight reproducibility invariants of this codebase and
+  one dead-code check (unused imports);
 * a per-file engine (:mod:`repro.lint.engine`) that parses each module
   once and dispatches AST nodes to every interested rule;
 * inline suppressions — ``# repro: noqa[REP002] reason`` — which only

@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Zero-dependency determinism & fork-safety static analysis "
-            "for the repro codebase (rules REP001-REP008)."
+            "for the repro codebase (rules REP001-REP009)."
         ),
     )
     parser.add_argument(

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Type
 from .context import ModuleContext
 from .findings import Finding, ParseError
 from .registry import Rule, get_rules
-from .suppressions import Suppression, parse_suppressions
+from .suppressions import parse_suppressions
 
 __all__ = ["LintResult", "lint_source", "lint_paths"]
 

@@ -1,4 +1,4 @@
-"""The rule catalog: REP001–REP008, each one real invariant of this repo.
+"""The rule catalog: REP001–REP009, each one real invariant of this repo.
 
 Every rule is calibrated against the codebase it guards — the scoping
 (which directories count as "deterministic paths", which module is the
@@ -679,3 +679,97 @@ class SwallowedExceptRule(Rule):
                 "the error vanishes instead of becoming an attributed "
                 "TaskFailure",
             )
+
+
+# -- REP009 ------------------------------------------------------------------
+
+
+def _quoted_names(annotation: Optional[ast.AST]) -> Set[str]:
+    """Names read by the string parts of an annotation, such as
+    ``-> "Optional[Tree]"``."""
+    names: Set[str] = set()
+    if annotation is None:
+        return names
+    for sub in ast.walk(annotation):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(
+                n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+            )
+    return names
+
+
+def _all_names(tree: ast.Module) -> Set[str]:
+    """String entries of the module's ``__all__`` (assigned or extended)."""
+    names: Set[str] = set()
+    for stmt in _module_level_statements(tree):
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if value is None or not any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+        ):
+            continue
+        names.update(
+            n.value for n in ast.walk(value)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        )
+    return names
+
+
+@rule
+class UnusedImportRule(Rule):
+    """REP009: an import nothing in the module reads is dead code."""
+
+    rule_id = "REP009"
+    summary = "imported name never used"
+    interests = (
+        ast.Import, ast.ImportFrom, ast.Name, ast.arg, ast.AnnAssign,
+        ast.FunctionDef, ast.AsyncFunctionDef,
+    )
+
+    def begin_module(self, ctx: ModuleContext) -> None:
+        #: ``(bound name, alias node)`` per imported name, in order.
+        self._imports: List[tuple] = []
+        self._used: Set[str] = _all_names(ctx.tree)
+        # A package's __init__ imports in order to re-export.
+        self._skip = (
+            ctx.path.replace("\\", "/").rsplit("/", 1)[-1] == "__init__.py"
+        )
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
+        if self._skip:
+            return
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                self._imports.append((bound, alias))
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                return
+            for alias in node.names:
+                if alias.name != "*":
+                    self._imports.append((alias.asname or alias.name, alias))
+        elif isinstance(node, ast.Name):
+            self._used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._used |= _quoted_names(node.returns)
+        else:  # ast.arg / ast.AnnAssign
+            self._used |= _quoted_names(node.annotation)
+
+    def end_module(self, ctx: ModuleContext) -> None:
+        for bound, alias in self._imports:
+            if bound not in self._used:
+                ctx.report(
+                    self.rule_id,
+                    alias,
+                    f"{bound!r} is imported but never used: delete the "
+                    f"import, or list the name in __all__ if it is a "
+                    f"re-export",
+                )

@@ -57,7 +57,6 @@ class _Nodes:
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray
-    n_samples: np.ndarray
     depth: np.ndarray
     tree: np.ndarray
 
@@ -205,7 +204,7 @@ def grow(X, y, samples, max_depth=None, min_samples_split=2,
         next_id = first_id + count
         levels.append((
             feature, threshold, np.where(split, next_id + 2 * rank, _LEAF),
-            tot_s / sizes, sizes, np.full(count, depth), node_tree,
+            tot_s / sizes, np.full(count, depth), node_tree,
         ))
         child = 2 * rank[owner] + go_right
         rows = rows[np.argsort(child, kind="stable")]

@@ -30,7 +30,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .schema import validate_trace_path
 

@@ -27,7 +27,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 __all__ = [
     "Tracer",

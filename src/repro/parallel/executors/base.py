@@ -23,7 +23,7 @@ per-cell RNG is derived from task keys, never from execution placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,

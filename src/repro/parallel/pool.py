@@ -44,7 +44,7 @@ import os
 import pickle
 import time
 import traceback as _traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence, Tuple,

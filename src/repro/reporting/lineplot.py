@@ -8,10 +8,8 @@ the underlying series are also exportable as CSV.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 __all__ = ["Series", "LinePlot", "render_lineplot"]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

@@ -14,7 +14,7 @@ criterion (MWU + median-delta) over a study's populations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 

@@ -16,15 +16,12 @@ from .base import (
     best_so_far,
     trace_dataset_rows,
 )
-from .annealing import SimulatedAnnealingTuner
 from .bo_gp import BayesianGpTuner, expected_improvement
 from .bo_tpe import BayesianTpeTuner
 from .genetic import GeneticAlgorithmTuner
-from .pso import ParticleSwarmTuner
 from .random_forest import RandomForestTuner
 from .random_search import RandomSearchTuner
 from .registry import (
-    EXTENSION_ALGORITHM_NAMES,
     PAPER_ALGORITHM_NAMES,
     TUNER_FACTORIES,
     make_tuner,
@@ -32,9 +29,6 @@ from .registry import (
 )
 
 __all__ = [
-    "SimulatedAnnealingTuner",
-    "ParticleSwarmTuner",
-    "EXTENSION_ALGORITHM_NAMES",
     "Objective",
     "BudgetExhausted",
     "Tuner",

@@ -139,9 +139,7 @@ class Objective:
         self.metrics = metrics
         self.cell = cell
         self.index_base = int(index_base)
-        #: Best-so-far runtime after each evaluation (the convergence
-        #: curve); always maintained — it is derived state, not overhead.
-        self.best_curve: List[float] = []
+        #: Best runtime so far; traced runs flag improvements against it.
         self._best_ms = float(initial_best_ms)
         #: ``metrics`` instruments by name, looked up on first use.
         self._instruments: Dict[str, Any] = {}
@@ -212,7 +210,7 @@ class Objective:
         against the budget).
 
         Bit-identical to calling :meth:`evaluate_flat` once per element
-        in order: history, convergence curve, trace-event stream,
+        in order: history, trace-event stream,
         metric counts and RNG consumption all match — the ``measure_flats``
         backing draws noise per measurement, and recording happens per
         evaluation.  When the batch overruns the remaining budget, the
@@ -275,11 +273,9 @@ class Objective:
         tracing = self.tracer.enabled
         if self.metrics is None and not tracing:
             best = self._best_ms
-            curve = self.best_curve
             for runtime in runtimes:
                 if runtime < best:
                     best = runtime
-                curve.append(best)
             self._best_ms = best
             return runtimes
         n = len(runtimes)
@@ -305,7 +301,6 @@ class Objective:
             improved = runtime < self._best_ms
             if improved:
                 self._best_ms = runtime
-            self.best_curve.append(self._best_ms)
             if tracing:
                 index = self.index_base + start + offset
                 self.tracer.event(

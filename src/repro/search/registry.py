@@ -1,28 +1,21 @@
-"""Registry of search algorithms.
-
-The paper's five (``PAPER_ALGORITHM_NAMES``) plus the extension
-metaheuristics from its related work (Simulated Annealing and Particle
-Swarm Optimization, ``EXTENSION_ALGORITHM_NAMES``) — any of which can be
-dropped into a study.
+"""Registry of search algorithms: exactly the paper's five
+(``PAPER_ALGORITHM_NAMES``), constructed by name for a study's cells.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from .annealing import SimulatedAnnealingTuner
 from .base import Tuner
 from .bo_gp import BayesianGpTuner
 from .bo_tpe import BayesianTpeTuner
 from .genetic import GeneticAlgorithmTuner
-from .pso import ParticleSwarmTuner
 from .random_forest import RandomForestTuner
 from .random_search import RandomSearchTuner
 
 __all__ = [
     "TUNER_FACTORIES",
     "PAPER_ALGORITHM_NAMES",
-    "EXTENSION_ALGORITHM_NAMES",
     "make_tuner",
     "paper_tuners",
 ]
@@ -33,8 +26,6 @@ TUNER_FACTORIES: Dict[str, Callable[[], Tuner]] = {
     GeneticAlgorithmTuner.name: GeneticAlgorithmTuner,
     BayesianGpTuner.name: BayesianGpTuner,
     BayesianTpeTuner.name: BayesianTpeTuner,
-    SimulatedAnnealingTuner.name: SimulatedAnnealingTuner,
-    ParticleSwarmTuner.name: ParticleSwarmTuner,
 }
 
 #: Algorithm order used in the paper's figures.
@@ -45,9 +36,6 @@ PAPER_ALGORITHM_NAMES = (
     "bo_gp",
     "bo_tpe",
 )
-
-#: Extension metaheuristics (Sections IV-D/VIII), not in the paper's study.
-EXTENSION_ALGORITHM_NAMES = ("simulated_annealing", "particle_swarm")
 
 
 def make_tuner(name: str, **kwargs) -> Tuner:

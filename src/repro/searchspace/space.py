@@ -160,10 +160,6 @@ class SearchSpace:
         except KeyError:
             raise KeyError(f"no parameter named {name!r} in this space") from None
 
-    def cardinalities(self) -> np.ndarray:
-        """Per-parameter cardinality array (copy)."""
-        return self._cardinalities.copy()
-
     def places(self) -> List[int]:
         """Per-parameter mixed-radix place values as plain ints: an index
         row's flat index is ``sum(i * place)``."""

@@ -14,7 +14,7 @@ an explicit generator (or an int seed) to thread your own stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 

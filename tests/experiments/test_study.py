@@ -35,8 +35,8 @@ class TestConfig:
             tiny_config(archs=("rtx_9090",)).validate()
 
     def test_validate_bad_algorithm(self):
-        with pytest.raises(KeyError):
-            tiny_config(algorithms=("annealing",)).validate()
+        with pytest.raises(KeyError, match="unknown tuner"):
+            tiny_config(algorithms=("simulated_annealing",)).validate()
 
     def test_validate_empty(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ def evaluate(task):  # module-level: pickles by qualified name
     return task + 1
 
 
-def run_ok(pool, tasks):
+def run_ok(pool: ParallelMap, tasks):
     return pool.run(evaluate, tasks)
 
 

@@ -2,7 +2,7 @@
 from repro.parallel import ParallelMap
 
 
-def run_lambda(pool, tasks):
+def run_lambda(pool: ParallelMap, tasks):
     return pool.run(lambda t: t + 1, tasks)  # finding: lambda
 
 

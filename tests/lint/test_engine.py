@@ -14,10 +14,10 @@ from repro.lint.registry import rule_catalog
 
 
 class TestRegistry:
-    def test_eight_rules_registered(self):
+    def test_nine_rules_registered(self):
         ids = [cls.rule_id for cls in get_rules()]
         assert ids == sorted(ids)
-        assert ids == [f"REP00{i}" for i in range(1, 9)]
+        assert ids == [f"REP00{i}" for i in range(1, 10)]
 
     def test_every_rule_has_summary_and_interests(self):
         for cls in get_rules():

@@ -19,6 +19,7 @@ RULE_CASES = [
     ("rep006", "REP006", 5),
     ("rep007", "REP007", 4),
     ("rep008", "REP008", 3),
+    ("rep009", "REP009", 6),
 ]
 
 
@@ -65,6 +66,13 @@ class TestRuleScoping:
 
     def test_rep003_exempt_in_io_module(self):
         findings = lint_fixture("rep003_tp", path="src/repro/io.py")
+        assert findings == []
+
+    def test_rep009_exempt_in_package_init(self):
+        # A package __init__ imports names in order to re-export them.
+        findings = lint_fixture(
+            "rep009_tp", path="src/repro/search/__init__.py"
+        )
         assert findings == []
 
     def test_findings_carry_code_and_location(self):

@@ -18,6 +18,7 @@ FIXTURE_PATHS = {
     "rep006": "src/repro/experiments/fixture.py",
     "rep007": "src/repro/experiments/fixture.py",
     "rep008": "src/repro/parallel/fixture.py",
+    "rep009": "src/repro/reporting/fixture.py",
 }
 
 

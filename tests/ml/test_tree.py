@@ -85,7 +85,15 @@ class TestLearning:
         y = rng.standard_normal(300)
         t = DecisionTreeRegressor(min_samples_leaf=25).fit(X, y)
         nodes = t._nodes
-        leaf_sizes = nodes.n_samples[nodes.feature == -1]
+        reached = []  # the leaf each training row descends to
+        for row in X:
+            node = 0
+            while nodes.feature[node] != -1:
+                f = nodes.feature[node]
+                node = nodes.left[node] + (not row[f] <= nodes.threshold[node])
+            reached.append(node)
+        counts = np.bincount(reached, minlength=nodes.feature.size)
+        leaf_sizes = counts[nodes.feature == -1]
         assert leaf_sizes.min() >= 25
         assert leaf_sizes.sum() == 300
 

@@ -37,15 +37,15 @@ def _run(tuner_name, budget, seed, tracer=None, metrics=None, cell=""):
     tuner = make_tuner(tuner_name)
     result = tuner.run(objective, rng)
     # The post-run stream exposes any hidden RNG consumption.
-    return result, rng.random(8).tolist(), objective.best_curve
+    return result, rng.random(8).tolist(), objective.runtimes
 
 
 @pytest.mark.parametrize("name", LIVE_TUNERS)
 def test_observed_run_is_bit_identical(name, tmp_path):
-    bare_result, bare_stream, bare_curve = _run(name, budget=20, seed=3)
+    bare_result, bare_stream, bare_runtimes = _run(name, budget=20, seed=3)
     tracer = JsonlTracer(tmp_path / "trace.jsonl")
     registry = MetricsRegistry()
-    obs_result, obs_stream, obs_curve = _run(
+    obs_result, obs_stream, obs_runtimes = _run(
         name, budget=20, seed=3, tracer=tracer, metrics=registry,
         cell=f"{name}/add/titan_v/20/0",
     )
@@ -57,7 +57,7 @@ def test_observed_run_is_bit_identical(name, tmp_path):
     assert obs_result.history_runtimes == bare_result.history_runtimes
     assert obs_result.samples_used == bare_result.samples_used
     assert obs_stream == bare_stream
-    assert obs_curve == bare_curve
+    assert obs_runtimes == bare_runtimes
 
     # And the observed run actually observed something.
     events = [

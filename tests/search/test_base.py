@@ -234,7 +234,7 @@ class TestFlatHistory:
             {"x": 1, "y": 4}, space2.flat_to_config(6),
             *(space2.flat_to_config(f) for f in (9, 12, 14)),
         ]
-        assert len(obj.best_curve) == obj.evaluations == 5
+        assert len(obj.runtimes) == obj.evaluations == 5
 
     def test_out_of_range_flat_rejected_before_measuring(self, space2):
         measured = []

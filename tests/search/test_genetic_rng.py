@@ -238,7 +238,8 @@ def test_population_draw_matches_per_individual_draws(feasible_only, n):
         assert [tuple(r) for r in rows.tolist()] == expected
         assert one.bit_generator.state == ref.bit_generator.state
         plain = np.random.default_rng(seed).integers(
-            0, space.cardinalities(), size=(n, space.dimensions)
+            0, [p.cardinality for p in space.parameters],
+            size=(n, space.dimensions),
         )
         rejected += [tuple(r) for r in plain.tolist()] != expected
     # Constrained draws really went through rejection rounds.

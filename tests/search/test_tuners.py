@@ -10,6 +10,7 @@ from repro.search import (
     GeneticAlgorithmTuner,
     RandomForestTuner,
     RandomSearchTuner,
+    TUNER_FACTORIES,
     make_tuner,
     paper_tuners,
 )
@@ -32,6 +33,13 @@ class TestRegistry:
             "bo_gp": "BO GP",
             "bo_tpe": "BO TPE",
         }
+
+    def test_registry_is_exactly_the_paper_five(self):
+        """No tuner outside the paper's comparison is registered, so a
+        name such as simulated annealing is unknown."""
+        assert set(TUNER_FACTORIES) == set(PAPER_ALGORITHM_NAMES)
+        with pytest.raises(KeyError, match="unknown tuner"):
+            make_tuner("simulated_annealing")
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

@@ -99,8 +99,7 @@ class TestSamplerUniformity:
 
 
 class TestBudgetProperty:
-    @given(st.sampled_from(["genetic_algorithm", "bo_tpe",
-                            "simulated_annealing", "particle_swarm"]),
+    @given(st.sampled_from(["genetic_algorithm", "bo_gp", "bo_tpe"]),
            st.integers(21, 60))
     @settings(max_examples=10, deadline=None)
     def test_any_budget_exactly_consumed(self, alg, budget):
