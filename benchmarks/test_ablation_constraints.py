@@ -10,7 +10,6 @@ paper's implementation lacked and measures what it was worth.
 import numpy as np
 
 from repro.experiments import ExperimentDesign, StudyConfig
-from repro.reporting import render_heatmap, figure2
 
 from .conftest import cached_study
 

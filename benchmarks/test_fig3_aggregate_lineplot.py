@@ -7,8 +7,6 @@ and BO GP's curve flattens somewhere past S = 100 (the paper's
 "overfitting" observation, E7).
 """
 
-import numpy as np
-
 from repro.reporting import figure3, render_lineplot
 
 

@@ -19,8 +19,6 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.experiments import ExperimentDesign, StudyConfig, run_study
 from repro.experiments.optimum import clear_optimum_cache
 from repro.gpu.landscape import clear_landscape_memo

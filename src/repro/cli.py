@@ -13,13 +13,16 @@ Figures and data artifacts go to **stdout** (pipeable); progress,
 warnings, and bookkeeping lines go to **stderr** (``--quiet`` silences
 them).  ``--trace-dir`` records search-trajectory JSONL (readable with
 ``python -m repro.obs.read``), ``--metrics-out`` exports the study's
-metrics registry, and ``--convergence`` prints best-so-far plots.
+counters, ``--run-ledger`` records a provenance manifest, and
+``--convergence`` prints best-so-far plots.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -29,7 +32,8 @@ from .experiments import (
     run_study,
 )
 from .io import atomic_write_text
-from .obs import MetricsRegistry
+from .obs import to_prometheus
+from .obs.runs import build_manifest, record_run
 from .parallel import EXECUTOR_NAMES, TaskError
 from .gpu.arch import PAPER_ARCHITECTURES
 from .kernels import PAPER_KERNEL_NAMES
@@ -190,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics-out", metavar="PATH",
-        help="export the study's metrics registry to PATH — Prometheus "
-             "text format, or JSON when PATH ends in .json",
+        help="export the study's counters to PATH — Prometheus text "
+             "format, or JSON when PATH ends in .json",
     )
     parser.add_argument(
         "--convergence", action="store_true",
@@ -210,8 +214,6 @@ def _write_profile(args, results, status) -> None:
     """``--profile`` / ``--profile-out``: one span attribution, built from
     the trace dir's spans when the study was traced and from the study's
     own spans (``metadata["spans"]``) otherwise."""
-    import json
-
     from .obs import build_span_forest, render_attribution, span_attribution
     from .obs.read import iter_trace_events
     from .reporting import flame_svg
@@ -280,7 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers=args.workers,
     )
     status(f"design: {design.describe()}")
-    registry = MetricsRegistry()
     try:
         results = run_study(
             config,
@@ -289,11 +290,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             failure_policy=args.failure_policy,
             retries=args.retries,
             trace_dir=args.trace_dir,
-            metrics=registry,
             landscape_cache=args.landscape_cache,
             trace_level=args.trace_level,
-            run_ledger=args.run_ledger,
-            run_argv=list(argv) if argv is not None else sys.argv[1:],
             executor=args.executor,
             executor_bind=args.bind,
             min_workers=args.min_workers,
@@ -331,16 +329,36 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
 
+    if args.run_ledger:
+        manifest = build_manifest(
+            config,
+            results,
+            argv=list(argv) if argv is not None else sys.argv[1:],
+            # The single wall-clock read: when the run really happened.
+            created=time.time(),
+        )
+        path = record_run(args.run_ledger, manifest)
+        results.metadata["run_id"] = manifest["run_id"]
+        results.metadata["run_manifest"] = str(path)
+        status(
+            f"run {manifest['run_id']} recorded in {args.run_ledger} "
+            f"(compare with `repro-runs diff {args.run_ledger} <old> "
+            f"{manifest['run_id']}`)"
+        )
+
     if args.save:
         results.save(args.save)
         status(f"saved {len(results)} results to {args.save}")
 
     if args.metrics_out:
         out = Path(args.metrics_out)
-        if out.suffix == ".json":
-            atomic_write_text(out, registry.to_json_text())
-        else:
-            atomic_write_text(out, registry.to_prometheus())
+        doc = results.metadata["metrics"]
+        atomic_write_text(
+            out,
+            json.dumps(doc, indent=2, sort_keys=True)
+            if out.suffix == ".json"
+            else to_prometheus(doc),
+        )
         status(f"wrote metrics to {out}")
     if results.metadata.get("landscape_cache"):
         status(f"landscape tables in {results.metadata['landscape_cache']}")
@@ -358,12 +376,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.profile or args.profile_out:
         _write_profile(args, results, status)
-    if results.metadata.get("run_id"):
-        status(
-            f"run {results.metadata['run_id']} recorded in "
-            f"{args.run_ledger} (compare with `repro-runs diff "
-            f"{args.run_ledger} <old> {results.metadata['run_id']}`)"
-        )
 
     if not args.no_figures:
         for panel in figure2(results).panels.values():

@@ -52,9 +52,10 @@ class ExperimentResult:
     #: launch).  Empty for results recorded before this field existed.
     convergence: List[float] = field(default_factory=list)
     #: Per-cell observability counters (``evaluations_total``,
-    #: ``launch_failures_total``, timing histogram sums/counts, ...)
-    #: merged into the study-level registry — this is how worker-process
-    #: metrics cross the pool boundary and survive checkpoint resume.
+    #: ``launch_failures_total``, the ``*_seconds_sum`` /
+    #: ``*_seconds_count`` timing pairs, ...) merged into the
+    #: study-level registry — this is how worker-process metrics cross
+    #: the pool boundary and survive checkpoint resume.
     #: Excluded from equality: timing sums are wall-clock measurements,
     #: and observability metadata must not affect result identity (the
     #: checkpoint-resume bit-identical contract).

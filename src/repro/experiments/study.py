@@ -21,7 +21,6 @@ architecture lists.
 
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import (
@@ -473,17 +472,23 @@ def run_study(
     failure_policy: str = "fail_fast",
     retries: int = 0,
     trace_dir: Optional[object] = None,
-    metrics: Optional[MetricsRegistry] = None,
     landscape_cache: Optional[object] = None,
     trace_level: str = "full",
-    run_ledger: Optional[object] = None,
-    run_argv: Optional[List[str]] = None,
     executor: Optional[str] = None,
     executor_bind: Optional[str] = None,
     min_workers: int = 0,
     result_store: Optional[object] = None,
 ) -> StudyResults:
     """Run the full study described by ``config``.
+
+    Study-wide counters (``evaluations_total``, ``launch_failures_total``,
+    the ``*_seconds_sum`` / ``*_seconds_count`` timing pairs, pool
+    ``task_retries_total``, simulator and store counters) land in
+    ``StudyResults.metadata["metrics"]``, counters only;
+    :func:`repro.obs.to_prometheus` renders them.  Recording the run in a
+    ledger is the caller's step (:func:`repro.obs.runs.build_manifest`
+    and :func:`~repro.obs.runs.record_run`, as ``repro-study
+    --run-ledger`` does).
 
     Parameters
     ----------
@@ -516,12 +521,6 @@ def run_study(
         ``incumbent_update``, ``model_fit``, ...) to its own
         ``trace-<pid>.jsonl`` inside it.  ``None`` (default) disables
         tracing with negligible overhead and bit-identical results.
-    metrics:
-        A :class:`~repro.obs.MetricsRegistry` to aggregate study-wide
-        counters into (``evaluations_total``, ``launch_failures_total``,
-        timing histogram sums, pool ``task_retries_total``, simulator
-        counters).  A private registry is used when ``None``; either way
-        the aggregate lands in ``StudyResults.metadata["metrics"]``.
     landscape_cache:
         Directory for memory-mapped landscape tables.  When set (or when
         ``REPRO_LANDSCAPE_CACHE`` is in the environment), each
@@ -541,16 +540,6 @@ def run_study(
         either way: their docs land in
         ``StudyResults.metadata["spans"]`` and time the telemetry's
         phases.  Never affects results.
-    run_ledger:
-        Directory of the content-addressed run ledger.  When set, the
-        finished study writes a provenance manifest (config,
-        fingerprints, git rev, environment, telemetry, metrics,
-        headline numbers) into it — see :mod:`repro.obs.runs` and the
-        ``repro-runs`` CLI.  The manifest's ``run_id`` is recorded in
-        ``StudyResults.metadata["run_id"]``.  Never affects results.
-    run_argv:
-        The CLI argv to record in the run manifest (``None`` for
-        programmatic invocations).
     executor:
         Transport backend for the experiments phase: ``"serial"``,
         ``"process"``, or ``"socket"`` (see
@@ -581,7 +570,7 @@ def run_study(
         back, and a fully-warm study also skips dataset collection.  A
         cold (or absent) store changes nothing: results and checkpoint
         bytes are identical with the store on or off.  Hits/misses/
-        writes are counted in the study metrics registry, and the hit
+        writes are counted in ``metadata["metrics"]``, and the hit
         count lands in ``StudyResults.metadata["store_hits"]``.
     """
     config.validate()
@@ -595,7 +584,7 @@ def run_study(
         )
     emit = print if progress is True else (progress or None)
     telemetry = StudyTelemetry(emit=emit if callable(emit) else None)
-    registry = metrics if metrics is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     # Dataset collection and optimum scans run in *this* process and hit
     # the process-global simulator counters; snapshot them so the delta
     # can be folded into the study registry at the end.
@@ -796,27 +785,4 @@ def run_study(
         "result_store": store_dir,
         "store_hits": answered,
     }
-    study_results = StudyResults(
-        results=results, optima=optima, metadata=metadata
-    )
-    if run_ledger is not None:
-        from ..obs.runs import build_manifest, record_run
-
-        # The single true wall-clock boundary: the ledger records when
-        # the run really happened; everything downstream of this value
-        # is deterministic in it.
-        created = time.time()  # repro: noqa[REP002] run provenance needs real wall-clock time; build_manifest is deterministic in the threaded value
-        manifest = build_manifest(
-            config,
-            study_results,
-            argv=run_argv,
-            created=created,
-        )
-        manifest_path = record_run(run_ledger, manifest)
-        # StudyResults copies the metadata dict, so annotate its copy.
-        study_results.metadata["run_id"] = manifest["run_id"]
-        study_results.metadata["run_manifest"] = str(manifest_path)
-        telemetry.line(
-            f"run {manifest['run_id']} recorded in {run_ledger}"
-        )
-    return study_results
+    return StudyResults(results=results, optima=optima, metadata=metadata)

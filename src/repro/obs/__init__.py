@@ -8,8 +8,9 @@ package makes that trajectory first-class:
 * :mod:`repro.obs.trace` — structured event tracing to append-only
   JSONL, with a no-op implementation whose disabled-path overhead is a
   single attribute check;
-* :mod:`repro.obs.metrics` — a process-local metrics registry (counters,
-  gauges, histograms) exportable as JSON and Prometheus text format;
+* :mod:`repro.obs.metrics` — a process-local registry of unlabeled
+  counters (timings are ``*_seconds_sum`` / ``*_seconds_count`` pairs),
+  exportable as JSON and Prometheus text format;
 * :mod:`repro.obs.schema` — the trace event schema and its validator;
 * :mod:`repro.obs.read` — ``python -m repro.obs.read`` for summarizing,
   validating, and live-tailing (``--follow``) trace files;
@@ -34,11 +35,10 @@ import importlib
 
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     global_registry,
     reset_global_registry,
+    to_prometheus,
 )
 from .schema import (
     TRACE_SCHEMA_VERSION,
@@ -72,10 +72,9 @@ __all__ = [
     "tracer_for_dir",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
-    "Histogram",
     "global_registry",
     "reset_global_registry",
+    "to_prometheus",
     "TRACE_SCHEMA_VERSION",
     "validate_event",
     "validate_trace_lines",

@@ -2,9 +2,9 @@
 
 Long-lived autotuning studies need answers to "what exactly ran, and did
 it get slower?" — per-run provenance is infrastructure, not an
-afterthought.  Every ``run_study(..., run_ledger=DIR)`` / ``repro-study
---run-ledger DIR`` invocation drops one *manifest* into the ledger
-directory:
+afterthought.  Every ``repro-study --run-ledger DIR`` invocation (or
+any caller of :func:`build_manifest` and :func:`record_run` on a
+``run_study`` result) drops one *manifest* into the ledger directory:
 
 * identity — ``run_id`` (first 12 hex chars of the SHA-256 of the
   manifest's canonical JSON, i.e. content-addressed: identical runs
@@ -17,8 +17,9 @@ directory:
   landscape in the run, which pins kernel profile + architecture +
   search space + simulator version;
 * outcome — the telemetry snapshot (phase wall times, throughput,
-  failure counts), merged flat metrics, and BENCH-style headline
-  numbers (wall seconds, evaluations, failed cells).
+  failure counts), the study's counters (``metadata["metrics"]``,
+  counters only), and BENCH-style headline numbers (wall seconds,
+  evaluations, failed cells).
 
 ``repro-runs`` (installed CLI) reads the ledger back::
 
@@ -108,7 +109,7 @@ def build_manifest(
     ``results`` the returned
     :class:`~repro.experiments.results.StudyResults`.  ``created`` is
     the creation timestamp (seconds since the epoch), threaded in
-    explicitly from the single wall-clock boundary in ``run_study`` so
+    explicitly from the caller's single wall-clock read so
     manifest construction itself is deterministic and ledger tests can
     pin it.
     """
@@ -130,15 +131,6 @@ def build_manifest(
             )
 
     telemetry = dict(meta.get("telemetry") or {})
-    metrics = dict(meta.get("metrics") or {})
-    flat = {
-        name: value
-        for name, value in (
-            (metrics.get("counters") or {}).items()
-            if isinstance(metrics.get("counters"), dict)
-            else []
-        )
-    }
     headline = {
         "wall_seconds": telemetry.get("elapsed_seconds"),
         "experiments_total": meta.get("total_experiments"),
@@ -180,7 +172,7 @@ def build_manifest(
             },
         },
         "telemetry": telemetry,
-        "metrics": metrics if flat or metrics else {},
+        "metrics": dict(meta.get("metrics") or {}),
         "headline": headline,
     }
     manifest["run_id"] = manifest_id(manifest)

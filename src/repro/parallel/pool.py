@@ -350,7 +350,7 @@ class ParallelMap:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         pool-level instrumentation, recorded parent-side as outcomes
         arrive: ``pool_tasks_total``, ``pool_task_failures_total``,
-        ``task_retries_total`` counters and the ``pool_workers`` gauge.
+        and ``task_retries_total`` counters.
     span_context:
         Optional :class:`repro.obs.spans.SpanContext` parent handle.
         When set, every worker-side batch execution is wrapped in
@@ -581,14 +581,6 @@ class ParallelMap:
         executor, owned = self._resolve_executor(len(tasks))
         try:
             if self.metrics is not None:
-                self.metrics.gauge(
-                    "pool_workers",
-                    help="Worker processes of the last pool run.",
-                ).set(
-                    executor.parallelism()
-                    if self.executor is not None
-                    else self.workers
-                )
                 on_outcome = self._metered(on_outcome)
 
             costs = [cost(t) for t in tasks] if cost else [1] * len(tasks)

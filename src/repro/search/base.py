@@ -26,11 +26,11 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer
+from ..obs import NULL_TRACER, Counter, MetricsRegistry, Tracer
 from ..searchspace import SearchSpace
 
 __all__ = [
@@ -91,7 +91,8 @@ class Objective:
         overhead, and no effect on results or RNG streams).
     metrics:
         Optional registry accumulating ``evaluations_total``,
-        ``launch_failures_total`` and the ``evaluate_seconds`` histogram.
+        ``launch_failures_total`` and the ``evaluate_seconds_sum`` /
+        ``evaluate_seconds_count`` timing counters.
     cell:
         Cell key stamped onto every trace event.
     index_base:
@@ -142,7 +143,7 @@ class Objective:
         #: Best runtime so far; traced runs flag improvements against it.
         self._best_ms = float(initial_best_ms)
         #: ``metrics`` instruments by name, looked up on first use.
-        self._instruments: Dict[str, Any] = {}
+        self._instruments: Dict[str, Counter] = {}
 
     @property
     def evaluations(self) -> int:
@@ -239,14 +240,12 @@ class Objective:
             raise self._exhausted()
         return out
 
-    def _instrument(self, kind: str, name: str) -> Any:
-        """The ``metrics`` counter or histogram ``name``, registered on
-        the first call and cached on the objective after it (a registry
-        lookup builds a label key every time)."""
+    def _instrument(self, name: str) -> Counter:
+        """The ``metrics`` counter ``name``, registered on the first call
+        and cached on the objective after it."""
         handle = self._instruments.get(name)
         if handle is None:
-            handle = getattr(self.metrics, kind)(name)
-            self._instruments[name] = handle
+            handle = self._instruments[name] = self.metrics.counter(name)
         return handle
 
     def _record(
@@ -261,7 +260,7 @@ class Objective:
 
         One wall-clock reading covers the batch.  The metrics advance by
         the batch size at once, with the mean duration as each
-        evaluation's ``evaluate_seconds`` share; instruments are
+        evaluation's ``evaluate_seconds`` share; counters are
         registered in the order one-at-a-time recording first uses them
         (``flat_counters`` follows registration order, and checkpoint
         bytes follow it).  Trace events stay per evaluation, carrying
@@ -282,17 +281,16 @@ class Objective:
         per_eval = (time.perf_counter() - t0) / n
         if self.metrics is not None:
             instrument = self._instrument
-            instrument("counter", "evaluations_total").inc(n)
+            instrument("evaluations_total").inc(n)
             failures = n - sum(map(math.isfinite, runtimes))
             if failures and not math.isfinite(runtimes[0]):
                 # A failing first evaluation registers the failure
-                # counter before the histogram, as it would alone.
-                instrument("counter", "launch_failures_total")
-            instrument("histogram", "evaluate_seconds").observe(
-                per_eval, count=n
-            )
+                # counter before the timing pair, as it would alone.
+                instrument("launch_failures_total")
+            instrument("evaluate_seconds_sum").inc(per_eval * n)
+            instrument("evaluate_seconds_count").inc(n)
             if failures:
-                instrument("counter", "launch_failures_total").inc(failures)
+                instrument("launch_failures_total").inc(failures)
         if tracing and configs is None:
             configs = self.space.flats_to_configs(
                 np.asarray(flats, dtype=np.int64)
@@ -324,8 +322,9 @@ class Objective:
 
     def span(self, kind: str, **fields):
         """Instrumentation span: traces ``kind`` and times it into the
-        ``<kind>_seconds`` histogram.  Tuners wrap model fits and
-        candidate proposals in this — a no-op when observability is off.
+        ``<kind>_seconds_sum`` / ``<kind>_seconds_count`` counters.
+        Tuners wrap model fits and candidate proposals in this — a no-op
+        when observability is off.
         """
         if self.metrics is not None or self.tracer.enabled:
             return _InstrumentedSpan(self, kind, fields)
@@ -351,7 +350,8 @@ _NO_SPAN = contextlib.nullcontext()
 
 
 class _InstrumentedSpan:
-    """Times a block into ``<kind>_seconds`` and emits a trace event."""
+    """Times a block into ``<kind>_seconds_sum`` / ``_count`` and emits
+    a trace event."""
 
     __slots__ = ("_objective", "_kind", "_fields", "_t0")
 
@@ -368,7 +368,8 @@ class _InstrumentedSpan:
         duration = time.perf_counter() - self._t0
         obj = self._objective
         if obj.metrics is not None:
-            obj.metrics.histogram(f"{self._kind}_seconds").observe(duration)
+            obj._instrument(f"{self._kind}_seconds_sum").inc(duration)
+            obj._instrument(f"{self._kind}_seconds_count").inc()
         if obj.tracer.enabled:
             obj.tracer.event(
                 self._kind,

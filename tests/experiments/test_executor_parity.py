@@ -12,8 +12,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.experiments import (
     ExperimentDesign,
@@ -86,8 +84,6 @@ def run_with_executor(executor, tmp_path, name, **study_kwargs):
     kwargs.update(study_kwargs)
     if executor == "socket":
         lines = []
-        from repro.parallel.executors import SocketExecutor
-
         # Drive the study's own socket path by pre-announcing the bind:
         # an ephemeral port is only known after bind, so the test runs
         # the coordinator through run_study and attaches workers via

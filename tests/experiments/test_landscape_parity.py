@@ -14,7 +14,6 @@ constant for the byte-level comparison; the study runs serial
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.experiments import ExperimentDesign, StudyConfig, run_study

@@ -84,9 +84,14 @@ class TestStudyMetricsMerge:
                 run_experiment, _tasks(config, tmp_path)
             )
         )
-        study = MetricsRegistry()
-        run_study(config, metrics=study, landscape_cache=tmp_path / "cache")
-        counters = _counts(study.flat_counters())
+        doc = run_study(
+            config, landscape_cache=tmp_path / "cache"
+        ).metadata["metrics"]
+        counters = _counts({
+            name: family["series"][0]["value"]
+            for name, family in doc.items()
+            if family["series"][0]["value"]
+        })
         # The study adds only its own pool bookkeeping on top of the
         # cells' counters.
         assert counters.pop("pool_tasks_total") == 6

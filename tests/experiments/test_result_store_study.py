@@ -19,7 +19,6 @@ from repro.experiments import (
 )
 from repro.experiments.optimum import clear_optimum_cache
 from repro.gpu.landscape import clear_landscape_memo
-from repro.obs import MetricsRegistry
 from repro.store import STORE_ENV, ResultStore
 
 
@@ -87,15 +86,14 @@ class TestWarmStore:
         store = tmp_path / "store"
         cold, _ = run(tmp_path, "cold", result_store=store)
         lines = []
-        registry = MetricsRegistry()
-        warm, _ = run(
-            tmp_path, "warm", lines=lines,
-            result_store=store, metrics=registry,
-        )
+        warm, _ = run(tmp_path, "warm", lines=lines, result_store=store)
         assert result_key(warm) == result_key(cold)
         total = warm.metadata["total_experiments"]
         assert warm.metadata["store_hits"] == total
-        flat = registry.flat_counters()
+        flat = {
+            name: family["series"][0]["value"]
+            for name, family in warm.metadata["metrics"].items()
+        }
         assert flat.get("result_store_hits_total", 0) >= total
         # The simulator never ran: landscapes came from cache, dataset
         # collection was skipped, every cell was a lookup.

@@ -7,7 +7,6 @@ from repro.experiments import ExperimentTask, run_experiment
 from repro.experiments.dataset import collect_dataset
 from repro.gpu import TITAN_V, SimulatedDevice
 from repro.kernels import get_kernel
-from repro.parallel import RngFactory
 
 
 def make_task(algorithm="genetic_algorithm", sample_size=25, **kwargs):
@@ -130,3 +129,40 @@ class TestSeeding:
         a = run_experiment(make_task(root_seed=1))
         b = run_experiment(make_task(root_seed=2))
         assert a.final_runtime_ms != b.final_runtime_ms
+
+
+class TestSurrogateMetricOrder:
+    """A cell's counters follow registration order, and checkpoint bytes
+    follow that order.  The surrogate tuners register the
+    ``model_fit_seconds`` / ``propose_seconds`` timing pairs from their
+    spans, between the evaluation counters and the final-repeat ones."""
+
+    ORDER = {
+        "bo_gp": (
+            "evaluations_total",
+            "evaluate_seconds_sum", "evaluate_seconds_count",
+            "model_fit_seconds_sum", "model_fit_seconds_count",
+            "propose_seconds_sum", "propose_seconds_count",
+            "launch_failures_total",
+            "device_launches_total", "final_repeats_total",
+        ),
+        "bo_tpe": (
+            "evaluations_total",
+            "evaluate_seconds_sum", "evaluate_seconds_count",
+            "launch_failures_total",
+            "model_fit_seconds_sum", "model_fit_seconds_count",
+            "device_launches_total", "final_repeats_total",
+        ),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(ORDER))
+    def test_metric_keys_in_registration_order(self, algorithm, tmp_path):
+        result = run_experiment(
+            make_task(
+                algorithm=algorithm,
+                image_x=512,
+                image_y=512,
+                landscape_cache=str(tmp_path / "cache"),
+            )
+        )
+        assert tuple(result.metrics) == self.ORDER[algorithm]

@@ -26,6 +26,14 @@ def tiny_config(**kwargs):
     return StudyConfig(**defaults)
 
 
+def _counters(results):
+    """The study's counters by name, from ``metadata["metrics"]``."""
+    return {
+        name: family["series"][0]["value"]
+        for name, family in results.metadata["metrics"].items()
+    }
+
+
 class TestConfig:
     def test_validate_ok(self):
         tiny_config().validate()
@@ -137,13 +145,11 @@ class TestStudyObservability:
             assert r.metrics["evaluations_total"] == float(r.samples_used)
 
     def test_evaluations_total_is_samples_times_experiments(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        run_study(tiny_config(), compute_optima=False, metrics=registry)
+        results = run_study(tiny_config(), compute_optima=False)
+        counters = _counters(results)
         # 25 samples x 2 experiments x 2 algorithms.
-        assert registry.counter("evaluations_total").value == 100.0
-        assert registry.counter("simulator_evals_total").value > 0
+        assert counters["evaluations_total"] == 100.0
+        assert counters["simulator_evals_total"] > 0
 
     def test_metrics_in_metadata(self):
         import json
@@ -180,8 +186,6 @@ class TestStudyObservability:
         assert bare.results == traced.results
 
     def test_metrics_survive_checkpoint_resume(self, tmp_path, monkeypatch):
-        from repro.obs import MetricsRegistry
-
         ckpt = tmp_path / "study.jsonl"
         cfg = tiny_config()
         # First run: one cell fails, three complete and checkpoint.
@@ -195,9 +199,6 @@ class TestStudyObservability:
         monkeypatch.delenv("REPRO_FAIL_CELLS")
         # Resume: only the failed cell reruns, yet the aggregate counts
         # every cell (resumed metrics reload with their results).
-        registry = MetricsRegistry()
-        resumed = run_study(
-            cfg, compute_optima=False, checkpoint=ckpt, metrics=registry,
-        )
+        resumed = run_study(cfg, compute_optima=False, checkpoint=ckpt)
         assert len(resumed) == 4
-        assert registry.counter("evaluations_total").value == 100.0
+        assert _counters(resumed)["evaluations_total"] == 100.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.gpu import (
-    DEFAULT_NOISE,
     NOISELESS,
     TITAN_V,
     CONFIG_COLUMNS,

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.lint.cli import main
 
 SOURCE_BAD = (

@@ -91,6 +91,7 @@ class TestStudyLevelParity:
     def test_fully_observed_study_is_bit_identical(self, tmp_path):
         from repro.experiments import run_study
         from repro.experiments.optimum import clear_optimum_cache
+        from repro.obs.runs import build_manifest, list_runs, record_run
 
         cache = tmp_path / "cache"
         bare = run_study(self._config(), landscape_cache=cache)
@@ -100,16 +101,19 @@ class TestStudyLevelParity:
             landscape_cache=cache,
             trace_dir=tmp_path / "trace",
             trace_level="full",
-            run_ledger=tmp_path / "ledger",
-            metrics=MetricsRegistry(),
         )
+        manifest = build_manifest(self._config(), observed, created=1000.0)
+        record_run(tmp_path / "ledger", manifest)
         # ExperimentResult equality covers configs, runtimes, and
         # curves (the metrics payload is excluded by its dataclass
         # field, compare=False) — bit-identical modulo observability.
         assert observed.results == bare.results
         assert observed.optima == bare.optima
         # And the observability artifacts all materialized.
-        assert "run_id" in observed.metadata
+        assert [r["run_id"] for r in list_runs(tmp_path / "ledger")] == [
+            manifest["run_id"]
+        ]
+        assert observed.metadata["metrics"]["evaluations_total"]
         assert {d["name"] for d in observed.metadata["spans"]} == {
             "study", "phase",
         }

@@ -86,12 +86,15 @@ class TestManifest:
 
     def test_run_study_records_into_ledger(self, tmp_path):
         ledger = tmp_path / "ledger"
-        config, results = _study(tmp_path, run_ledger=ledger)
-        run_id = results.metadata["run_id"]
+        config, results = _study(tmp_path)
+        manifest = build_manifest(config, results, created=1000.0)
+        run_id = manifest["run_id"]
+        path = record_run(ledger, manifest)
         runs = list_runs(ledger)
         assert [r["run_id"] for r in runs] == [run_id]
         assert (ledger / f"{run_id}.json").exists()
-        assert results.metadata["run_manifest"].endswith(f"{run_id}.json")
+        assert str(path).endswith(f"{run_id}.json")
+        assert runs[0]["metrics"] == results.metadata["metrics"]
 
 
 class TestLedgerIO:
@@ -270,13 +273,18 @@ class TestDiffSchemaTolerance:
             image_y=512,
             workers=1,
         )
-        fresh = run_study(
-            config, landscape_cache=tmp_path / "cache", run_ledger=ledger
-        ).metadata["run_manifest"]
+        fresh = record_run(
+            ledger,
+            build_manifest(
+                config,
+                run_study(config, landscape_cache=tmp_path / "cache"),
+                created=1000.0,
+            ),
+        )
         baseline = load_run(ledger, str(BASELINE_MANIFEST))
         assert "adaptive" in baseline["config"]
         report = diff_runs(
-            baseline, load_run(ledger, fresh),
+            baseline, load_run(ledger, str(fresh)),
             wall_tolerance=4.0, min_seconds=10.0,
         )
         assert report["comparable"] is True

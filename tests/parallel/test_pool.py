@@ -7,7 +7,6 @@ import pytest
 from repro.parallel import (
     ParallelMap,
     TaskError,
-    TaskOutcome,
     TransientError,
     default_worker_count,
 )

@@ -1,7 +1,6 @@
 """Unit tests for table generators."""
 
 import numpy as np
-import pytest
 
 from repro.experiments import ExperimentDesign, ExperimentResult, StudyResults
 from repro.reporting import (

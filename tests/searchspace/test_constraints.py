@@ -1,6 +1,5 @@
 """Unit tests for constraint specifications."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

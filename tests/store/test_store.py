@@ -10,8 +10,6 @@ import multiprocessing
 import os
 import time
 
-import pytest
-
 from repro.experiments.results import ExperimentResult
 from repro.gpu.simulator import SIMULATOR_VERSION
 from repro.obs import MetricsRegistry

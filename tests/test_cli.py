@@ -1,6 +1,7 @@
 """Tests for the repro-study command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -230,6 +231,39 @@ class TestObservabilityFlags:
         doc = json.loads(out.read_text())
         series = doc["evaluations_total"]["series"]
         assert series[0]["value"] == 100.0
+
+    @pytest.mark.parametrize("suffix", [".prom", ".json"])
+    def test_metrics_out_and_ledger_render_saved_counters(
+        self, tmp_path, capsys, suffix
+    ):
+        from repro.experiments import StudyResults
+        from repro.obs.runs import main as runs_main
+
+        out = tmp_path / f"metrics{suffix}"
+        ledger = tmp_path / "ledger"
+        saved = tmp_path / "results.json"
+        rc = main(self.ARGS + [
+            "--metrics-out", str(out), "--run-ledger", str(ledger),
+            "--save", str(saved),
+        ])
+        assert rc == 0
+        run_id = re.search(
+            r"run ([0-9a-f]{12}) recorded in", capsys.readouterr().err
+        ).group(1)
+        results = StudyResults.load(saved)
+        assert results.metadata["run_id"] == run_id
+        assert results.metadata["run_manifest"].endswith(f"{run_id}.json")
+        doc = results.metadata["metrics"]
+        text = out.read_text()
+        if suffix == ".json":
+            assert text == json.dumps(doc, indent=2, sort_keys=True)
+        else:
+            types = [ln for ln in text.splitlines() if ln.startswith("# TYPE")]
+            assert len(types) == len(doc)
+            assert all(ln.endswith(" counter") for ln in types)
+            assert "\nevaluations_total 100\n" in text
+        assert runs_main(["list", str(ledger)]) == 0
+        assert run_id in capsys.readouterr().out
 
     def test_convergence_prints_plots(self, capsys):
         rc = main(self.ARGS + ["--convergence"])

@@ -6,7 +6,6 @@ of the experiment pipeline, and uniformity of the samplers.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
