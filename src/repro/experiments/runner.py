@@ -18,13 +18,19 @@ Replications of the same study cell (tasks identical except for their
 ``experiment`` index and dataset rows) additionally batch:
 :func:`run_experiment_batch` executes a whole replication group at once,
 sharing the kernel/space/landscape setup and the dataset decode across
-the group — and, for tuners implementing
-:meth:`~repro.search.Tuner.tune_batch` (Random Search), collapsing the
-entire group into vectorized array work.  Results are bit-identical to
-:func:`run_experiment` per task: every replication keeps its own
-``cell_key``-derived RNG streams, so nothing about grouping leaks into
-the numbers.  The study dispatches every replication group through it;
-:func:`run_experiment` is the pool's per-task retry and fallback path.
+the group.  For tuners implementing
+:meth:`~repro.search.Tuner.tune_batch` (Random Search) it collapses the
+entire group into vectorized array work, and resolves the group's
+chosen configurations for their final repeats in one pass.  For tuners
+whose search is a :data:`~repro.search.Stepper` (the GA) it steps the
+group's cells in lockstep: each round resolves every cell's next
+generation in one table gather or one simulator pass, and each cell
+then measures its own slice.  Other tuners run cell by cell.  Results
+are bit-identical to :func:`run_experiment` per task: every replication
+keeps its own ``cell_key``-derived RNG streams, so nothing about
+grouping leaks into the numbers.  The study dispatches every
+replication group through it; :func:`run_experiment`, a lockstep group
+of one, is the pool's per-task retry and fallback path.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..gpu.arch import get_architecture
-from ..gpu.device import SimulatedDevice
+from ..gpu.device import SimulatedDevice, resolve_together
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
 from ..kernels import get_kernel
 from ..obs import NULL_TRACER, MetricsRegistry, tracer_for_dir
@@ -50,6 +56,7 @@ from ..search import (
     Objective,
     best_so_far,
     make_tuner,
+    run_to_end,
     trace_dataset_rows,
 )
 from ..gpu.landscape import load_or_compute_landscape
@@ -167,6 +174,15 @@ def batch_group_key(task: ExperimentTask) -> tuple:
     )
 
 
+#: A replication group steps in lockstep in slices of at most
+#: ``LOCKSTEP_CELLS`` cells and ``LOCKSTEP_ROWS`` budget rows (cells
+#: times S), one pass per slice and round.  Each stepping cell holds its
+#: search state (population, cache, history, RNG streams) until it
+#: ends, so the two bound what lockstep adds to peak memory.
+LOCKSTEP_CELLS = 16
+LOCKSTEP_ROWS = 1600
+
+
 def _events_enabled(task: ExperimentTask) -> bool:
     return task.trace_dir is not None and task.trace_level == "full"
 
@@ -225,13 +241,27 @@ def _cell_span(
     )
 
 
-def _run_cell(
+def _run_cell(task: ExperimentTask, ctx: _CellContext) -> ExperimentResult:
+    """One experiment alone against a pre-built cell context: a lockstep
+    group of one, whose device resolves each request as it measures it.
+    """
+    return run_to_end(_cell_steps(task, ctx, _cell_device(task, ctx)))
+
+
+def _cell_steps(
     task: ExperimentTask,
     ctx: _CellContext,
+    device: SimulatedDevice,
     train_configs: Optional[List[dict]] = None,
     train_features: Optional[np.ndarray] = None,
-) -> ExperimentResult:
-    """One experiment against a pre-built cell context.
+) -> Generator[List[int], None, ExperimentResult]:
+    """One experiment as a generator that returns its result.
+
+    A stepping tuner's cell yields each request's affordable prefix
+    before measuring it on ``device`` (see
+    :func:`~repro.search.base.measure_steps`), so a lockstep driver can
+    resolve it together with sibling cells' requests; any other cell
+    runs to its end on the first ``next`` and yields nothing.
 
     ``train_configs``/``train_features`` optionally carry the decoded
     dataset slice when the caller (the batched engine) already decoded
@@ -241,7 +271,6 @@ def _run_cell(
     _injected_failure_check(task.cell_key)
     space = ctx.space
 
-    device = _cell_device(task, ctx)
     search_rng = RngFactory(task.root_seed).stream_for(
         task.cell_key + "/search"
     )
@@ -317,7 +346,7 @@ def _run_cell(
             cell=cell,
             measure_flats=device.measure_flats_each,
         )
-        result = tuner.run(objective, search_rng)
+        result = yield from tuner.run_steps(objective, search_rng)
 
     best_flat = space.config_to_flat(result.best_config)
     experiment = _finish_cell(
@@ -521,28 +550,71 @@ def _run_group_inner(
                     return vectorized
             shared = _decode_dataset_group(ctx.space, tasks, n_train)
 
-    # Generic path: per-cell execution against the shared context, with
-    # the whole group's dataset rows decoded in one vectorized pass.
-    spans_on = first.trace_dir is not None
+    # Lockstep path against the shared context, with the whole group's
+    # dataset rows decoded in one vectorized pass.  Trajectory events
+    # are written as they happen, so under full tracing each cell steps
+    # alone and the trace keeps per-task order.
+    cells = [
+        (task,) + shared.get(i, (None, None)) for i, task in enumerate(tasks)
+    ]
+    width = (
+        1
+        if _events_enabled(first)
+        else max(1, min(LOCKSTEP_CELLS, LOCKSTEP_ROWS // first.sample_size))
+    )
     out: List[BatchItem] = []
-    for i, task in enumerate(tasks):
-        configs, features = shared.get(i, (None, None))
-        try:
-            if spans_on:
-                with _cell_span(task, parent=group_ctx):
-                    result = _run_cell(
-                        task, ctx,
-                        train_configs=configs, train_features=features,
-                    )
-            else:
-                result = _run_cell(
-                    task, ctx,
-                    train_configs=configs, train_features=features,
-                )
-            out.append(result)
-        except Exception as exc:  # noqa: BLE001 - per-task attribution
-            out.append(TaskFailure.from_exception(exc))
+    for start in range(0, len(cells), width):
+        out.extend(
+            _run_lockstep(cells[start : start + width], ctx, group_ctx)
+        )
     return out
+
+
+def _run_lockstep(
+    cells: List[tuple], ctx: _CellContext, group_ctx: Optional[SpanContext]
+) -> List[BatchItem]:
+    """Step ``(task, train_configs, train_features)`` cells together (a
+    slice of a replication group): one result or
+    :class:`~repro.parallel.TaskFailure` per cell, in order.
+
+    Each round advances every live cell to its next request (in cell
+    order), then resolves all the round's requests with one table
+    gather or one simulator pass (:func:`resolve_together`); each cell
+    measures its own request on its own device and noise stream in the
+    next round.  A cell that raises fails alone, and its siblings step
+    on.  With spans on, each cell's ``cell`` span runs from its set-up
+    to its final repeats, so a group's cell spans overlap.
+    """
+    spans_on = cells[0][0].trace_dir is not None
+    out: List[Optional[BatchItem]] = [None] * len(cells)
+    # position -> (the cell's steps, its device)
+    live = {}
+    for i, (task, configs, features) in enumerate(cells):
+        device = _cell_device(task, ctx)
+        steps = _cell_steps(task, ctx, device, configs, features)
+        if spans_on:
+            steps = _in_span(steps, _cell_span(task, parent=group_ctx))
+        live[i] = (steps, device)
+    while live:
+        devices, requests = [], []
+        for i, (steps, device) in list(live.items()):
+            try:
+                requests.append(next(steps))
+                devices.append(device)
+            except StopIteration as stop:
+                out[i] = stop.value
+                del live[i]
+            except Exception as exc:  # noqa: BLE001 - per-task attribution
+                out[i] = TaskFailure.from_exception(exc)
+                del live[i]
+        resolve_together(devices, requests)
+    return out  # type: ignore[return-value]
+
+
+def _in_span(steps: Generator, scope: SpanScope) -> Generator:
+    """``steps`` with ``scope`` open from its first step to its end."""
+    with scope:
+        return (yield from steps)
 
 
 def _decode_dataset_group(
@@ -587,19 +659,23 @@ def _run_dataset_batch(
     if result is None:
         return None
 
+    # The "/search" stream is never drawn from by a zero-reserve dataset
+    # tuner, so only the devices' are created.  The group's chosen flats
+    # are resolved together, so the final repeats make no further pass.
+    best_flats = result.best_flats.tolist()
+    devices = [_cell_device(task, ctx) for task in tasks]
+    resolve_together(devices, [[flat] for flat in best_flats])
     out: List[BatchItem] = []
     for i, task in enumerate(tasks):
         try:
             _injected_failure_check(task.cell_key)
-            # The "/search" stream is never drawn from by a zero-reserve
-            # dataset tuner, so only the device's is created.
             out.append(
                 _finish_cell(
                     {},
                     task,
                     ctx,
-                    _cell_device(task, ctx),
-                    int(result.best_flats[i]),
+                    devices[i],
+                    best_flats[i],
                     result.history_runtimes[i],
                     result.samples_used,
                     result.best_runtimes_ms[i],

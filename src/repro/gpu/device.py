@@ -24,13 +24,22 @@ simulator is deterministic and elementwise, and the noise is applied
 after the runtimes are resolved, so table-backed and live measurements
 are bit-identical — same runtimes, same RNG consumption — and a batch
 costs one pass whatever its size.
+
+A device remembers the noise-free runtime of every configuration
+:meth:`~SimulatedDevice.measure_flats_each` resolved, so the final
+repeats of a configuration it already ran need no further pass.
+:func:`resolve_together` resolves the requests of many devices on one
+landscape (the cells of a replication group stepping in lockstep) in
+one gather or one pass and hands each device its slice; each device
+then measures its own request as before, drawing noise from its own
+stream.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +50,12 @@ from .noise import DEFAULT_NOISE, NoiseModel
 from .simulator import CONFIG_COLUMNS, SimulationResult, simulate_runtimes
 from .workload import WorkloadProfile
 
-__all__ = ["Measurement", "SimulatedDevice", "PCIE_BANDWIDTH_GBS"]
+__all__ = [
+    "Measurement",
+    "SimulatedDevice",
+    "PCIE_BANDWIDTH_GBS",
+    "resolve_together",
+]
 
 #: Host <-> device transfer bandwidth (PCIe 3.0 x16 sustained).
 PCIE_BANDWIDTH_GBS = 12.0
@@ -140,6 +154,10 @@ class SimulatedDevice:
         self.table = table
         self.space = space
         self._launches = 0
+        #: Noise-free runtime of every flat this device has resolved
+        #: through :meth:`measure_flats_each` or been handed by
+        #: :func:`resolve_together`.
+        self._resolved: Dict[int, float] = {}
         # Constant per device (profile and bandwidth are fixed), yet it
         # used to be recomputed on every single measurement.
         eb = profile.element_bytes
@@ -177,6 +195,19 @@ class SimulatedDevice:
             self.profile, self.arch, self.space.flats_to_values(flats)
         )
         return sim.runtime_ms, sim.launch_failure
+
+    def _known_runtimes(self, flats: np.ndarray) -> np.ndarray:
+        """Noise-free runtimes of ``flats`` from what this device has
+        already resolved; a batch with any unknown flat is resolved
+        whole, in one pass, and remembered."""
+        keys = flats.tolist()
+        known = self._resolved
+        try:
+            return np.array([known[k] for k in keys], dtype=np.float64)
+        except KeyError:
+            runtimes, _ = self._true_runtimes(flats)
+            known.update(zip(keys, runtimes.tolist()))
+            return runtimes
 
     def _measurement(self, flat: int) -> Measurement:
         runtime, failure = self._true_runtimes(
@@ -234,9 +265,15 @@ class SimulatedDevice:
 
     def measure_flat_repeated(self, flat: int, repeats: int) -> np.ndarray:
         """:meth:`measure_repeated` by flat index: the noisy runtimes,
-        bit-identical to its ``runtime_ms`` values."""
-        runtime, _ = self._true_runtimes(np.array([flat], dtype=np.int64))
-        return self._repeated(runtime[0], repeats)
+        bit-identical to its ``runtime_ms`` values.  A flat this device
+        has resolved costs no table lookup or simulator pass."""
+        true_ms = self._resolved.get(flat)
+        if true_ms is None:
+            runtime, _ = self._true_runtimes(
+                np.array([flat], dtype=np.int64)
+            )
+            true_ms = runtime[0]
+        return self._repeated(true_ms, repeats)
 
     def measure_flats(self, flats: np.ndarray) -> np.ndarray:
         """One noisy measurement per flat index (``inf`` marks launch
@@ -258,11 +295,12 @@ class SimulatedDevice:
         order — so the result is bit-identical to calling
         :meth:`measure_flat` once per index on the same stream, unlike
         :meth:`measure_flats` whose single batched draw belongs to the
-        dataset-collection stream contract.
+        dataset-collection stream contract.  The true runtimes come from
+        what the device already resolved when it has them all (see
+        :func:`resolve_together`), else from one pass over the batch.
         """
         flats = np.asarray(flats, dtype=np.int64)
-        runtimes, _ = self._true_runtimes(flats)
-        noisy = self.noise.apply_each(runtimes, self.rng)
+        noisy = self.noise.apply_each(self._known_runtimes(flats), self.rng)
         self._launches += int(flats.size)
         return noisy
 
@@ -270,3 +308,44 @@ class SimulatedDevice:
         """Noise-free simulation (for optima and tests); not counted as
         launches — nothing 'runs'."""
         return simulate_runtimes(self.profile, self.arch, matrix)
+
+
+def resolve_together(
+    devices: Sequence[SimulatedDevice], requests: Sequence[Sequence[int]]
+) -> None:
+    """Resolve ``requests[i]`` for ``devices[i]``, for every ``i``, with
+    one table gather or one simulator pass, and hand each device its
+    slice.
+
+    Nothing is measured and no launch is counted: a device measures its
+    request afterwards through :meth:`SimulatedDevice.measure_flats_each`
+    (or its final repeats through ``measure_flat_repeated``), which then
+    finds every runtime resolved and draws its noise from that device's
+    own stream, exactly as if it had resolved the request alone.  The
+    simulator is elementwise, so the runtimes do not depend on what
+    else shares the pass.  The devices must run one landscape: the same
+    architecture, workload and table (the cells of one replication
+    group do).
+    """
+    if not devices:
+        return
+    lead = devices[0]
+    for device in devices[1:]:
+        if (
+            device.arch != lead.arch
+            or device.profile != lead.profile
+            or device.table is not lead.table
+        ):
+            raise ValueError(
+                "resolve_together needs devices on one landscape"
+            )
+    keys = [int(flat) for request in requests for flat in request]
+    if not keys:
+        return
+    runtimes, _ = lead._true_runtimes(np.array(keys, dtype=np.int64))
+    values = runtimes.tolist()
+    start = 0
+    for device, request in zip(devices, requests, strict=True):
+        end = start + len(request)
+        device._resolved.update(zip(keys[start:end], values[start:end]))
+        start = end

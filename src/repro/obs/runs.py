@@ -71,14 +71,21 @@ DEFAULT_WALL_TOLERANCE = 0.20
 DEFAULT_MIN_SECONDS = 0.5
 
 
+#: The ``repro`` package directory: the revision is that of the source
+#: tree that ran, wherever the process was started.
+_PACKAGE_DIR = Path(__file__).resolve().parents[1]
+
+
 def _git_rev() -> Optional[str]:
-    """Current git commit, or None outside a work tree / without git."""
+    """Commit of the checkout the ``repro`` package runs from, or None
+    outside a work tree / without git."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
             capture_output=True,
             text=True,
             timeout=10,
+            cwd=_PACKAGE_DIR,
         )
     except (OSError, subprocess.SubprocessError):
         return None

@@ -11,9 +11,11 @@ from .base import (
     DatasetTuner,
     Objective,
     SequentialTuner,
+    Stepper,
     Tuner,
     TuningResult,
     best_so_far,
+    run_to_end,
     trace_dataset_rows,
 )
 from .bo_gp import BayesianGpTuner, expected_improvement
@@ -39,6 +41,8 @@ __all__ = [
     "TuningResult",
     "best_so_far",
     "trace_dataset_rows",
+    "Stepper",
+    "run_to_end",
     "RandomSearchTuner",
     "RandomForestTuner",
     "GeneticAlgorithmTuner",

@@ -16,7 +16,11 @@ configuration is what counts.  The machinery here enforces that contract:
   (:class:`DatasetTuner`) consume slices of a pre-collected,
   constraint-respecting dataset, while SMBO tuners
   (:class:`SequentialTuner`) measure live and sample the *unconstrained*
-  space (the paper's SMBO implementations had no constraint support).
+  space (the paper's SMBO implementations had no constraint support);
+* a :data:`Stepper` is a tuner's search loop turned inside out — it
+  yields the flat indices it wants measured and takes their runtimes
+  back — so the experiment runner can step the replications of one
+  study cell together (:func:`measure_steps`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Generator, Iterable, List, Optional
 
 import numpy as np
 
@@ -44,6 +48,9 @@ __all__ = [
     "BatchTuningResult",
     "best_so_far",
     "trace_dataset_rows",
+    "Stepper",
+    "measure_steps",
+    "run_to_end",
 ]
 
 Configuration = Dict[str, int]
@@ -528,6 +535,44 @@ class TuningResult:
             raise ValueError("history configs/runtimes length mismatch")
 
 
+#: A search loop as a generator: it yields the flat indices it wants
+#: measured next and takes their runtimes back through ``send``; it
+#: reads budget state from its objective and returns when it is done.
+Stepper = Generator[List[int], List[float], None]
+
+
+def measure_steps(
+    stepper: Stepper, objective: Objective
+) -> Generator[List[int], None, None]:
+    """Run ``stepper`` against ``objective``: measure each request with
+    one :meth:`Objective.evaluate_flats` call and send the runtimes back.
+
+    Before it measures a request, it yields the request's affordable
+    prefix — the rows the objective will measure — so that a caller
+    stepping many cells together can resolve those rows with its
+    siblings' first.  It ends when the stepper returns or when the
+    budget runs out inside a request (the objective has then recorded
+    the affordable prefix).
+    """
+    try:
+        flats = next(stepper)
+        while True:
+            yield flats[: objective.remaining]
+            flats = stepper.send(objective.evaluate_flats(flats))
+    except (StopIteration, BudgetExhausted):
+        return
+
+
+def run_to_end(steps: Generator):
+    """Drive a generator alone, ignoring what it yields; its return
+    value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
 class Tuner:
     """Base class of all search algorithms."""
 
@@ -539,8 +584,24 @@ class Tuner:
     #: consumes a pre-collected dataset slice (non-SMBO group).
     requires_live_objective: bool = True
 
+    def steps(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> Optional[Stepper]:
+        """The search as a :data:`Stepper`, for a tuner whose loop
+        measures in batches that sibling replications can share (the
+        GA's generations).  The default, ``None``, means the tuner only
+        runs through :meth:`tune`."""
+        return None
+
     def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
-        raise NotImplementedError
+        """The bare algorithm.  A stepping tuner's :meth:`steps` driven
+        alone: every request is measured as soon as it is made."""
+        stepper = self.steps(objective, rng)
+        if stepper is None:
+            raise NotImplementedError
+        for _ in measure_steps(stepper, objective):
+            pass
+        return self._result_from(objective)
 
     def run(
         self, objective: Objective, rng: np.random.Generator
@@ -551,6 +612,15 @@ class Tuner:
         callers that want ``tuner_start`` / ``tuner_end`` trace events use
         ``run``; ``tune`` stays the bare algorithm.
         """
+        return run_to_end(self.run_steps(objective, rng))
+
+    def run_steps(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> Generator[List[int], None, TuningResult]:
+        """:meth:`run` as a generator that returns the result.  A
+        stepping tuner yields each request before measuring it (see
+        :func:`measure_steps`); any other tuner runs :meth:`tune` and
+        yields nothing."""
         tracer = objective.tracer
         if tracer.enabled:
             tracer.event(
@@ -559,7 +629,12 @@ class Tuner:
                 algorithm=self.name,
                 budget=objective.budget,
             )
-        result = self.tune(objective, rng)
+        stepper = self.steps(objective, rng)
+        if stepper is None:
+            result = self.tune(objective, rng)
+        else:
+            yield from measure_steps(stepper, objective)
+            result = self._result_from(objective)
         if tracer.enabled:
             tracer.event(
                 "tuner_end",

@@ -125,15 +125,15 @@ class BayesianGpTuner(SequentialTuner):
         # evaluation) so the loop stays O(budget) in Python-level work.
         feature_rows = []
 
-        def evaluate_features(config: dict, features: np.ndarray) -> None:
-            objective.evaluate(config)
-            feature_rows.append(features)
-
         try:
-            for cfg in space.sample(
+            # The start-up design is measured as one batch.
+            design = space.sample(
                 rng, n_init, feasible_only=self.respect_constraints
-            ):
-                evaluate_features(cfg, space.to_features([cfg])[0])
+            )
+            objective.evaluate_flats(
+                [space.config_to_flat(cfg) for cfg in design]
+            )
+            feature_rows.extend(space.to_features(design))
 
             gp = GaussianProcessRegressor(
                 kernel="matern52", n_restarts=1, rng=rng

@@ -118,11 +118,14 @@ class BayesianTpeTuner(SequentialTuner):
         # instead of re-encoding the entire history (O(n^2) per run).
         index_rows = []
         try:
-            for cfg in space.sample(
+            # The start-up trials are measured as one batch.
+            startup = space.sample(
                 rng, n_startup, feasible_only=self.respect_constraints
-            ):
-                objective.evaluate(cfg)
-                index_rows.append(space.config_to_indices(cfg))
+            )
+            objective.evaluate_flats(
+                [space.config_to_flat(cfg) for cfg in startup]
+            )
+            index_rows.extend(space.config_to_indices(cfg) for cfg in startup)
 
             while objective.remaining > 0:
                 # The Parzen-estimator build and candidate scoring are one

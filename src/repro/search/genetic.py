@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .base import BudgetExhausted, Objective, SequentialTuner, TuningResult
+from .base import Objective, SequentialTuner, Stepper
 
 __all__ = ["GeneticAlgorithmTuner"]
 
@@ -195,7 +195,20 @@ class GeneticAlgorithmTuner(SequentialTuner):
         return tuple(row.tolist())
 
     # -- main loop -----------------------------------------------------------
-    def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
+    def steps(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> Stepper:
+        """The generation loop as a :data:`~repro.search.base.Stepper`.
+
+        Each generation yields the flat indices of its uncached
+        individuals, in first-occurrence order — the order (and so the
+        noise stream and history) of a per-individual loop through the
+        evaluation cache — and takes their runtimes back.  A generation
+        whose individuals are all cached yields nothing.  The stepper
+        returns once a generation has spent the budget, so a spent run
+        breeds no last generation; a request the budget cannot cover is
+        measured as its affordable prefix and never answered.
+        """
         bit_generator = rng.bit_generator
         if not isinstance(bit_generator, np.random.PCG64):
             raise TypeError(
@@ -203,39 +216,13 @@ class GeneticAlgorithmTuner(SequentialTuner):
                 f"{type(bit_generator).__name__}-backed generator"
             )
         space = objective.space
-        cache: Dict[Tuple[int, ...], float] = {}
+        # Fitness by flat index: the genes are in range by construction,
+        # so a flat is a plain-int radix sum.
+        cache: Dict[int, float] = {}
         cards = [p.cardinality for p in space.parameters]
         places = space.places()
         threshold = 1.0 / self.mutation_chance
         pairs = (self.pop_size + 1) // 2
-
-        def score_generation(
-            population: List[Tuple[int, ...]],
-        ) -> List[Tuple[Tuple[int, ...], float]]:
-            """Fitness of every individual, through the cache.
-
-            Uncached individuals are evaluated as *one* batch in
-            first-occurrence order — the exact order (and therefore the
-            exact RNG stream and history) a per-individual loop through
-            the cache would produce, but with a single table
-            fancy-index per generation.  A mid-batch budget exhaustion
-            propagates after the affordable prefix is recorded, just
-            like the per-individual loop's overflowing call.  Genes are
-            in range by construction, so each flat index is a plain-int
-            radix sum.
-            """
-            pending: List[Tuple[int, ...]] = []
-            seen = set()
-            for genes in population:
-                if genes not in cache and genes not in seen:
-                    pending.append(genes)
-                    seen.add(genes)
-            if pending:
-                runtimes = objective.evaluate_flats(
-                    [sum(map(mul, genes, places)) for genes in pending]
-                )
-                cache.update(zip(pending, runtimes))
-            return [(genes, cache[genes]) for genes in population]
 
         # One draw for the whole initial population: rejected rows are
         # replaced in stream order, so the rows and the generator state
@@ -248,27 +235,31 @@ class GeneticAlgorithmTuner(SequentialTuner):
                 feasible_only=self.respect_constraints,
             ).tolist()
         ]
-        try:
-            while True:
-                before = objective.evaluations
-                scored = score_generation(population)
-                if objective.remaining <= 0:
-                    break
-                # Rank best-first; launch failures (inf) sink to the back.
-                scored.sort(key=lambda t: (not math.isfinite(t[1]), t[1]))
-                population = _breed(
-                    bit_generator,
-                    [genes for genes, _ in scored],
-                    pairs,
-                    cards,
-                    threshold,
-                )[: self.pop_size]
-                if objective.evaluations == before:
-                    # Fully converged generation (every individual cached):
-                    # inject a random immigrant so remaining budget is
-                    # spent exploring rather than spinning.
-                    population[-1] = self._random_individual(objective, rng)
-        except BudgetExhausted:
-            pass
-
-        return self._result_from(objective)
+        while True:
+            before = objective.evaluations
+            flats = [sum(map(mul, genes, places)) for genes in population]
+            pending = [f for f in dict.fromkeys(flats) if f not in cache]
+            if pending:
+                runtimes = yield pending
+                cache.update(zip(pending, runtimes))
+            if objective.remaining <= 0:
+                return
+            # Rank best-first (a stable sort, so ties keep population
+            # order); launch failures (inf) sink to the back.
+            fitness = [cache[flat] for flat in flats]
+            ranked = sorted(
+                range(len(population)),
+                key=lambda i: (not math.isfinite(fitness[i]), fitness[i]),
+            )
+            population = _breed(
+                bit_generator,
+                [population[i] for i in ranked],
+                pairs,
+                cards,
+                threshold,
+            )[: self.pop_size]
+            if objective.evaluations == before:
+                # Fully converged generation (every individual cached):
+                # inject a random immigrant so remaining budget is
+                # spent exploring rather than spinning.
+                population[-1] = self._random_individual(objective, rng)

@@ -129,17 +129,14 @@ class RandomForestTuner(DatasetTuner):
                 candidates[int(np.argmin(preds))]
             )
         stride = space.parameters[-1].cardinality  # skip near-dead last dim
-        top_configs = [
-            space.flat_to_config(
-                min(best_flat + j * stride, space.size - 1)
-            )
+        top_flats = [
+            min(best_flat + j * stride, space.size - 1)
             for j in range(self.top_k)
         ]
+        top_configs = [space.flat_to_config(flat) for flat in top_flats]
 
-        top_runtimes = []
-        for cfg in top_configs:
-            top_runtimes.append(objective.evaluate(cfg))
-        top_runtimes = np.asarray(top_runtimes)
+        # The top-k stage is measured as one batch.
+        top_runtimes = np.asarray(objective.evaluate_flats(top_flats))
 
         finite = np.isfinite(top_runtimes)
         if finite.any():

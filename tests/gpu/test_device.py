@@ -204,7 +204,11 @@ class TestLiveFlatRoutes:
         monkeypatch.setattr(device_module, "simulate_runtimes", counting)
         device.measure_flats_each(np.arange(20))
         device.measure_flats(np.arange(300))
+        device.measure_flat_repeated(25, 10)
+        assert calls == [20, 300, 1]
+        # Flats the device already resolved cost no further pass.
         device.measure_flat_repeated(5, 10)
+        device.measure_flats_each(np.arange(10))
         assert calls == [20, 300, 1]
 
     def test_table_space_must_follow_simulator_columns(self):
@@ -223,7 +227,8 @@ class TestLiveFlatRoutes:
 
     def test_live_ga_cell_one_pass_per_generation(self, monkeypatch):
         """A table-less GA cell at budget 400 measures each generation in
-        one simulator pass, plus one pass for its final repeats."""
+        one simulator pass; its final repeats take the chosen
+        configuration's runtime from those passes."""
         import repro.gpu.device as device_module
         from repro.experiments.runner import ExperimentTask, run_experiment
         from repro.search import Objective
@@ -249,5 +254,5 @@ class TestLiveFlatRoutes:
             experiment=0, root_seed=1,
         ))
         assert result.samples_used == 400
-        assert len(passes) == len(generations) + 1
-        assert sum(passes[:-1]) == 400 and passes[-1] == 1
+        assert len(passes) == len(generations)
+        assert sum(passes) == 400

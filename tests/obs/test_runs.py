@@ -76,6 +76,33 @@ class TestManifest:
         )
         assert manifest["run_id"] == manifest_id(manifest)
 
+    def test_git_rev_names_the_source_checkout(self, tmp_path, monkeypatch):
+        """The revision is the checkout's that holds ``repro``, not the
+        working directory's: None only if that checkout is no git tree."""
+        import subprocess
+
+        import repro
+
+        try:
+            out = subprocess.run(
+                ["git", "rev-parse", "HEAD"],
+                cwd=Path(repro.__file__).resolve().parent,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+        except OSError:
+            expected = None
+        else:
+            rev = out.stdout.strip()
+            expected = rev if out.returncode == 0 and rev else None
+        config, results = _study(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        manifest = build_manifest(config, results, created=1000.0)
+        assert manifest["environment"]["git_rev"] == expected
+
     def test_run_id_is_content_addressed(self, tmp_path):
         config, results = _study(tmp_path)
         a = build_manifest(config, results, created=1000.0)
