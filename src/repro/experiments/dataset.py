@@ -15,7 +15,6 @@ paper's design each sample size partitions the dataset exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -60,10 +59,6 @@ class PrecollectedDataset:
             flats=self.flats[start:stop],
             runtimes_ms=self.runtimes_ms[start:stop],
         )
-
-    def configs(self, space: SearchSpace) -> List[dict]:
-        """Decode the rows back to configuration dicts."""
-        return [space.flat_to_config(int(f)) for f in self.flats]
 
 
 def collect_dataset(

@@ -17,25 +17,24 @@ count, and work placement.
 Replications of the same study cell (tasks identical except for their
 ``experiment`` index and dataset rows) additionally batch:
 :func:`run_experiment_batch` executes a whole replication group at once,
-sharing the kernel/space/landscape setup and the dataset decode across
-the group.  For tuners implementing
-:meth:`~repro.search.Tuner.tune_batch` (Random Search) it collapses the
-entire group into vectorized array work, and resolves the group's
-chosen configurations for their final repeats in one pass.  For tuners
-whose search is a :data:`~repro.search.Stepper` (the GA) it steps the
-group's cells in lockstep: each round resolves every cell's next
-generation in one table gather or one simulator pass, and each cell
-then measures its own slice.  Other tuners run cell by cell.  Results
-are bit-identical to :func:`run_experiment` per task: every replication
-keeps its own ``cell_key``-derived RNG streams, so nothing about
-grouping leaks into the numbers.  The study dispatches every
-replication group through it; :func:`run_experiment`, a lockstep group
-of one, is the pool's per-task retry and fallback path.
+sharing the kernel/space/landscape setup across the group.  For tuners
+implementing :meth:`~repro.search.Tuner.tune_batch` (Random Search) it
+collapses the entire group into vectorized array work, and resolves the
+group's chosen configurations for their final repeats in one pass.
+Every other group steps its cells in lockstep, since every tuner's
+search is a :data:`~repro.search.Stepper` over an objective that
+already holds the cell's dataset rows: each round resolves every cell's
+next request (a GA generation, a BO proposal, RF's top-k stage) in one
+table gather or one simulator pass, and each cell then measures its own
+slice.  Results are bit-identical to :func:`run_experiment` per task:
+every replication keeps its own ``cell_key``-derived RNG streams, so
+nothing about grouping leaks into the numbers.  The study dispatches
+every replication group through it; :func:`run_experiment`, a lockstep
+group of one, is the pool's per-task retry and fallback path.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
@@ -57,10 +56,8 @@ from ..search import (
     best_so_far,
     make_tuner,
     run_to_end,
-    trace_dataset_rows,
 )
 from ..gpu.landscape import load_or_compute_landscape
-from .dataset import PrecollectedDataset
 from .results import ExperimentResult
 
 __all__ = [
@@ -249,24 +246,15 @@ def _run_cell(task: ExperimentTask, ctx: _CellContext) -> ExperimentResult:
 
 
 def _cell_steps(
-    task: ExperimentTask,
-    ctx: _CellContext,
-    device: SimulatedDevice,
-    train_configs: Optional[List[dict]] = None,
-    train_features: Optional[np.ndarray] = None,
+    task: ExperimentTask, ctx: _CellContext, device: SimulatedDevice
 ) -> Generator[List[int], None, ExperimentResult]:
     """One experiment as a generator that returns its result.
 
-    A stepping tuner's cell yields each request's affordable prefix
-    before measuring it on ``device`` (see
-    :func:`~repro.search.base.measure_steps`), so a lockstep driver can
-    resolve it together with sibling cells' requests; any other cell
-    runs to its end on the first ``next`` and yields nothing.
-
-    ``train_configs``/``train_features`` optionally carry the decoded
-    dataset slice when the caller (the batched engine) already decoded
-    the whole replication group in one vectorized pass; they must match
-    the task's first ``sample_size - live_reserve`` dataset rows.
+    The cell yields each request's affordable prefix before measuring
+    it on ``device`` (see :func:`~repro.search.base.measure_steps`), so
+    the lockstep loop can resolve it together with sibling cells'
+    requests.  A dataset tuner's objective holds the task's dataset
+    rows before the search starts.
     """
     _injected_failure_check(task.cell_key)
     space = ctx.space
@@ -283,70 +271,21 @@ def _cell_steps(
         else NULL_TRACER
     )
     registry = MetricsRegistry()
-
+    objective = Objective(
+        space,
+        None,
+        budget=task.sample_size,
+        tracer=tracer,
+        metrics=registry,
+        cell=cell,
+        measure_flats=device.measure_flats_each,
+    )
     if isinstance(tuner, DatasetTuner):
-        reserve = tuner.live_reserve()
-        n_train = _training_rows(task, reserve)
-        train = PrecollectedDataset(
-            flats=np.asarray(task.dataset_flats, dtype=np.int64),
-            runtimes_ms=np.asarray(task.dataset_runtimes, dtype=np.float64),
-        ).slice_for(n_train, 0)
-        if train_configs is None:
-            train_configs = train.configs(space)
-        dataset_best = math.inf
-        if tracer.enabled:
-            tracer.event(
-                "tuner_start",
-                cell=cell,
-                algorithm=task.algorithm,
-                budget=task.sample_size,
-            )
-            # Replay the pre-collected rows so the per-cell trace holds
-            # exactly sample_size evaluate events for every technique.
-            dataset_best = trace_dataset_rows(
-                tracer, cell, train_configs, train.runtimes_ms
-            )
-        objective = (
-            Objective(
-                space,
-                None,
-                budget=reserve,
-                tracer=tracer,
-                metrics=registry,
-                cell=cell,
-                index_base=n_train,
-                initial_best_ms=dataset_best,
-                measure_flats=device.measure_flats_each,
-            )
-            if reserve > 0
-            else None
+        n_train = _training_rows(task, tuner.live_reserve())
+        objective.record_dataset(
+            task.dataset_flats[:n_train], task.dataset_runtimes[:n_train]
         )
-        result = tuner.tune_from_dataset(
-            space,
-            train_configs,
-            train.runtimes_ms,
-            objective,
-            search_rng,
-            train_features=train_features,
-        )
-        if tracer.enabled:
-            tracer.event(
-                "tuner_end",
-                cell=cell,
-                samples_used=int(result.samples_used),
-                best_ms=float(result.best_runtime_ms),
-            )
-    else:
-        objective = Objective(
-            space,
-            None,
-            budget=task.sample_size,
-            tracer=tracer,
-            metrics=registry,
-            cell=cell,
-            measure_flats=device.measure_flats_each,
-        )
-        result = yield from tuner.run_steps(objective, search_rng)
+    result = yield from tuner.run_steps(objective, search_rng)
 
     best_flat = space.config_to_flat(result.best_config)
     experiment = _finish_cell(
@@ -532,50 +471,47 @@ def _run_group_inner(
         failure = TaskFailure.from_exception(exc)
         return [failure for _ in tasks]
 
-    shared: Dict[int, tuple] = {}
-    if isinstance(tuner, DatasetTuner):
-        reserve = tuner.live_reserve()
+    # Spans-only tracing keeps the vectorized fast path: spans need no
+    # per-evaluate events, so group-level work stays collapsed.
+    if (
+        isinstance(tuner, DatasetTuner)
+        and tuner.live_reserve() == 0
+        and not _events_enabled(first)
+    ):
         try:
             for task in tasks:
-                n_train = _training_rows(task, reserve)
+                _training_rows(task, 0)
         except ValueError:
             pass  # each bad cell raises it again on the per-cell path
         else:
-            # Spans-only tracing keeps the vectorized fast path: spans
-            # need no per-evaluate events, so group-level work stays
-            # collapsed.
-            if reserve == 0 and not _events_enabled(first):
-                vectorized = _run_dataset_batch(tasks, ctx, tuner)
-                if vectorized is not None:
-                    return vectorized
-            shared = _decode_dataset_group(ctx.space, tasks, n_train)
+            vectorized = _run_dataset_batch(tasks, ctx, tuner)
+            if vectorized is not None:
+                return vectorized
 
-    # Lockstep path against the shared context, with the whole group's
-    # dataset rows decoded in one vectorized pass.  Trajectory events
-    # are written as they happen, so under full tracing each cell steps
+    # Lockstep path against the shared context.  Trajectory events are
+    # written as they happen, so under full tracing each cell steps
     # alone and the trace keeps per-task order.
-    cells = [
-        (task,) + shared.get(i, (None, None)) for i, task in enumerate(tasks)
-    ]
     width = (
         1
         if _events_enabled(first)
         else max(1, min(LOCKSTEP_CELLS, LOCKSTEP_ROWS // first.sample_size))
     )
     out: List[BatchItem] = []
-    for start in range(0, len(cells), width):
+    for start in range(0, len(tasks), width):
         out.extend(
-            _run_lockstep(cells[start : start + width], ctx, group_ctx)
+            _run_lockstep(tasks[start : start + width], ctx, group_ctx)
         )
     return out
 
 
 def _run_lockstep(
-    cells: List[tuple], ctx: _CellContext, group_ctx: Optional[SpanContext]
+    tasks: List[ExperimentTask],
+    ctx: _CellContext,
+    group_ctx: Optional[SpanContext],
 ) -> List[BatchItem]:
-    """Step ``(task, train_configs, train_features)`` cells together (a
-    slice of a replication group): one result or
-    :class:`~repro.parallel.TaskFailure` per cell, in order.
+    """Step the cells of ``tasks`` together (a slice of a replication
+    group): one result or :class:`~repro.parallel.TaskFailure` per
+    cell, in order.
 
     Each round advances every live cell to its next request (in cell
     order), then resolves all the round's requests with one table
@@ -585,13 +521,13 @@ def _run_lockstep(
     on.  With spans on, each cell's ``cell`` span runs from its set-up
     to its final repeats, so a group's cell spans overlap.
     """
-    spans_on = cells[0][0].trace_dir is not None
-    out: List[Optional[BatchItem]] = [None] * len(cells)
+    spans_on = tasks[0].trace_dir is not None
+    out: List[Optional[BatchItem]] = [None] * len(tasks)
     # position -> (the cell's steps, its device)
     live = {}
-    for i, (task, configs, features) in enumerate(cells):
+    for i, task in enumerate(tasks):
         device = _cell_device(task, ctx)
-        steps = _cell_steps(task, ctx, device, configs, features)
+        steps = _cell_steps(task, ctx, device)
         if spans_on:
             steps = _in_span(steps, _cell_span(task, parent=group_ctx))
         live[i] = (steps, device)
@@ -615,26 +551,6 @@ def _in_span(steps: Generator, scope: SpanScope) -> Generator:
     """``steps`` with ``scope`` open from its first step to its end."""
     with scope:
         return (yield from steps)
-
-
-def _decode_dataset_group(
-    space, tasks: List[ExperimentTask], n_train: int
-) -> Dict[int, tuple]:
-    """Decode every replication's ``n_train`` training rows in one
-    vectorized pass: ``{task_position: (configs, features)}``."""
-    flat_matrix = np.array(
-        [task.dataset_flats[:n_train] for task in tasks], dtype=np.int64
-    )
-    index_matrix = space.flats_to_index_matrix(flat_matrix.ravel())
-    all_configs = space.index_matrix_to_configs(index_matrix)
-    all_features = space.index_matrix_to_features(index_matrix)
-    return {
-        i: (
-            all_configs[i * n_train : (i + 1) * n_train],
-            all_features[i * n_train : (i + 1) * n_train],
-        )
-        for i in range(len(tasks))
-    }
 
 
 def _run_dataset_batch(

@@ -10,13 +10,11 @@ from .base import (
     DatasetBatch,
     DatasetTuner,
     Objective,
-    SequentialTuner,
     Stepper,
     Tuner,
     TuningResult,
     best_so_far,
     run_to_end,
-    trace_dataset_rows,
 )
 from .bo_gp import BayesianGpTuner, expected_improvement
 from .bo_tpe import BayesianTpeTuner
@@ -34,13 +32,11 @@ __all__ = [
     "Objective",
     "BudgetExhausted",
     "Tuner",
-    "SequentialTuner",
     "DatasetTuner",
     "DatasetBatch",
     "BatchTuningResult",
     "TuningResult",
     "best_so_far",
-    "trace_dataset_rows",
     "Stepper",
     "run_to_end",
     "RandomSearchTuner",

@@ -11,16 +11,18 @@ configuration is what counts.  The machinery here enforces that contract:
 * :class:`TuningResult` records the best configuration *by observed
   runtime* plus the full evaluation history (the experiment runner
   re-evaluates the final configuration 10x separately, per Section VI-A);
-* :class:`Tuner` is the base class of the five algorithms, with the
-  SMBO/non-SMBO split from Section V-C: non-SMBO tuners
-  (:class:`DatasetTuner`) consume slices of a pre-collected,
-  constraint-respecting dataset, while SMBO tuners
-  (:class:`SequentialTuner`) measure live and sample the *unconstrained*
-  space (the paper's SMBO implementations had no constraint support);
-* a :data:`Stepper` is a tuner's search loop turned inside out — it
-  yields the flat indices it wants measured and takes their runtimes
-  back — so the experiment runner can step the replications of one
-  study cell together (:func:`measure_steps`).
+* :class:`Tuner` is the base class of the five algorithms.  Every tuner
+  is a :data:`Stepper` — its search loop turned inside out: it yields the
+  flat indices it wants measured and takes their runtimes back — so the
+  experiment runner can step the replications of one study cell
+  together (:func:`measure_steps`);
+* the SMBO/non-SMBO split from Section V-C: non-SMBO tuners
+  (:class:`DatasetTuner`) spend the first rows of their budget on a
+  pre-collected, constraint-respecting dataset slice, which the
+  objective holds before the search starts
+  (:meth:`Objective.record_dataset`); the SMBO tuners measure live and
+  sample the *unconstrained* space (the paper's SMBO implementations had
+  no constraint support).
 """
 
 from __future__ import annotations
@@ -42,12 +44,10 @@ __all__ = [
     "Objective",
     "TuningResult",
     "Tuner",
-    "SequentialTuner",
     "DatasetTuner",
     "DatasetBatch",
     "BatchTuningResult",
     "best_so_far",
-    "trace_dataset_rows",
     "Stepper",
     "measure_steps",
     "run_to_end",
@@ -102,14 +102,6 @@ class Objective:
         ``evaluate_seconds_count`` timing counters.
     cell:
         Cell key stamped onto every trace event.
-    index_base:
-        Offset added to trace event budget indices — the experiment
-        runner sets this for dataset tuners whose first rows were
-        replayed from a pre-collected dataset.
-    initial_best_ms:
-        Incumbent seed for ``incumbent_update`` events — the best of any
-        dataset rows replayed (via :func:`trace_dataset_rows`) before
-        this objective's live measurements begin.
     measure_flats:
         Optional ``flat_index_array -> runtime_ms_array`` callable
         (usually ``SimulatedDevice.measure_flats_each``).  When present,
@@ -128,8 +120,6 @@ class Objective:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         cell: str = "",
-        index_base: int = 0,
-        initial_best_ms: float = math.inf,
         measure_flats: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         if budget < 1:
@@ -146,9 +136,10 @@ class Objective:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.cell = cell
-        self.index_base = int(index_base)
+        #: How many of the first rows are pre-collected dataset rows.
+        self.dataset_rows = 0
         #: Best runtime so far; traced runs flag improvements against it.
-        self._best_ms = float(initial_best_ms)
+        self._best_ms = math.inf
         #: ``metrics`` instruments by name, looked up on first use.
         self._instruments: Dict[str, Counter] = {}
 
@@ -175,6 +166,47 @@ class Objective:
 
     def _observed(self) -> bool:
         return self.tracer.enabled or self.metrics is not None
+
+    def record_dataset(self, flats, runtimes_ms) -> None:
+        """Record pre-collected rows (a dataset slice, measured before
+        the search) as this objective's first evaluations, without
+        measuring them.
+
+        They count against the budget and join the history, but touch no
+        metric counter: the counters describe the measurements the
+        search makes.  :meth:`Tuner.run_steps` writes their
+        ``source="dataset"`` ``evaluate`` events right after
+        ``tuner_start``.
+        """
+        flats = np.asarray(flats, dtype=np.int64).ravel()
+        runtimes = np.asarray(runtimes_ms, dtype=np.float64).ravel()
+        if flats.shape != runtimes.shape:
+            raise ValueError("dataset flats/runtimes length mismatch")
+        if self.evaluations or flats.size > self.budget:
+            raise ValueError(
+                "dataset rows must be the first rows of an objective's "
+                "budget"
+            )
+        if flats.size and (flats.min() < 0 or flats.max() >= self.space.size):
+            raise ValueError("flat index out of range")
+        self.flats.extend(flats.tolist())
+        self.runtimes.extend(runtimes.tolist())
+        self.dataset_rows = int(flats.size)
+        self._best_ms = min([self._best_ms, *self.runtimes])
+
+    def trace_dataset(self) -> None:
+        """Write the trace events of the rows :meth:`record_dataset`
+        recorded: ``evaluate`` events with ``source="dataset"`` and no
+        duration, so a traced cell holds one ``evaluate`` event per
+        budget row for every technique."""
+        if self.tracer.enabled and self.dataset_rows:
+            n = self.dataset_rows
+            configs = self.space.flats_to_configs(
+                np.asarray(self.flats[:n], dtype=np.int64)
+            )
+            self._trace_rows(
+                0, configs, self.runtimes[:n], math.inf, "dataset", 0.0
+            )
 
     def evaluate(self, config: Configuration) -> float:
         """Measure one configuration (counts against the budget)."""
@@ -278,11 +310,6 @@ class Objective:
         self.runtimes.extend(runtimes)
         tracing = self.tracer.enabled
         if self.metrics is None and not tracing:
-            best = self._best_ms
-            for runtime in runtimes:
-                if runtime < best:
-                    best = runtime
-            self._best_ms = best
             return runtimes
         n = len(runtimes)
         per_eval = (time.perf_counter() - t0) / n
@@ -298,34 +325,53 @@ class Objective:
             instrument("evaluate_seconds_count").inc(n)
             if failures:
                 instrument("launch_failures_total").inc(failures)
-        if tracing and configs is None:
-            configs = self.space.flats_to_configs(
-                np.asarray(flats, dtype=np.int64)
+        if tracing:
+            if configs is None:
+                configs = self.space.flats_to_configs(
+                    np.asarray(flats, dtype=np.int64)
+                )
+            self._best_ms = self._trace_rows(
+                start, configs, runtimes, self._best_ms, "live",
+                round(per_eval, 6),
             )
+        return runtimes
+
+    def _trace_rows(
+        self,
+        start: int,
+        configs: List[Configuration],
+        runtimes: List[float],
+        best_ms: float,
+        source: str,
+        duration_s: float,
+    ) -> float:
+        """One ``evaluate`` event per row from budget index ``start``,
+        and an ``incumbent_update`` event for each row that beats the
+        running best, which starts at ``best_ms``; returns the running
+        best."""
         for offset, runtime in enumerate(runtimes):
-            improved = runtime < self._best_ms
+            improved = runtime < best_ms
             if improved:
-                self._best_ms = runtime
-            if tracing:
-                index = self.index_base + start + offset
+                best_ms = runtime
+            index = start + offset
+            self.tracer.event(
+                "evaluate",
+                cell=self.cell,
+                index=index,
+                config={k: int(v) for k, v in configs[offset].items()},
+                runtime_ms=runtime,
+                best_ms=best_ms,
+                source=source,
+                duration_s=duration_s,
+            )
+            if improved:
                 self.tracer.event(
-                    "evaluate",
+                    "incumbent_update",
                     cell=self.cell,
                     index=index,
-                    config={k: int(v) for k, v in configs[offset].items()},
                     runtime_ms=runtime,
-                    best_ms=self._best_ms,
-                    source="live",
-                    duration_s=round(per_eval, 6),
                 )
-                if improved:
-                    self.tracer.event(
-                        "incumbent_update",
-                        cell=self.cell,
-                        index=index,
-                        runtime_ms=runtime,
-                    )
-        return runtimes
+        return best_ms
 
     def span(self, kind: str, **fields):
         """Instrumentation span: traces ``kind`` and times it into the
@@ -337,18 +383,22 @@ class Objective:
             return _InstrumentedSpan(self, kind, fields)
         return _NO_SPAN
 
-    def best_observed(self) -> tuple:
-        """(best_config, best_runtime) among valid evaluations so far."""
-        if not self.runtimes:
+    def best_observed(self, first: int = 0) -> tuple:
+        """(best_config, best_runtime) among valid evaluations so far,
+        from row ``first`` on."""
+        if len(self.runtimes) <= first:
             raise RuntimeError("no evaluations performed yet")
-        arr = np.asarray(self.runtimes)
+        arr = np.asarray(self.runtimes[first:])
         finite = np.isfinite(arr)
         if not finite.any():
             # Every sampled configuration failed to launch; report the
             # first one (the caller sees runtime = inf and handles it).
-            return self.space.flat_to_config(self.flats[0]), float("inf")
+            return self.space.flat_to_config(self.flats[first]), float("inf")
         idx = int(np.flatnonzero(finite)[np.argmin(arr[finite])])
-        return self.space.flat_to_config(self.flats[idx]), float(arr[idx])
+        return (
+            self.space.flat_to_config(self.flats[first + idx]),
+            float(arr[idx]),
+        )
 
 
 #: The unobserved span: one shared no-op, so the disabled path never
@@ -386,59 +436,14 @@ class _InstrumentedSpan:
             )
 
 
-def trace_dataset_rows(
-    tracer: Tracer,
-    cell: str,
-    configs: List[Configuration],
-    runtimes_ms,
-    start_index: int = 0,
-    best_ms: float = math.inf,
-) -> float:
-    """Replay pre-collected dataset rows into a trace.
-
-    Dataset (non-SMBO) tuners consume rows measured outside any
-    :class:`Objective`; replaying them as ``evaluate`` events with
-    ``source="dataset"`` keeps the per-cell trace contract — exactly
-    ``sample_size`` ``evaluate`` events per cell — intact for every
-    technique.  Returns the running best, which seeds the reserve
-    objective's ``initial_best_ms`` when the tuner measures live
-    afterwards.  No-op (beyond the best computation) when tracing is off.
-    """
-    for offset, (config, runtime) in enumerate(zip(configs, runtimes_ms)):
-        runtime = float(runtime)
-        improved = runtime < best_ms
-        if improved:
-            best_ms = runtime
-        if tracer.enabled:
-            index = start_index + offset
-            tracer.event(
-                "evaluate",
-                cell=cell,
-                index=index,
-                config={k: int(v) for k, v in config.items()},
-                runtime_ms=runtime,
-                best_ms=best_ms,
-                source="dataset",
-                duration_s=0.0,
-            )
-            if improved:
-                tracer.event(
-                    "incumbent_update",
-                    cell=cell,
-                    index=index,
-                    runtime_ms=runtime,
-                )
-    return best_ms
-
-
 @dataclass(frozen=True)
 class DatasetBatch:
     """Stacked same-cell replication slices for :meth:`Tuner.tune_batch`.
 
     Row ``i`` is replication ``i``'s pre-collected dataset slice — the
-    exact rows the sequential path would hand ``tune_from_dataset``, so
-    a batched tuner that reduces each row independently reproduces the
-    sequential results bit for bit.
+    exact rows the per-cell path records in its objective, so a batched
+    tuner that reduces each row independently reproduces the per-cell
+    results bit for bit.
     """
 
     #: ``(n_replications, S)`` flat configuration indices.
@@ -580,27 +585,17 @@ class Tuner:
     name: str = ""
     #: Human-readable label used in figures, e.g. ``"BO GP"``.
     label: str = ""
-    #: Whether the algorithm measures live (SMBO group in Section V-C) or
-    #: consumes a pre-collected dataset slice (non-SMBO group).
-    requires_live_objective: bool = True
 
     def steps(
         self, objective: Objective, rng: np.random.Generator
-    ) -> Optional[Stepper]:
-        """The search as a :data:`Stepper`, for a tuner whose loop
-        measures in batches that sibling replications can share (the
-        GA's generations).  The default, ``None``, means the tuner only
-        runs through :meth:`tune`."""
-        return None
+    ) -> Stepper:
+        """The search as a :data:`Stepper` over ``objective``."""
+        raise NotImplementedError
 
     def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
-        """The bare algorithm.  A stepping tuner's :meth:`steps` driven
-        alone: every request is measured as soon as it is made."""
-        stepper = self.steps(objective, rng)
-        if stepper is None:
-            raise NotImplementedError
-        for _ in measure_steps(stepper, objective):
-            pass
+        """The bare algorithm: :meth:`steps` driven alone, every request
+        measured as soon as it is made."""
+        run_to_end(measure_steps(self.steps(objective, rng), objective))
         return self._result_from(objective)
 
     def run(
@@ -617,10 +612,10 @@ class Tuner:
     def run_steps(
         self, objective: Objective, rng: np.random.Generator
     ) -> Generator[List[int], None, TuningResult]:
-        """:meth:`run` as a generator that returns the result.  A
-        stepping tuner yields each request before measuring it (see
-        :func:`measure_steps`); any other tuner runs :meth:`tune` and
-        yields nothing."""
+        """:meth:`run` as a generator that returns the result: it yields
+        each request before measuring it (see :func:`measure_steps`).
+        The events of the objective's dataset rows follow
+        ``tuner_start``."""
         tracer = objective.tracer
         if tracer.enabled:
             tracer.event(
@@ -629,12 +624,9 @@ class Tuner:
                 algorithm=self.name,
                 budget=objective.budget,
             )
-        stepper = self.steps(objective, rng)
-        if stepper is None:
-            result = self.tune(objective, rng)
-        else:
-            yield from measure_steps(stepper, objective)
-            result = self._result_from(objective)
+            objective.trace_dataset()
+        yield from measure_steps(self.steps(objective, rng), objective)
+        result = self._result_from(objective)
         if tracer.enabled:
             tracer.event(
                 "tuner_end",
@@ -660,9 +652,12 @@ class Tuner:
         """
         return None
 
-    @staticmethod
-    def _result_from(objective: Objective) -> TuningResult:
-        best_config, best_runtime = objective.best_observed()
+    def _result_from(
+        self, objective: Objective, first: int = 0
+    ) -> TuningResult:
+        """The result of a search that has ended: the best of the
+        objective's rows from ``first`` on, and the whole history."""
+        best_config, best_runtime = objective.best_observed(first)
         return TuningResult(
             best_config=best_config,
             best_runtime_ms=best_runtime,
@@ -674,49 +669,21 @@ class Tuner:
         )
 
 
-class SequentialTuner(Tuner):
-    """A live-measuring (SMBO-group) tuner: GA, BO GP, BO TPE."""
-
-    requires_live_objective = True
-
-
 class DatasetTuner(Tuner):
     """A dataset-slice (non-SMBO-group) tuner: RS, RF.
 
-    Subclasses implement :meth:`tune_from_dataset`; :meth:`tune` exists so
-    the uniform interface still works when a live objective is all you
-    have (it collects the dataset through the objective first).
+    The first ``budget - live_reserve()`` rows of its objective are a
+    pre-collected, feasible-only dataset slice
+    (:meth:`Objective.record_dataset`).  :meth:`steps` samples and
+    measures live any of those rows the objective lacks, so a bare
+    objective works too — the paper's pipeline, where the dataset rows
+    are themselves measured samples.  Subclasses extend it with what
+    they do after the dataset rows.
     """
 
-    requires_live_objective = False
-
-    def tune_from_dataset(
-        self,
-        space: SearchSpace,
-        configs: List[Configuration],
-        runtimes_ms: np.ndarray,
-        objective: Optional[Objective],
-        rng: np.random.Generator,
-        train_features: Optional[np.ndarray] = None,
-    ) -> TuningResult:
-        """Tune from a pre-collected (configs, runtimes) slice.
-
-        ``objective`` supplies any *additional* live measurements the
-        method needs (RF evaluates its top predictions); its budget must
-        account for the dataset rows already consumed.
-        ``train_features`` optionally carries the ``to_features(configs)``
-        matrix precomputed by the caller — the batched engine decodes a
-        whole replication group's rows in one vectorized pass and shares
-        the result; tuners that don't fit a surrogate ignore it.
-        """
-        raise NotImplementedError
-
-    def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
-        """Uniform-interface fallback: sample the dataset live, then tune.
-
-        Mirrors the paper's pipeline where the dataset rows are themselves
-        measured samples — they all count against the budget.
-        """
+    def steps(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> Stepper:
         reserve = self.live_reserve()
         n_dataset = objective.budget - reserve
         if n_dataset < 1:
@@ -724,11 +691,11 @@ class DatasetTuner(Tuner):
                 f"budget {objective.budget} too small for {self.name} "
                 f"(needs > {reserve})"
             )
-        configs = objective.space.sample(rng, n_dataset, feasible_only=True)
-        runtimes = np.array([objective.evaluate(c) for c in configs])
-        return self.tune_from_dataset(
-            objective.space, configs, runtimes, objective, rng
-        )
+        missing = n_dataset - objective.evaluations
+        if missing > 0:
+            space = objective.space
+            configs = space.sample(rng, missing, feasible_only=True)
+            yield [space.config_to_flat(c) for c in configs]
 
     def live_reserve(self) -> int:
         """Evaluations to reserve for post-dataset live measurements."""

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ..ml import GaussianProcessRegressor, log_runtime, penalize_failures
-from .base import BudgetExhausted, Objective, SequentialTuner, TuningResult
+from .base import Objective, Stepper, Tuner
 
 __all__ = ["BayesianGpTuner", "expected_improvement"]
 
@@ -57,7 +57,7 @@ def expected_improvement(
     return (best - mean - xi) * ndtr(z) + std * phi
 
 
-class BayesianGpTuner(SequentialTuner):
+class BayesianGpTuner(Tuner):
     """gp_minimize-style sequential GP optimization.
 
     Parameters
@@ -116,56 +116,48 @@ class BayesianGpTuner(SequentialTuner):
         keep = np.unique(np.concatenate([best.astype(int), recent]))
         return X[keep], y[keep]
 
-    def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
+    def steps(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> Stepper:
+        """The start-up design as one request, then one request per
+        proposal until the budget is spent."""
         space = objective.space
         n_init = max(2, int(round(self.init_fraction * objective.budget)))
         n_init = min(n_init, objective.budget)
 
+        design = space.sample(
+            rng, n_init, feasible_only=self.respect_constraints
+        )
+        yield [space.config_to_flat(cfg) for cfg in design]
         # Feature rows are maintained incrementally (one append per
         # evaluation) so the loop stays O(budget) in Python-level work.
-        feature_rows = []
+        feature_rows = list(space.to_features(design))
 
-        try:
-            # The start-up design is measured as one batch.
-            design = space.sample(
-                rng, n_init, feasible_only=self.respect_constraints
+        gp = GaussianProcessRegressor(
+            kernel="matern52", n_restarts=1, rng=rng
+        )
+        next_refit = objective.evaluations  # refit immediately, then 2x
+        while objective.remaining > 0:
+            X_all = np.asarray(feature_rows)
+            y_all = log_runtime(
+                penalize_failures(np.asarray(objective.runtimes))
             )
-            objective.evaluate_flats(
-                [space.config_to_flat(cfg) for cfg in design]
-            )
-            feature_rows.extend(space.to_features(design))
+            X, y = self._training_subset(X_all, y_all)
+            refit = objective.evaluations >= next_refit
+            if refit:
+                next_refit = max(next_refit * 2, objective.evaluations + 1)
+            with objective.span("model_fit", n_obs=int(y.size)):
+                gp.fit(X, y, optimize=refit)
 
-            gp = GaussianProcessRegressor(
-                kernel="matern52", n_restarts=1, rng=rng
-            )
-            next_refit = objective.evaluations  # refit immediately, then 2x
-            while objective.remaining > 0:
-                X_all = np.asarray(feature_rows)
-                y_all = log_runtime(
-                    penalize_failures(np.asarray(objective.runtimes))
+            with objective.span("propose"):
+                cand_flats, cand_features = space.sample_feature_matrix(
+                    rng, self.n_candidates,
+                    feasible_only=self.respect_constraints,
                 )
-                X, y = self._training_subset(X_all, y_all)
-                refit = objective.evaluations >= next_refit
-                if refit:
-                    next_refit = max(next_refit * 2, objective.evaluations + 1)
-                with objective.span("model_fit", n_obs=int(y.size)):
-                    gp.fit(X, y, optimize=refit)
-
-                with objective.span("propose"):
-                    cand_flats, cand_features = space.sample_feature_matrix(
-                        rng, self.n_candidates,
-                        feasible_only=self.respect_constraints,
-                    )
-                    mean, std = gp.predict(cand_features, return_std=True)
-                    ei = expected_improvement(
-                        mean, std, float(y_all.min()), self.xi
-                    )
-                    pick = int(np.argmax(ei))
-                # Flat-index route: the candidate's config dict (and, on
-                # a table-backed device, the simulator pass) is skipped.
-                objective.evaluate_flat(int(cand_flats[pick]))
-                feature_rows.append(cand_features[pick])
-        except BudgetExhausted:
-            pass
-
-        return self._result_from(objective)
+                mean, std = gp.predict(cand_features, return_std=True)
+                ei = expected_improvement(
+                    mean, std, float(y_all.min()), self.xi
+                )
+                pick = int(np.argmax(ei))
+            yield [int(cand_flats[pick])]
+            feature_rows.append(cand_features[pick])

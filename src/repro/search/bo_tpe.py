@@ -29,12 +29,12 @@ import numpy as np
 
 from ..ml import AdaptiveParzenEstimator1D, log_runtime, penalize_failures
 from ..searchspace import SearchSpace
-from .base import BudgetExhausted, Objective, SequentialTuner, TuningResult
+from .base import Objective, Stepper, Tuner
 
 __all__ = ["BayesianTpeTuner"]
 
 
-class BayesianTpeTuner(SequentialTuner):
+class BayesianTpeTuner(Tuner):
     """HyperOpt-style TPE over integer parameter spaces.
 
     Parameters
@@ -84,8 +84,9 @@ class BayesianTpeTuner(SequentialTuner):
         observations: np.ndarray,
         losses: np.ndarray,
         rng: np.random.Generator,
-    ) -> dict:
-        """One TPE suggestion from the (index-matrix, loss) history."""
+    ) -> np.ndarray:
+        """One TPE suggestion from the (index-matrix, loss) history: the
+        chosen index row."""
         n_good = self._n_good(losses.size)
         order = np.argsort(losses, kind="stable")
         good = observations[order[:n_good]]
@@ -108,39 +109,33 @@ class BayesianTpeTuner(SequentialTuner):
         # Summed dimension by dimension, left to right (cumsum adds in
         # sequence, a pairwise ``sum`` would not).
         best = int(np.argmax(np.cumsum(ratio, axis=1)[:, -1]))
-        return space.indices_to_config(candidate_matrix[best].tolist())
+        # A copy: the history keeps the row, not the whole candidate set.
+        return candidate_matrix[best].copy()
 
-    def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
+    def steps(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> Stepper:
+        """The start-up trials as one request, then one request per
+        suggestion until the budget is spent."""
         space = objective.space
         n_startup = min(self.n_startup, objective.budget)
+        startup = space.sample_indices(
+            rng, n_startup, feasible_only=self.respect_constraints
+        )
+        yield [space.indices_to_flat(row) for row in startup]
         # The observation index matrix grows by one row per evaluation;
         # maintaining the rows incrementally keeps each iteration O(n)
         # instead of re-encoding the entire history (O(n^2) per run).
-        index_rows = []
-        try:
-            # The start-up trials are measured as one batch.
-            startup = space.sample(
-                rng, n_startup, feasible_only=self.respect_constraints
-            )
-            objective.evaluate_flats(
-                [space.config_to_flat(cfg) for cfg in startup]
-            )
-            index_rows.extend(space.config_to_indices(cfg) for cfg in startup)
+        index_rows = list(startup)
 
-            while objective.remaining > 0:
-                # The Parzen-estimator build and candidate scoring are one
-                # fused step in TPE; the span is the model-fit analogue.
-                with objective.span(
-                    "model_fit", n_obs=objective.evaluations
-                ):
-                    obs = np.stack(index_rows)
-                    losses = log_runtime(
-                        penalize_failures(np.asarray(objective.runtimes))
-                    )
-                    suggestion = self._suggest(space, obs, losses, rng)
-                objective.evaluate(suggestion)
-                index_rows.append(space.config_to_indices(suggestion))
-        except BudgetExhausted:
-            pass
-
-        return self._result_from(objective)
+        while objective.remaining > 0:
+            # The Parzen-estimator build and candidate scoring are one
+            # fused step in TPE; the span is the model-fit analogue.
+            with objective.span("model_fit", n_obs=objective.evaluations):
+                obs = np.stack(index_rows)
+                losses = log_runtime(
+                    penalize_failures(np.asarray(objective.runtimes))
+                )
+                suggestion = self._suggest(space, obs, losses, rng)
+            yield [space.indices_to_flat(suggestion)]
+            index_rows.append(suggestion)

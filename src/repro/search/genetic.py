@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .base import Objective, SequentialTuner, Stepper
+from .base import Objective, Stepper, Tuner
 
 __all__ = ["GeneticAlgorithmTuner"]
 
@@ -152,7 +152,7 @@ def _breed(
     return children
 
 
-class GeneticAlgorithmTuner(SequentialTuner):
+class GeneticAlgorithmTuner(Tuner):
     """Kernel-Tuner-style generational GA.
 
     Parameters

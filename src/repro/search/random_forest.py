@@ -14,13 +14,12 @@ confirming predictions instead of exploring.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..ml import RandomForestRegressor, penalize_failures
-from ..searchspace import SearchSpace
-from .base import DatasetTuner, Objective, TuningResult
+from .base import DatasetTuner, Objective, Stepper, TuningResult
 
 __all__ = ["RandomForestTuner"]
 
@@ -71,36 +70,37 @@ class RandomForestTuner(DatasetTuner):
     def live_reserve(self) -> int:
         return self.top_k
 
-    def tune_from_dataset(
-        self,
-        space: SearchSpace,
-        configs: List[dict],
-        runtimes_ms: np.ndarray,
-        objective: Optional[Objective],
-        rng: np.random.Generator,
-        train_features: Optional[np.ndarray] = None,
-    ) -> TuningResult:
-        runtimes_ms = np.asarray(runtimes_ms, dtype=np.float64)
-        if len(configs) != runtimes_ms.size:
-            raise ValueError("configs/runtimes length mismatch")
-        if len(configs) < 2:
+    def steps(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> Stepper:
+        """Fit on the objective's dataset rows, then yield the top-k
+        predictions as one request."""
+        yield from super().steps(objective, rng)
+        if objective.evaluations < 2:
             raise ValueError("RF tuner needs at least 2 training samples")
-        if objective is None:
+        if objective.remaining < self.top_k:
             raise ValueError(
-                "RF tuner needs a live objective for its top-k stage"
+                f"RF tuner needs a live objective for its top-k stage: "
+                f"{objective.remaining} of its {objective.budget} "
+                f"evaluations are left for top_k={self.top_k}"
             )
+        yield self._top_k(objective, rng)
 
+    def _top_k(
+        self, objective: Objective, rng: np.random.Generator
+    ) -> List[int]:
+        """The flat indices of the top-k stage (the forest is dropped
+        on return, so a stepping cell does not hold it)."""
+        space = objective.space
         # Stage 1: fit the surrogate on the dataset slice.  Targets are
         # *raw* penalized runtimes, matching plain sk-learn usage (the
         # paper gives no sign of a log transform) — with heavy-tailed
         # runtimes this costs the forest resolution near the optimum,
         # which is consistent with the weak RF results the paper reports.
-        X = (
-            train_features
-            if train_features is not None
-            else space.to_features(configs)
+        X = space.index_matrix_to_features(
+            space.flats_to_index_matrix(np.asarray(objective.flats))
         )
-        y = penalize_failures(runtimes_ms)
+        y = penalize_failures(np.asarray(objective.runtimes))
         forest = RandomForestRegressor(
             n_estimators=self.n_estimators, rng=rng
         )
@@ -129,33 +129,14 @@ class RandomForestTuner(DatasetTuner):
                 candidates[int(np.argmin(preds))]
             )
         stride = space.parameters[-1].cardinality  # skip near-dead last dim
-        top_flats = [
+        return [
             min(best_flat + j * stride, space.size - 1)
             for j in range(self.top_k)
         ]
-        top_configs = [space.flat_to_config(flat) for flat in top_flats]
 
-        # The top-k stage is measured as one batch.
-        top_runtimes = np.asarray(objective.evaluate_flats(top_flats))
-
-        finite = np.isfinite(top_runtimes)
-        if finite.any():
-            j = int(np.flatnonzero(finite)[np.argmin(top_runtimes[finite])])
-        else:
-            j = 0
-        best_cfg = dict(top_configs[j])
-        best_rt = float(top_runtimes[j])
-
-        history_configs = [dict(c) for c in configs] + [
-            dict(c) for c in top_configs
-        ]
-        history_runtimes = [float(r) for r in runtimes_ms] + [
-            float(r) for r in top_runtimes
-        ]
-        return TuningResult(
-            best_config=best_cfg,
-            best_runtime_ms=best_rt,
-            history_configs=history_configs,
-            history_runtimes=history_runtimes,
-            samples_used=len(history_runtimes),
-        )
+    def _result_from(
+        self, objective: Objective, first: int = 0
+    ) -> TuningResult:
+        # "The top performing prediction is then stored as the output":
+        # the dataset rows are history only.
+        return super()._result_from(objective, objective.budget - self.top_k)

@@ -4,23 +4,19 @@
 from the collection of S samples for the given experiment" (Section VI-B).
 RS is a non-SMBO method, so its samples come from the pre-collected,
 constraint-respecting dataset (Section V-C) and it performs no live
-measurements of its own.
+measurements of its own: its stepper is :class:`DatasetTuner`'s, which
+asks for nothing once the objective holds the slice, and the result is
+the best of the objective's rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..searchspace import SearchSpace
-from .base import (
-    BatchTuningResult,
-    DatasetBatch,
-    DatasetTuner,
-    Objective,
-    TuningResult,
-)
+from .base import BatchTuningResult, DatasetBatch, DatasetTuner
 
 __all__ = ["RandomSearchTuner"]
 
@@ -38,11 +34,11 @@ class RandomSearchTuner(DatasetTuner):
 
         RS consumes no search-RNG draws and performs no live
         measurements, so an entire replication group reduces to pure
-        array work.  Row semantics match :meth:`tune_from_dataset`
-        exactly: the first finite minimum wins; a row with no finite
-        entry falls back to its first sample (``inf`` masking leaves
-        ``argmin`` at index 0 there, the same fallback the sequential
-        code takes explicitly).
+        array work.  Row semantics match the per-cell path's
+        :meth:`~repro.search.base.Objective.best_observed` exactly: the
+        first finite minimum wins; a row with no finite entry falls back
+        to its first sample (``inf`` masking leaves ``argmin`` at index
+        0 there, the same fallback the per-cell code takes explicitly).
         """
         runtimes = np.asarray(batch.runtimes_ms, dtype=np.float64)
         if runtimes.shape[1] == 0:
@@ -55,32 +51,4 @@ class RandomSearchTuner(DatasetTuner):
             best_runtimes_ms=runtimes[rows, best],
             history_runtimes=runtimes,
             samples_used=int(runtimes.shape[1]),
-        )
-
-    def tune_from_dataset(
-        self,
-        space: SearchSpace,
-        configs: List[dict],
-        runtimes_ms: np.ndarray,
-        objective: Optional[Objective],
-        rng: np.random.Generator,
-        train_features: Optional[np.ndarray] = None,
-    ) -> TuningResult:
-        runtimes_ms = np.asarray(runtimes_ms, dtype=np.float64)
-        if len(configs) != runtimes_ms.size:
-            raise ValueError("configs/runtimes length mismatch")
-        if len(configs) == 0:
-            raise ValueError("random search needs at least one sample")
-
-        finite = np.isfinite(runtimes_ms)
-        if finite.any():
-            best = int(np.flatnonzero(finite)[np.argmin(runtimes_ms[finite])])
-        else:
-            best = 0
-        return TuningResult(
-            best_config=dict(configs[best]),
-            best_runtime_ms=float(runtimes_ms[best]),
-            history_configs=[dict(c) for c in configs],
-            history_runtimes=[float(r) for r in runtimes_ms],
-            samples_used=len(configs),
         )

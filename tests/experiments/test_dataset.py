@@ -86,7 +86,7 @@ class TestSlicing:
     def test_configs_decoding(self, setup):
         _, space, device = setup
         ds = collect_dataset(device, space, 10, np.random.default_rng(5))
-        cfgs = ds.configs(space)
+        cfgs = space.flats_to_configs(ds.flats)
         assert len(cfgs) == 10
         for cfg, flat in zip(cfgs, ds.flats):
             assert space.config_to_flat(cfg) == flat

@@ -1,12 +1,14 @@
 """Lockstep replication groups against ``run_experiment`` per task.
 
-``run_experiment_batch`` steps the GA cells of one replication group
-together: every round, each live cell makes its next generation's
-request, the round's requests are resolved in one simulator pass, and
-each cell measures its slice on its own device and noise stream.  Each
-case below compares one group with ``run_experiment`` on each of its
-tasks, bit for bit, on the live (table-less) simulator, where a pass is
-a simulator call that can be counted.
+``run_experiment_batch`` steps the cells of one replication group
+together: every round, each live cell makes its next request (a GA
+generation, a BO start-up batch or proposal, RF's top-k stage), the
+round's requests are resolved in one simulator pass or table gather,
+and each cell measures its slice on its own device and noise stream.
+Each case below compares one group with ``run_experiment`` on each of
+its tasks, bit for bit.  The GA cases run on the live (table-less)
+simulator, where a pass is a simulator call that can be counted; the
+BO and RF groups run on both devices.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 import repro.experiments.runner as runner
 import repro.gpu.device as device_module
+from repro.experiments.dataset import collect_dataset
 from repro.experiments.runner import (
     FAIL_CELLS_ENV,
     ExperimentTask,
@@ -22,7 +25,10 @@ from repro.experiments.runner import (
     run_experiment,
     run_experiment_batch,
 )
+from repro.gpu.arch import get_architecture
 from repro.gpu.device import SimulatedDevice
+from repro.gpu.landscape import LandscapeTable
+from repro.kernels import get_kernel
 from repro.parallel import TaskFailure
 from repro.search import GeneticAlgorithmTuner
 
@@ -66,6 +72,15 @@ def assert_same(batched, reference):
             assert item == ref
             assert item.final_runtime_ms == ref.final_runtime_ms
             assert item.convergence == ref.convergence
+            # Counters in the same order; only wall-clock sums differ.
+            assert list(item.metrics) == list(ref.metrics)
+            assert {
+                k: v for k, v in item.metrics.items()
+                if not k.endswith("_seconds_sum")
+            } == {
+                k: v for k, v in ref.metrics.items()
+                if not k.endswith("_seconds_sum")
+            }
 
 
 @pytest.fixture
@@ -194,3 +209,113 @@ def test_group_passes_follow_its_longest_cell(
     assert sum(passes) == sum(r.samples_used for r in batched)
     if width is not None:
         assert_same(batched, per_task(tasks))
+
+
+# -- BO GP, BO TPE and RF groups -----------------------------------------------
+
+#: Small surrogate settings, so each group stays cheap.
+SURROGATE_KWARGS = {
+    "bo_gp": {"n_candidates": 64},
+    "bo_tpe": {},
+    "random_forest": {"n_estimators": 10, "candidate_pool": 256},
+}
+
+
+def surrogate_group(
+    algorithm, sample_size=30, replications=4, landscape_cache=None
+):
+    """One replication group; RF cells carry disjoint rows of one
+    pre-collected dataset."""
+    rows = [(None, None)] * replications
+    if algorithm == "random_forest":
+        kernel = get_kernel("add", 512, 512)
+        device = SimulatedDevice(
+            get_architecture("titan_v"), kernel.profile(),
+            rng=np.random.default_rng(11),
+        )
+        data = collect_dataset(
+            device, kernel.space(), sample_size * replications,
+            np.random.default_rng(12),
+        )
+        rows = [
+            (
+                tuple(part.flats.tolist()),
+                tuple(part.runtimes_ms.tolist()),
+            )
+            for part in (
+                data.slice_for(sample_size, e) for e in range(replications)
+            )
+        ]
+    return [
+        ExperimentTask(
+            algorithm, "add", "titan_v",
+            sample_size=sample_size, experiment=e, root_seed=5,
+            image_x=512, image_y=512,
+            dataset_flats=flats, dataset_runtimes=runtimes,
+            tuner_kwargs=tuple(sorted(SURROGATE_KWARGS[algorithm].items())),
+            landscape_cache=landscape_cache,
+        )
+        for e, (flats, runtimes) in enumerate(rows)
+    ]
+
+
+@pytest.fixture(scope="module")
+def table_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("landscapes"))
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Rows of every landscape-table gather."""
+    rows = []
+    runtimes_at = LandscapeTable.runtimes_at
+
+    def counting(self, flats):
+        rows.append(len(flats))
+        return runtimes_at(self, flats)
+
+    monkeypatch.setattr(LandscapeTable, "runtimes_at", counting)
+    return rows
+
+
+@pytest.mark.parametrize("tables", [False, True], ids=["live", "tables"])
+@pytest.mark.parametrize("algorithm", ["bo_gp", "bo_tpe", "random_forest"])
+def test_surrogate_group_matches_per_task(
+    algorithm, tables, table_cache, passes, gathers, requests
+):
+    """Every cell of a BO GP, BO TPE or RF group steps in lockstep: one
+    pass (live) or one gather (tables) per round, as many rounds as a
+    cell makes requests — not one per cell per request — and the final
+    repeats add none.  The results equal ``run_experiment`` per task."""
+    tasks = surrogate_group(
+        algorithm, landscape_cache=table_cache if tables else None
+    )
+    run_experiment(tasks[0])  # builds the table outside the count
+    passes.clear()
+    gathers.clear()
+    requests.clear()
+    batched = run_experiment_batch(tasks)
+    rounds = {len(requests[task.cell_key]) for task in tasks}
+    assert len(rounds) == 1  # same budget and schedule in every cell
+    resolved = gathers if tables else passes
+    assert len(resolved) == rounds.pop()
+    assert sum(resolved) == sum(
+        size for task in tasks for size, _ in requests[task.cell_key]
+    )
+    assert not (passes if tables else gathers)
+    assert_same(batched, per_task(tasks))
+
+
+def test_live_bo_gp_slice_one_pass_per_round(passes, requests, monkeypatch):
+    """A live BO GP group wider than ``LOCKSTEP_CELLS`` makes one
+    simulator pass per slice and round: its start-up design, then one
+    per proposal, whatever the slice's width."""
+    monkeypatch.setattr(runner, "LOCKSTEP_CELLS", 3)
+    tasks = surrogate_group("bo_gp", sample_size=25, replications=6)
+    batched = run_experiment_batch(tasks)
+    # n_init = 2 start-up points in one request, then 23 proposals: 24
+    # rounds for each of the two slices.
+    assert len(passes) == 2 * 24
+    assert [len(requests[task.cell_key]) for task in tasks] == [24] * 6
+    assert sum(passes) == sum(r.samples_used for r in batched) == 6 * 25
+    assert_same(batched, per_task(tasks))

@@ -210,7 +210,7 @@ class TestFlatHistory:
         assert obj.runtimes == [
             values[space2.config_to_flat(c)] for c in expected
         ]
-        result = Tuner._result_from(obj)
+        result = Tuner()._result_from(obj)
         assert result.history_configs == expected
         assert list(result.history_configs) == expected
         assert result.history_configs[1:4] == expected[1:4]

@@ -7,7 +7,9 @@ from repro.search import (
     PAPER_ALGORITHM_NAMES,
     BayesianGpTuner,
     BayesianTpeTuner,
+    DatasetTuner,
     GeneticAlgorithmTuner,
+    Objective,
     RandomForestTuner,
     RandomSearchTuner,
     TUNER_FACTORIES,
@@ -16,6 +18,21 @@ from repro.search import (
 )
 
 from .conftest import make_quadratic_objective, make_sim_objective
+
+
+def dataset_objective(space, configs, runtimes):
+    """An objective whose rows are the pre-collected ``(configs,
+    runtimes)`` slice, with a budget of one row per runtime; it measures
+    nothing."""
+
+    def measure(config):
+        raise AssertionError("dataset rows are not measured")
+
+    objective = Objective(space, measure, budget=len(runtimes))
+    objective.record_dataset(
+        [space.config_to_flat(c) for c in configs], runtimes
+    )
+    return objective
 
 
 class TestRegistry:
@@ -52,7 +69,9 @@ class TestRegistry:
     def test_smbo_grouping_matches_paper(self):
         """Section V-C: RS/RF are non-SMBO (dataset) methods; GA and the
         BO variants measure live."""
-        live = {t.name: t.requires_live_objective for t in paper_tuners()}
+        live = {
+            t.name: not isinstance(t, DatasetTuner) for t in paper_tuners()
+        }
         assert live == {
             "random_search": False,
             "random_forest": False,
@@ -122,8 +141,8 @@ class TestRandomSearch:
         rng = np.random.default_rng(0)
         configs = paper_space.sample(rng, 20, feasible_only=True)
         runtimes = np.arange(20, 0, -1).astype(float)
-        r = RandomSearchTuner().tune_from_dataset(
-            paper_space, configs, runtimes, None, rng
+        r = RandomSearchTuner().tune(
+            dataset_objective(paper_space, configs, runtimes), rng
         )
         assert r.best_runtime_ms == 1.0
         assert r.best_config == configs[-1]
@@ -133,15 +152,16 @@ class TestRandomSearch:
         rng = np.random.default_rng(0)
         configs = paper_space.sample(rng, 5, feasible_only=True)
         runtimes = np.full(5, np.inf)
-        r = RandomSearchTuner().tune_from_dataset(
-            paper_space, configs, runtimes, None, rng
+        r = RandomSearchTuner().tune(
+            dataset_objective(paper_space, configs, runtimes), rng
         )
         assert np.isinf(r.best_runtime_ms)
 
     def test_mismatched_lengths(self, paper_space):
         with pytest.raises(ValueError):
-            RandomSearchTuner().tune_from_dataset(
-                paper_space, [], np.ones(3), None, np.random.default_rng(0)
+            RandomSearchTuner().tune(
+                dataset_objective(paper_space, [], np.ones(3)),
+                np.random.default_rng(0),
             )
 
 
@@ -160,8 +180,8 @@ class TestRandomForestTuner:
         rng = np.random.default_rng(0)
         configs = paper_space.sample(rng, 15, feasible_only=True)
         with pytest.raises(ValueError, match="live objective"):
-            RandomForestTuner().tune_from_dataset(
-                paper_space, configs, np.ones(15), None, rng
+            RandomForestTuner().tune(
+                dataset_objective(paper_space, configs, np.ones(15)), rng
             )
 
     def test_validation(self):
