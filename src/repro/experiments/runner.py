@@ -17,10 +17,11 @@ count, and work placement.
 Replications of the same study cell (tasks identical except for their
 ``experiment`` index and dataset rows) additionally batch:
 :func:`run_experiment_batch` executes a whole replication group at once,
-sharing the kernel/space/landscape setup across the group.  For tuners
-implementing :meth:`~repro.search.Tuner.tune_batch` (Random Search) it
-collapses the entire group into vectorized array work, and resolves the
-group's chosen configurations for their final repeats in one pass.
+sharing the kernel/space/landscape setup across the group.  A Random
+Search group (a dataset tuner with no live reserve) needs no search:
+the runner reduces its stacked dataset rows with
+:func:`~repro.search.base.best_of_rows` and resolves the chosen
+configurations for their final repeats in one pass.
 Every other group steps its cells in lockstep, since every tuner's
 search is a :data:`~repro.search.Stepper` over an objective that
 already holds the cell's dataset rows: each round resolves every cell's
@@ -50,9 +51,9 @@ from ..obs.spans import SpanContext, SpanScope
 from ..parallel.pool import TaskFailure
 from ..parallel.rng import RngFactory
 from ..search import (
-    DatasetBatch,
     DatasetTuner,
     Objective,
+    best_of_rows,
     best_so_far,
     make_tuner,
     run_to_end,
@@ -295,7 +296,6 @@ def _cell_steps(
         device,
         best_flat,
         result.history_runtimes,
-        result.samples_used,
         result.best_runtime_ms,
     )
     if tracer.enabled:
@@ -357,7 +357,6 @@ def _finish_cell(
     device: SimulatedDevice,
     best_flat: int,
     history,
-    samples_used: int,
     observed_best_ms: float,
 ) -> ExperimentResult:
     """End one experiment (Section VI-A): the chosen configuration runs
@@ -366,7 +365,8 @@ def _finish_cell(
     ``metrics`` holds the search's own counters; the four cell counters
     are added after them, so every route writes its metric keys in the
     same order.  The convergence curve comes from the full evaluation
-    ``history`` (dataset rows included), so every technique gets one;
+    ``history`` (dataset rows included; one row per sample used), so
+    every technique gets one;
     :func:`best_so_far` builds it, so a result holds one float object
     per improvement rather than one per evaluation.
 
@@ -384,7 +384,7 @@ def _finish_cell(
             f"fails to launch on {task.arch}"
         )
     history = np.asarray(history, dtype=np.float64)
-    metrics["evaluations_total"] = float(samples_used)
+    metrics["evaluations_total"] = float(history.size)
     metrics["launch_failures_total"] = float(
         np.count_nonzero(~np.isfinite(history))
     )
@@ -399,7 +399,7 @@ def _finish_cell(
         final_runtime_ms=final_ms,
         best_flat=best_flat,
         observed_best_ms=float(observed_best_ms),
-        samples_used=int(samples_used),
+        samples_used=int(history.size),
         convergence=best_so_far(history.tolist()),
         metrics=metrics,
     )
@@ -471,7 +471,7 @@ def _run_group_inner(
         failure = TaskFailure.from_exception(exc)
         return [failure for _ in tasks]
 
-    # Spans-only tracing keeps the vectorized fast path: spans need no
+    # Spans-only tracing keeps the vectorized reduction: spans need no
     # per-evaluate events, so group-level work stays collapsed.
     if (
         isinstance(tuner, DatasetTuner)
@@ -484,9 +484,7 @@ def _run_group_inner(
         except ValueError:
             pass  # each bad cell raises it again on the per-cell path
         else:
-            vectorized = _run_dataset_batch(tasks, ctx, tuner)
-            if vectorized is not None:
-                return vectorized
+            return _run_dataset_batch(tasks, ctx)
 
     # Lockstep path against the shared context.  Trajectory events are
     # written as they happen, so under full tracing each cell steps
@@ -554,31 +552,26 @@ def _in_span(steps: Generator, scope: SpanScope) -> Generator:
 
 
 def _run_dataset_batch(
-    tasks: List[ExperimentTask], ctx: _CellContext, tuner: DatasetTuner
-) -> Optional[List[BatchItem]]:
-    """Fully vectorized replication group via :meth:`Tuner.tune_batch`,
-    for a tuner that reserves no live runs and tasks whose payloads
-    passed :func:`_training_rows`.
+    tasks: List[ExperimentTask], ctx: _CellContext
+) -> List[BatchItem]:
+    """A replication group of a dataset tuner that reserves no live
+    runs, as array work; the tasks' payloads passed
+    :func:`_training_rows`.
 
-    Returns ``None`` when the tuner declines ``tune_batch``; the caller
-    then takes the generic per-cell path.
+    Such a tuner's stepper asks for nothing once the objective holds
+    the dataset rows, so each cell's result is the best of its rows:
+    one :func:`best_of_rows` over the group's stacked ``(n, S)`` rows.
     """
-    batch = DatasetBatch(
-        flats=np.array(
-            [task.dataset_flats for task in tasks], dtype=np.int64
-        ),
-        runtimes_ms=np.array(
-            [task.dataset_runtimes for task in tasks], dtype=np.float64
-        ),
+    flats = np.array([task.dataset_flats for task in tasks], dtype=np.int64)
+    runtimes = np.array(
+        [task.dataset_runtimes for task in tasks], dtype=np.float64
     )
-    result = tuner.tune_batch(ctx.space, batch)
-    if result is None:
-        return None
+    best, best_ms = best_of_rows(runtimes)
+    best_flats = flats[np.arange(len(tasks)), best].tolist()
 
     # The "/search" stream is never drawn from by a zero-reserve dataset
     # tuner, so only the devices' are created.  The group's chosen flats
     # are resolved together, so the final repeats make no further pass.
-    best_flats = result.best_flats.tolist()
     devices = [_cell_device(task, ctx) for task in tasks]
     resolve_together(devices, [[flat] for flat in best_flats])
     out: List[BatchItem] = []
@@ -592,9 +585,8 @@ def _run_dataset_batch(
                     ctx,
                     devices[i],
                     best_flats[i],
-                    result.history_runtimes[i],
-                    result.samples_used,
-                    result.best_runtimes_ms[i],
+                    runtimes[i],
+                    best_ms[i],
                 )
             )
         except (InjectedFailure, NonFiniteResultError) as exc:

@@ -34,7 +34,7 @@ from typing import (
     Union,
 )
 
-from ..gpu.arch import PAPER_ARCHITECTURES, get_architecture
+from ..gpu.arch import PAPER_ARCHITECTURES, GpuArchitecture, get_architecture
 from ..gpu.device import SimulatedDevice
 from ..gpu.landscape import (
     LandscapeTable,
@@ -43,6 +43,7 @@ from ..gpu.landscape import (
     load_or_compute_landscape,
 )
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
+from ..gpu.workload import WorkloadProfile
 from ..kernels import PAPER_KERNEL_NAMES, get_kernel
 from ..obs import MetricsRegistry, global_registry
 from ..obs.spans import SpanContext
@@ -55,6 +56,7 @@ from ..parallel import (
 )
 from ..search import PAPER_ALGORITHM_NAMES, make_tuner
 from ..search.base import DatasetTuner
+from ..searchspace import SearchSpace
 from ..store import (
     ResultStore,
     cell_identity,
@@ -169,32 +171,38 @@ def _dataset_cells_covered(
     )
 
 
+def _landscapes(
+    config: StudyConfig,
+) -> Iterator[
+    Tuple[Tuple[str, str], WorkloadProfile, SearchSpace, GpuArchitecture]
+]:
+    """Every (kernel, arch) landscape of the study, in study order:
+    ``((kernel, arch), profile, space, arch)``, each kernel's profile
+    and space built once."""
+    archs = [(aname, get_architecture(aname)) for aname in config.archs]
+    for kname in config.kernels:
+        kernel = get_kernel(kname, config.image_x, config.image_y)
+        profile = kernel.profile()
+        space = kernel.space()
+        for aname, arch in archs:
+            yield (kname, aname), profile, space, arch
+
+
 class _CellFingerprints:
     """Memoized per-cell result-store fingerprints for one study config.
 
-    The landscape fingerprint (one kernel/space construction per
-    (kernel, arch) pair) dominates the cost of a cell identity, so it is
-    computed once and shared across every cell on that landscape —
-    fingerprinting a whole study is then microseconds per cell.
+    The landscape fingerprint dominates the cost of a cell identity, so
+    it is computed once per landscape and shared across every cell on
+    it — fingerprinting a whole study is then microseconds per cell.
     """
 
     def __init__(self, config: StudyConfig) -> None:
         self._config = config
-        self._landscape_fps: Dict[Tuple[str, str], str] = {}
+        self._landscape_fps = {
+            key: landscape_fingerprint(profile, arch, space)
+            for key, profile, space, arch in _landscapes(config)
+        }
         self._needs_data = _needs_data(config)
-
-    def _landscape_fp(self, kname: str, aname: str) -> str:
-        key = (kname, aname)
-        fp = self._landscape_fps.get(key)
-        if fp is None:
-            kernel = get_kernel(
-                kname, self._config.image_x, self._config.image_y
-            )
-            fp = landscape_fingerprint(
-                kernel.profile(), get_architecture(aname), kernel.space()
-            )
-            self._landscape_fps[key] = fp
-        return fp
 
     def fingerprint_for(
         self, alg: str, kname: str, aname: str, size: int, exp: int
@@ -202,7 +210,7 @@ class _CellFingerprints:
         """``(fingerprint, identity)`` of one study cell."""
         config = self._config
         identity = cell_identity(
-            self._landscape_fp(kname, aname),
+            self._landscape_fps[(kname, aname)],
             algorithm=alg,
             kernel=kname,
             arch=aname,
@@ -245,16 +253,12 @@ def _load_landscapes(
     """One landscape table per (kernel, arch) — the study's single
     full-space simulator pass per landscape.  Tables land in the on-disk
     cache so worker processes memory-map them instead of recomputing."""
-    out: Dict[Tuple[str, str], LandscapeTable] = {}
-    for kname in config.kernels:
-        kernel = get_kernel(kname, config.image_x, config.image_y)
-        profile = kernel.profile()
-        space = kernel.space()
-        for aname in config.archs:
-            out[(kname, aname)] = load_or_compute_landscape(
-                profile, get_architecture(aname), space, cache_dir=cache_dir
-            )
-    return out
+    return {
+        key: load_or_compute_landscape(
+            profile, arch, space, cache_dir=cache_dir
+        )
+        for key, profile, space, arch in _landscapes(config)
+    }
 
 
 def _collect_datasets(
@@ -265,24 +269,21 @@ def _collect_datasets(
     rngs = RngFactory(config.root_seed)
     out: Dict[Tuple[str, str], PrecollectedDataset] = {}
     rows = config.design.dataset_rows_required
-    for kname in config.kernels:
-        kernel = get_kernel(kname, config.image_x, config.image_y)
-        profile = kernel.profile()
-        space = kernel.space()
-        for aname in config.archs:
-            device = SimulatedDevice(
-                get_architecture(aname),
-                profile,
-                noise=config.noise,
-                rng=rngs.stream_for(f"dataset/{kname}/{aname}/device"),
-                table=tables.get((kname, aname)) if tables else None,
-            )
-            out[(kname, aname)] = collect_dataset(
-                device,
-                space,
-                rows,
-                rngs.stream_for(f"dataset/{kname}/{aname}/sample"),
-            )
+    for key, profile, space, arch in _landscapes(config):
+        kname, aname = key
+        device = SimulatedDevice(
+            arch,
+            profile,
+            noise=config.noise,
+            rng=rngs.stream_for(f"dataset/{kname}/{aname}/device"),
+            table=tables.get(key) if tables else None,
+        )
+        out[key] = collect_dataset(
+            device,
+            space,
+            rows,
+            rngs.stream_for(f"dataset/{kname}/{aname}/sample"),
+        )
     return out
 
 
@@ -291,20 +292,12 @@ def _compute_optima(
     tables: Optional[Dict[Tuple[str, str], LandscapeTable]] = None,
 ) -> Dict[Tuple[str, str], float]:
     """True noise-free optimum of every (kernel, arch) landscape."""
-    out: Dict[Tuple[str, str], float] = {}
-    for kname in config.kernels:
-        kernel = get_kernel(kname, config.image_x, config.image_y)
-        profile = kernel.profile()
-        space = kernel.space()
-        for aname in config.archs:
-            opt = find_true_optimum(
-                profile,
-                get_architecture(aname),
-                space,
-                table=tables.get((kname, aname)) if tables else None,
-            )
-            out[(kname, aname)] = opt.runtime_ms
-    return out
+    return {
+        key: find_true_optimum(
+            profile, arch, space, table=tables.get(key) if tables else None
+        ).runtime_ms
+        for key, profile, space, arch in _landscapes(config)
+    }
 
 
 def build_tasks(

@@ -4,10 +4,10 @@
 batching, retries, failure policy, metrics, and the in-input-order
 delivery of outcomes that checkpoint byte-identity rests on.  An
 :class:`Executor` owns only *transport*: ship a picklable
-:class:`WorkUnit` somewhere, run its entry point, stream a
+:class:`WorkUnit` somewhere, run the worker entry point
+:func:`~repro.parallel.pool._run_batch` on its payload, stream a
 :class:`UnitResult` back.  There is one dispatch shape: a unit is one
-batch of one replication group, built by :meth:`Executor.run_grouped`
-around the worker entry point :func:`~repro.parallel.pool._run_batch`.
+batch of one replication group, built by :meth:`Executor.run_grouped`.
 Three backends implement the seam:
 
 * ``serial`` — inline in the caller, zero IPC (``inline = True``),
@@ -36,7 +36,7 @@ from typing import (
     Tuple,
 )
 
-from ..pool import TaskOutcome, _run_batch
+from ..pool import TaskOutcome
 
 __all__ = ["ExecutionSettings", "WorkUnit", "UnitResult", "Executor"]
 
@@ -53,7 +53,8 @@ class ExecutionSettings:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One shippable message: an entry point plus its arguments.
+    """One shippable message: the arguments of one
+    :func:`~repro.parallel.pool._run_batch` call.
 
     ``members`` lists the ``(task_index, task)`` pairs the unit covers,
     so an infrastructure failure (broken pool, dead worker, unpicklable
@@ -61,7 +62,6 @@ class WorkUnit:
     """
 
     uid: int
-    entry: Callable[..., List[TaskOutcome]]
     payload: tuple
     members: Tuple[Tuple[int, Any], ...]
 
@@ -89,7 +89,8 @@ class Executor:
 
     :meth:`run_grouped` is the one dispatch method: it wraps each batch
     :class:`~repro.parallel.pool.ParallelMap` cut in a :class:`WorkUnit`
-    around the shared worker entry point and delegates transport to
+    (the arguments of one :func:`~repro.parallel.pool._run_batch` call)
+    and delegates transport to
     :meth:`submit`, which yields :class:`UnitResult` records in
     **completion order** — the pool re-orders them for delivery.
     """
@@ -128,7 +129,6 @@ class Executor:
         units = [
             WorkUnit(
                 uid=uid,
-                entry=_run_batch,
                 payload=(fn, batch_fn, list(indices), list(batch), settings),
                 members=tuple(zip(indices, batch)),
             )

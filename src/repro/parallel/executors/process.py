@@ -13,7 +13,7 @@ import traceback as _traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Iterable, Iterator, Optional
 
-from ..pool import default_worker_count
+from ..pool import _run_batch, default_worker_count
 from .base import Executor, UnitResult, WorkUnit
 
 __all__ = ["ProcessExecutor"]
@@ -36,7 +36,7 @@ class ProcessExecutor(Executor):
         units = list(units)
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             by_future = {
-                pool.submit(unit.entry, *unit.payload): unit
+                pool.submit(_run_batch, *unit.payload): unit
                 for unit in units
             }
             pending = set(by_future)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import traceback as _traceback
 from typing import Iterable, Iterator
 
+from ..pool import _run_batch
 from .base import Executor, UnitResult, WorkUnit
 
 __all__ = ["SerialExecutor"]
@@ -26,7 +27,7 @@ class SerialExecutor(Executor):
     def submit(self, units: Iterable[WorkUnit]) -> Iterator[UnitResult]:
         for unit in units:
             try:
-                outcomes = unit.entry(*unit.payload)
+                outcomes = _run_batch(*unit.payload)
             except Exception as exc:  # noqa: BLE001 - reported, not lost
                 yield UnitResult(
                     unit=unit,

@@ -306,7 +306,6 @@ class SocketExecutor(Executor):
                         {
                             "kind": "unit",
                             "id": unit.uid,
-                            "entry": unit.entry,
                             "payload": unit.payload,
                         }
                     )

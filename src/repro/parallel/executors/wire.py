@@ -15,8 +15,8 @@ sends one ``unit`` and the worker answers it with one ``result`` or
 * ``welcome`` (coordinator → worker): the (deduplicated) ``node`` name
   the coordinator will attribute this worker's outcomes to.
 * ``reject``  (coordinator → worker): handshake refusal + ``reason``.
-* ``unit``    (coordinator → worker): ``id``, ``entry`` (a module-level
-  callable, pickled by qualified name), ``payload`` (its args — one
+* ``unit``    (coordinator → worker): ``id`` and ``payload``, the
+  arguments of one :func:`~repro.parallel.pool._run_batch` call (one
   replication-group batch).
 * ``result`` / ``error`` (worker → coordinator): the unit's ``id`` plus
   ``outcomes`` or ``error``/``traceback``.
@@ -44,7 +44,7 @@ __all__ = [
     "recv_msg",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 MAGIC = b"REPX"
 _HEADER = struct.Struct(">4sQ")

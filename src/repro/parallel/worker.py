@@ -8,10 +8,10 @@ The worker dials the coordinator started by
 ``repro-study --executor socket --bind HOST:PORT``, performs the
 versioned handshake (protocol + simulator version — see
 :mod:`repro.parallel.executors.wire`), then loops: receive one ``unit``
-frame (one replication-group batch), execute its module-level entry
-point, and answer with one ``result`` frame carrying the per-task
-outcomes — or an ``error`` frame when the entry point raises or its
-outcomes will not pickle.  It exits cleanly on the coordinator's
+frame (one replication-group batch), run
+:func:`~repro.parallel.pool._run_batch` on its payload, and answer with
+one ``result`` frame carrying the per-task outcomes — or an ``error``
+frame when the batch raises or its outcomes will not pickle.  It exits cleanly on the coordinator's
 ``shutdown`` frame or end-of-stream.
 
 The coordinator-assigned node name is exported as ``REPRO_NODE_ID`` so
@@ -37,7 +37,7 @@ from typing import List, Optional
 
 from .executors.socket import parse_bind
 from .executors.wire import PROTOCOL_VERSION, send_msg, recv_msg
-from .pool import NODE_ID_ENV
+from .pool import NODE_ID_ENV, _run_batch
 
 __all__ = ["main", "serve"]
 
@@ -103,7 +103,7 @@ def serve(
                 continue
             uid = msg.get("id")
             try:
-                outcomes = msg["entry"](*msg["payload"])
+                outcomes = _run_batch(*msg["payload"])
                 reply = {"kind": "result", "id": uid, "outcomes": outcomes}
                 try:
                     send_msg(sock, reply)

@@ -5,14 +5,13 @@ measure live (the paper's SMBO group, Section V-C).
 """
 
 from .base import (
-    BatchTuningResult,
     BudgetExhausted,
-    DatasetBatch,
     DatasetTuner,
     Objective,
     Stepper,
     Tuner,
     TuningResult,
+    best_of_rows,
     best_so_far,
     run_to_end,
 )
@@ -33,9 +32,8 @@ __all__ = [
     "BudgetExhausted",
     "Tuner",
     "DatasetTuner",
-    "DatasetBatch",
-    "BatchTuningResult",
     "TuningResult",
+    "best_of_rows",
     "best_so_far",
     "Stepper",
     "run_to_end",

@@ -11,6 +11,9 @@ configuration is what counts.  The machinery here enforces that contract:
 * :class:`TuningResult` records the best configuration *by observed
   runtime* plus the full evaluation history (the experiment runner
   re-evaluates the final configuration 10x separately, per Section VI-A);
+  :func:`best_of_rows` is the one rule that picks it, shared by
+  :meth:`Objective.best_observed` and the experiment runner's
+  row-wise reduction of whole Random Search replication groups;
 * :class:`Tuner` is the base class of the five algorithms.  Every tuner
   is a :data:`Stepper` — its search loop turned inside out: it yields the
   flat indices it wants measured and takes their runtimes back — so the
@@ -32,7 +35,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Iterable, List, Optional
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,8 +48,7 @@ __all__ = [
     "TuningResult",
     "Tuner",
     "DatasetTuner",
-    "DatasetBatch",
-    "BatchTuningResult",
+    "best_of_rows",
     "best_so_far",
     "Stepper",
     "measure_steps",
@@ -72,6 +74,19 @@ def best_so_far(runtimes: Iterable[float]) -> List[float]:
             best = runtime
         curve.append(best)
     return curve
+
+
+def best_of_rows(runtimes_ms) -> Tuple[np.ndarray, np.ndarray]:
+    """``(index, runtime_ms)`` of the best sample in each row of an
+    ``(n, S)`` runtime array (S >= 1): the row's first finite minimum,
+    or index 0 and ``inf`` when nothing in the row launched.  Every
+    tuner's pick, and all of Random Search: "we simply select the
+    minimum runtime from the collection of S samples" (Section VI-B).
+    """
+    runtimes = np.asarray(runtimes_ms, dtype=np.float64)
+    masked = np.where(np.isfinite(runtimes), runtimes, np.inf)
+    index = np.argmin(masked, axis=1)
+    return index, masked[np.arange(masked.shape[0]), index]
 
 
 class BudgetExhausted(RuntimeError):
@@ -384,20 +399,15 @@ class Objective:
         return _NO_SPAN
 
     def best_observed(self, first: int = 0) -> tuple:
-        """(best_config, best_runtime) among valid evaluations so far,
-        from row ``first`` on."""
+        """(best_config, best_runtime) among the evaluations so far, from
+        row ``first`` on (:func:`best_of_rows`: the first finite minimum,
+        or the first row and ``inf`` when every one failed to launch)."""
         if len(self.runtimes) <= first:
             raise RuntimeError("no evaluations performed yet")
-        arr = np.asarray(self.runtimes[first:])
-        finite = np.isfinite(arr)
-        if not finite.any():
-            # Every sampled configuration failed to launch; report the
-            # first one (the caller sees runtime = inf and handles it).
-            return self.space.flat_to_config(self.flats[first]), float("inf")
-        idx = int(np.flatnonzero(finite)[np.argmin(arr[finite])])
+        index, best_ms = best_of_rows([self.runtimes[first:]])
         return (
-            self.space.flat_to_config(self.flats[first + idx]),
-            float(arr[idx]),
+            self.space.flat_to_config(self.flats[first + int(index[0])]),
+            float(best_ms[0]),
         )
 
 
@@ -434,56 +444,6 @@ class _InstrumentedSpan:
                 duration_s=round(duration, 6),
                 **self._fields,
             )
-
-
-@dataclass(frozen=True)
-class DatasetBatch:
-    """Stacked same-cell replication slices for :meth:`Tuner.tune_batch`.
-
-    Row ``i`` is replication ``i``'s pre-collected dataset slice — the
-    exact rows the per-cell path records in its objective, so a batched
-    tuner that reduces each row independently reproduces the per-cell
-    results bit for bit.
-    """
-
-    #: ``(n_replications, S)`` flat configuration indices.
-    flats: np.ndarray
-    #: ``(n_replications, S)`` measured runtimes, ms (inf = failure).
-    runtimes_ms: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.flats.shape != self.runtimes_ms.shape:
-            raise ValueError("flats/runtimes shape mismatch")
-        if self.flats.ndim != 2:
-            raise ValueError("batch arrays must be 2-D")
-
-    @property
-    def replications(self) -> int:
-        return int(self.flats.shape[0])
-
-    @property
-    def sample_size(self) -> int:
-        return int(self.flats.shape[1])
-
-
-@dataclass(frozen=True)
-class BatchTuningResult:
-    """Vectorized outcome of tuning many same-cell replications at once.
-
-    The per-replication analogue of :class:`TuningResult` without the
-    per-row config-dict histories (the batched engine derives everything
-    downstream — convergence curves, failure counts, best configs — from
-    these arrays directly).
-    """
-
-    #: ``(n,)`` best flat index per replication.
-    best_flats: np.ndarray
-    #: ``(n,)`` observed runtime of that flat per replication, ms.
-    best_runtimes_ms: np.ndarray
-    #: ``(n, S)`` full evaluation history per replication, ms.
-    history_runtimes: np.ndarray
-    #: Measurements consumed per replication (same for all rows).
-    samples_used: int
 
 
 class FlatConfigs(Sequence):
@@ -635,22 +595,6 @@ class Tuner:
                 best_ms=float(result.best_runtime_ms),
             )
         return result
-
-    def tune_batch(
-        self, space: SearchSpace, batch: DatasetBatch
-    ) -> Optional[BatchTuningResult]:
-        """Opt-in vectorized path: tune every replication in ``batch``
-        at once.
-
-        Returning a :class:`BatchTuningResult` asserts that row ``i``
-        equals what the sequential path would produce for replication
-        ``i`` — including RNG-stream discipline (this default-capable
-        API is only implemented by tuners whose per-replication work is
-        a pure reduction over the dataset slice, like Random Search).
-        The default returns ``None``: not batchable, use the sequential
-        fallback.
-        """
-        return None
 
     def _result_from(
         self, objective: Objective, first: int = 0

@@ -36,6 +36,7 @@ from repro.parallel.executors.wire import (
     recv_msg,
     send_msg,
 )
+from repro.parallel.pool import _run_batch
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 SRC_DIR = REPO_ROOT / "src"
@@ -282,14 +283,14 @@ def _mod3(x):
     return x % 3
 
 
-def _hello(executor, node, simulator_version):
+def _hello(executor, node, simulator_version, protocol=PROTOCOL_VERSION):
     """A hand-rolled worker connection that has sent its hello."""
     conn = _socket.create_connection(parse_bind(executor.address))
     send_msg(
         conn,
         {
             "kind": "hello",
-            "protocol": PROTOCOL_VERSION,
+            "protocol": protocol,
             "node": node,
             "pid": 0,
             "simulator_version": simulator_version,
@@ -432,7 +433,7 @@ class TestSocketExecutor:
                 unit = recv_msg(conn)
                 reply = {
                     "kind": "result",
-                    "outcomes": unit["entry"](*unit["payload"]),
+                    "outcomes": _run_batch(*unit["payload"]),
                 }
                 if reply_id == "unknown":
                     reply["id"] = unit["id"] + 1000
@@ -477,6 +478,25 @@ class TestSocketExecutor:
                 reply = recv_msg(conn)
                 assert reply["kind"] == "reject"
                 assert "simulator version" in reply["reason"]
+            finally:
+                conn.close()
+            assert executor.worker_count() == 0
+        finally:
+            executor.close()
+
+    def test_protocol_2_worker_rejected(self):
+        # Version 2 units carried a pickled entry callable; a worker
+        # that still expects one is refused before it gets a unit.
+        from repro.gpu.simulator import SIMULATOR_VERSION
+
+        assert PROTOCOL_VERSION == 3
+        executor = SocketExecutor()
+        try:
+            conn = _hello(executor, "old", int(SIMULATOR_VERSION), 2)
+            try:
+                reply = recv_msg(conn)
+                assert reply["kind"] == "reject"
+                assert reply["reason"] == "protocol 2 != coordinator 3"
             finally:
                 conn.close()
             assert executor.worker_count() == 0

@@ -391,7 +391,7 @@ class RecordingExecutor(Executor):
         units = list(units)
         self.units.extend(units)
         for unit in reversed(units) if self.reverse else units:
-            yield UnitResult(unit=unit, outcomes=unit.entry(*unit.payload))
+            yield UnitResult(unit=unit, outcomes=_run_batch(*unit.payload))
 
     def batches(self):
         """``(indices, batch)`` of every recorded message."""
@@ -428,7 +428,11 @@ class TestOneBatchPerMessage:
     def test_every_message_is_one_batch_of_one_group(self):
         executor = RecordingExecutor()
         self._run(executor, COSTED, cost=_cost)
-        assert all(unit.entry is _run_batch for unit in executor.units)
+        # Every unit is the arguments of one _run_batch call.
+        assert all(
+            unit.payload[:2] == (_cost, _cost_batch)
+            for unit in executor.units
+        )
         for indices, batch in executor.batches():
             assert len(indices) == len(batch) >= 1
             assert len({_group(t) for t in batch}) == 1

@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
-from repro.search import BudgetExhausted, Objective, Tuner, TuningResult
+from repro.search import (
+    BudgetExhausted,
+    Objective,
+    Tuner,
+    TuningResult,
+    best_of_rows,
+)
 from repro.searchspace import IntegerParameter, SearchSpace
 
 
@@ -258,3 +266,65 @@ class TestTuningResult:
                 history_configs=[{"x": 0}],
                 history_runtimes=[1.0, 2.0],
             )
+
+
+def best_observed_oracle(row):
+    """The scalar best-of-samples rule ``Objective.best_observed`` used
+    before it shared :func:`best_of_rows`: ``(index, runtime)`` of the
+    first finite minimum, ``(0, inf)`` when nothing is finite."""
+    arr = np.asarray(row, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.any():
+        return 0, math.inf
+    idx = int(np.flatnonzero(finite)[np.argmin(arr[finite])])
+    return idx, float(arr[idx])
+
+
+#: Few distinct values, so rows tie often; the non-finite ones too.
+_RUNTIMES = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def runtime_rows(draw):
+    """An ``(n, S)`` array whose rows hold ties, ``inf``, NaN, and
+    sometimes nothing finite at all."""
+    width = draw(st.integers(1, 12))
+    row = st.one_of(
+        st.lists(_RUNTIMES, min_size=width, max_size=width),
+        st.lists(_NON_FINITE, min_size=width, max_size=width),
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=8)))
+
+
+class TestBestOfRows:
+    @settings(max_examples=200, deadline=None)
+    @given(runtime_rows())
+    def test_matches_scalar_oracle(self, runtimes):
+        index, best_ms = best_of_rows(runtimes)
+        assert index.shape == best_ms.shape == (runtimes.shape[0],)
+        for i, row in enumerate(runtimes):
+            idx, best = best_observed_oracle(row)
+            assert int(index[i]) == idx
+            assert float(best_ms[i]) == best
+
+    @settings(max_examples=100, deadline=None)
+    @given(runtime_rows())
+    def test_best_observed_reads_each_row_alike(self, runtimes):
+        space = SearchSpace([IntegerParameter("x", 0, 99)])
+        for row in runtimes:
+            obj = Objective(space, lambda c: 0.0, budget=len(row))
+            flats = np.arange(len(row)) * 7 % space.size
+            obj.record_dataset(flats, row)
+            idx, best = best_observed_oracle(row)
+            assert obj.best_observed() == ({"x": int(flats[idx])}, best)
+
+    def test_tie_and_all_failed_rows(self):
+        index, best_ms = best_of_rows(
+            [[3.0, 1.0, 2.0, 1.0], [math.inf, math.nan, -math.inf, math.inf]]
+        )
+        assert index.tolist() == [1, 0]
+        assert best_ms.tolist() == [1.0, math.inf]
