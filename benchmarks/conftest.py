@@ -17,7 +17,9 @@ Scale knobs (environment variables):
     Worker processes for the study run (default: all cores).
 
 The recorded scale always accompanies the output, so a scaled-down run
-never masquerades as the paper's full design.
+never masquerades as the paper's full design.  The cache key includes a
+digest of the package source (:func:`source_digest`), so a cached study
+never outlives a change to the simulator or a tuner.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import (
     ExperimentDesign,
     StudyConfig,
@@ -38,6 +41,21 @@ from repro.experiments import (
 from repro.parallel import default_worker_count
 
 CACHE_DIR = Path(__file__).parent / "_cache"
+
+
+def source_digest() -> str:
+    """sha256 over every ``repro/**/*.py`` file: each file's path
+    relative to the package root and its bytes, in sorted path order."""
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(
+        root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()
+    ):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def bench_design() -> ExperimentDesign:
@@ -50,8 +68,10 @@ def bench_design() -> ExperimentDesign:
 
 
 def cached_study(config: StudyConfig, tag: str) -> StudyResults:
-    """Run (or load) a study, keyed by its full configuration."""
+    """Run (or load) a study, keyed by its full configuration and the
+    package source."""
     key_doc = {
+        "source": source_digest(),
         "tag": tag,
         "design": config.design.schedule,
         "algorithms": config.algorithms,

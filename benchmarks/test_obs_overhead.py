@@ -5,9 +5,9 @@ a study with hierarchical span tracing enabled adds **< 2%** wall-clock
 overhead over the same study run bare.
 
 The study's phase spans run in both variants (they are its phase
-clock); tracing adds spans at group/cell granularity (never per
-evaluation) and writes them all, so the cost is a handful of JSONL
-writes and ``resource`` reads per cell — noise against even a small
+clock); tracing writes them, plus a span per worker chunk on a process
+pool, and adds nothing to the cells, so the cost is a handful of JSONL
+writes and ``resource`` reads per study — noise against even a small
 study.  The two variants are timed as the best of
 interleaved bare/observed pairs over a pre-warmed landscape cache, so
 one-off table builds never masquerade as tracing cost and slow machine
@@ -88,7 +88,6 @@ def test_span_and_profile_overhead_under_threshold(tmp_path):
             _config(),
             landscape_cache=cache,
             trace_dir=next(trace_dirs),
-            trace_level="spans",
         ),
     )
     clear_landscape_memo()

@@ -311,7 +311,7 @@ def test_landscape_tuner_cell_speedup(warm_table):
             budget=400,
             measure_flats=device.measure_flats_each if with_table else None,
         )
-        result = GeneticAlgorithmTuner().run(
+        result = GeneticAlgorithmTuner().tune(
             objective, np.random.default_rng(7)
         )
         return result.best_runtime_ms

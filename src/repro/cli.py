@@ -11,7 +11,7 @@ full design from the paper (hours of compute).
 
 Figures and data artifacts go to **stdout** (pipeable); progress,
 warnings, and bookkeeping lines go to **stderr** (``--quiet`` silences
-them).  ``--trace-dir`` records search-trajectory JSONL (readable with
+them).  ``--trace-dir`` records the study's spans as JSONL (readable with
 ``python -m repro.obs.read``), ``--metrics-out`` exports the study's
 counters, ``--run-ledger`` records a provenance manifest, and
 ``--convergence`` prints best-so-far plots.
@@ -130,16 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip printing figures")
     parser.add_argument(
         "--trace-dir", metavar="DIR",
-        help="record search-trajectory events as JSONL into DIR (one "
-             "trace-<pid>.jsonl per worker; inspect with "
-             "`python -m repro.obs.read DIR --validate --cells`)",
-    )
-    parser.add_argument(
-        "--trace-level", choices=["spans", "full"], default="full",
-        help="what --trace-dir records: hierarchical spans "
-             "(study/phase/worker/group/cell; view with "
-             "`python -m repro.obs.read DIR --spans`) plus trajectory "
-             "events (full, the default), or spans only",
+        help="record the study's study/phase/worker-chunk spans as JSONL "
+             "into DIR (one trace-<pid>.jsonl per process; inspect with "
+             "`python -m repro.obs.read DIR --validate --spans`)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -291,7 +284,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             retries=args.retries,
             trace_dir=args.trace_dir,
             landscape_cache=args.landscape_cache,
-            trace_level=args.trace_level,
             executor=args.executor,
             executor_bind=args.bind,
             min_workers=args.min_workers,

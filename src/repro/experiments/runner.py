@@ -46,8 +46,7 @@ from ..gpu.arch import get_architecture
 from ..gpu.device import SimulatedDevice, resolve_together
 from ..gpu.noise import DEFAULT_NOISE, NoiseModel
 from ..kernels import get_kernel
-from ..obs import NULL_TRACER, MetricsRegistry, tracer_for_dir
-from ..obs.spans import SpanContext, SpanScope
+from ..obs import MetricsRegistry
 from ..parallel.pool import TaskFailure
 from ..parallel.rng import RngFactory
 from ..search import (
@@ -118,25 +117,12 @@ class ExperimentTask:
     dataset_runtimes: Optional[Tuple[float, ...]] = None
     #: Constructor overrides for the tuner (ablations).
     tuner_kwargs: tuple = ()  # of (key, value) pairs, hashable
-    #: Trace directory for trajectory events (None disables tracing).
-    #: A string (not Path) so tasks stay cheaply picklable; each worker
-    #: process appends to its own ``trace-<pid>.jsonl`` inside it.
-    trace_dir: Optional[str] = None
     #: Landscape-table cache directory.  When set, the worker memory-maps
     #: the precomputed noise-free runtime table for this task's
     #: (kernel, arch) pair — one simulator pass per landscape study-wide,
     #: shared read-only pages across the process pool — and every
     #: measurement becomes a table lookup.  A string for picklability.
     landscape_cache: Optional[str] = None
-    #: What the trace stream records when ``trace_dir`` is set:
-    #: ``"spans"`` — hierarchical spans only (cheap enough to leave the
-    #: vectorized batch paths enabled); ``"full"`` (default) — spans
-    #: plus trajectory events.
-    trace_level: str = "full"
-    #: Parent span for this cell's span, propagated by value from the
-    #: study process (see :mod:`repro.obs.spans`).  Frozen/hashable so
-    #: grouped dispatch can key on it.
-    span_parent: Optional[SpanContext] = None
 
     @property
     def cell_key(self) -> str:
@@ -165,10 +151,7 @@ def batch_group_key(task: ExperimentTask) -> tuple:
         task.final_repeats,
         task.noise,
         task.tuner_kwargs,
-        task.trace_dir,
         task.landscape_cache,
-        task.trace_level,
-        task.span_parent,
     )
 
 
@@ -179,10 +162,6 @@ def batch_group_key(task: ExperimentTask) -> tuple:
 #: ends, so the two bound what lockstep adds to peak memory.
 LOCKSTEP_CELLS = 16
 LOCKSTEP_ROWS = 1600
-
-
-def _events_enabled(task: ExperimentTask) -> bool:
-    return task.trace_dir is not None and task.trace_level == "full"
 
 
 @dataclass
@@ -221,22 +200,7 @@ def run_experiment(task: ExperimentTask) -> ExperimentResult:
     layer records a failed cell instead of propagating ``inf`` into the
     statistics.
     """
-    if task.trace_dir is not None:
-        with _cell_span(task):
-            return _run_cell(task, _context_for(task))
     return _run_cell(task, _context_for(task))
-
-
-def _cell_span(
-    task: ExperimentTask, parent: Optional[SpanContext] = None
-) -> SpanScope:
-    """Span covering one cell's full execution (setup + search + finals)."""
-    return SpanScope(
-        task.trace_dir,
-        "cell",
-        subject=task.cell_key,
-        parent=parent if parent is not None else task.span_parent,
-    )
 
 
 def _run_cell(task: ExperimentTask, ctx: _CellContext) -> ExperimentResult:
@@ -265,20 +229,12 @@ def _cell_steps(
     )
     tuner = make_tuner(task.algorithm, **dict(task.tuner_kwargs))
 
-    cell = task.cell_key
-    tracer = (
-        tracer_for_dir(task.trace_dir)
-        if _events_enabled(task)
-        else NULL_TRACER
-    )
     registry = MetricsRegistry()
     objective = Objective(
         space,
         None,
         budget=task.sample_size,
-        tracer=tracer,
         metrics=registry,
-        cell=cell,
         measure_flats=device.measure_flats_each,
     )
     if isinstance(tuner, DatasetTuner):
@@ -288,25 +244,15 @@ def _cell_steps(
         )
     result = yield from tuner.run_steps(objective, search_rng)
 
-    best_flat = space.config_to_flat(result.best_config)
-    experiment = _finish_cell(
+    return _finish_cell(
         registry.flat_counters(),
         task,
         ctx,
         device,
-        best_flat,
+        space.config_to_flat(result.best_config),
         result.history_runtimes,
         result.best_runtime_ms,
     )
-    if tracer.enabled:
-        tracer.event(
-            "experiment_end",
-            cell=cell,
-            final_runtime_ms=experiment.final_runtime_ms,
-            samples_used=int(result.samples_used),
-            best_flat=best_flat,
-        )
-    return experiment
 
 
 def _cell_device(task: ExperimentTask, ctx: _CellContext) -> SimulatedDevice:
@@ -440,28 +386,6 @@ def run_experiment_batch(tasks: Sequence[ExperimentTask]) -> List[BatchItem]:
 def _run_group(tasks: List[ExperimentTask]) -> List[BatchItem]:
     """One homogeneous replication group -> per-task results/failures."""
     first = tasks[0]
-    if first.trace_dir is not None:
-        # The group key drops the per-replication experiment index.
-        subject = (
-            f"{first.algorithm}/{first.kernel}/{first.arch}/"
-            f"{first.sample_size}"
-        )
-        with SpanScope(
-            first.trace_dir,
-            "replication-group",
-            subject=subject,
-            parent=first.span_parent,
-            fields={"tasks": len(tasks)},
-        ) as group_ctx:
-            return _run_group_inner(tasks, first, group_ctx)
-    return _run_group_inner(tasks, first, None)
-
-
-def _run_group_inner(
-    tasks: List[ExperimentTask],
-    first: ExperimentTask,
-    group_ctx: Optional[SpanContext],
-) -> List[BatchItem]:
     try:
         ctx = _context_for(first)
         tuner = make_tuner(first.algorithm, **dict(first.tuner_kwargs))
@@ -471,13 +395,7 @@ def _run_group_inner(
         failure = TaskFailure.from_exception(exc)
         return [failure for _ in tasks]
 
-    # Spans-only tracing keeps the vectorized reduction: spans need no
-    # per-evaluate events, so group-level work stays collapsed.
-    if (
-        isinstance(tuner, DatasetTuner)
-        and tuner.live_reserve() == 0
-        and not _events_enabled(first)
-    ):
+    if isinstance(tuner, DatasetTuner) and tuner.live_reserve() == 0:
         try:
             for task in tasks:
                 _training_rows(task, 0)
@@ -486,26 +404,16 @@ def _run_group_inner(
         else:
             return _run_dataset_batch(tasks, ctx)
 
-    # Lockstep path against the shared context.  Trajectory events are
-    # written as they happen, so under full tracing each cell steps
-    # alone and the trace keeps per-task order.
-    width = (
-        1
-        if _events_enabled(first)
-        else max(1, min(LOCKSTEP_CELLS, LOCKSTEP_ROWS // first.sample_size))
-    )
+    # Lockstep path against the shared context.
+    width = max(1, min(LOCKSTEP_CELLS, LOCKSTEP_ROWS // first.sample_size))
     out: List[BatchItem] = []
     for start in range(0, len(tasks), width):
-        out.extend(
-            _run_lockstep(tasks[start : start + width], ctx, group_ctx)
-        )
+        out.extend(_run_lockstep(tasks[start : start + width], ctx))
     return out
 
 
 def _run_lockstep(
-    tasks: List[ExperimentTask],
-    ctx: _CellContext,
-    group_ctx: Optional[SpanContext],
+    tasks: List[ExperimentTask], ctx: _CellContext
 ) -> List[BatchItem]:
     """Step the cells of ``tasks`` together (a slice of a replication
     group): one result or :class:`~repro.parallel.TaskFailure` per
@@ -516,19 +424,14 @@ def _run_lockstep(
     gather or one simulator pass (:func:`resolve_together`); each cell
     measures its own request on its own device and noise stream in the
     next round.  A cell that raises fails alone, and its siblings step
-    on.  With spans on, each cell's ``cell`` span runs from its set-up
-    to its final repeats, so a group's cell spans overlap.
+    on.
     """
-    spans_on = tasks[0].trace_dir is not None
     out: List[Optional[BatchItem]] = [None] * len(tasks)
     # position -> (the cell's steps, its device)
     live = {}
     for i, task in enumerate(tasks):
         device = _cell_device(task, ctx)
-        steps = _cell_steps(task, ctx, device)
-        if spans_on:
-            steps = _in_span(steps, _cell_span(task, parent=group_ctx))
-        live[i] = (steps, device)
+        live[i] = (_cell_steps(task, ctx, device), device)
     while live:
         devices, requests = [], []
         for i, (steps, device) in list(live.items()):
@@ -543,12 +446,6 @@ def _run_lockstep(
                 del live[i]
         resolve_together(devices, requests)
     return out  # type: ignore[return-value]
-
-
-def _in_span(steps: Generator, scope: SpanScope) -> Generator:
-    """``steps`` with ``scope`` open from its first step to its end."""
-    with scope:
-        return (yield from steps)
 
 
 def _run_dataset_batch(

@@ -46,7 +46,6 @@ from ..gpu.noise import DEFAULT_NOISE, NoiseModel
 from ..gpu.workload import WorkloadProfile
 from ..kernels import PAPER_KERNEL_NAMES, get_kernel
 from ..obs import MetricsRegistry, global_registry
-from ..obs.spans import SpanContext
 from ..parallel import (
     EXECUTOR_NAMES,
     ParallelMap,
@@ -303,10 +302,7 @@ def _compute_optima(
 def build_tasks(
     config: StudyConfig,
     datasets: Dict[Tuple[str, str], PrecollectedDataset],
-    trace_dir: Optional[str] = None,
     landscape_cache: Optional[str] = None,
-    trace_level: str = "full",
-    span_parent: Optional[SpanContext] = None,
     skip_data: Optional[Dict[str, object]] = None,
 ) -> List[ExperimentTask]:
     """The full task list for one study, in a deterministic order.
@@ -342,10 +338,7 @@ def build_tasks(
                 dataset_flats=flats,
                 dataset_runtimes=runtimes,
                 tuner_kwargs=config.overrides_for(alg),
-                trace_dir=trace_dir,
                 landscape_cache=landscape_cache,
-                trace_level=trace_level,
-                span_parent=span_parent,
             )
         )
     return tasks
@@ -466,7 +459,7 @@ def run_study(
     retries: int = 0,
     trace_dir: Optional[object] = None,
     landscape_cache: Optional[object] = None,
-    trace_level: str = "full",
+    trace_level: str = "spans",
     executor: Optional[str] = None,
     executor_bind: Optional[str] = None,
     min_workers: int = 0,
@@ -509,11 +502,13 @@ def run_study(
         Per-cell retry attempts (with capped exponential backoff) for
         transient errors — see :data:`repro.parallel.DEFAULT_RETRYABLE`.
     trace_dir:
-        Directory for search-trajectory traces.  Each worker process
-        appends structured JSONL events (``tuner_start``, ``evaluate``,
-        ``incumbent_update``, ``model_fit``, ...) to its own
-        ``trace-<pid>.jsonl`` inside it.  ``None`` (default) disables
-        tracing with negligible overhead and bit-identical results.
+        Directory for the study's span trace: the study, phase and
+        ``worker-chunk`` spans (:mod:`repro.obs.spans`), each process
+        appending to its own ``trace-<pid>.jsonl`` inside it.  ``None``
+        (default) writes no trace.  Cells run the same code either way,
+        so results, checkpoints and simulator passes are identical;
+        per-cell time is in each result's ``*_seconds_sum`` /
+        ``*_seconds_count`` counters.
     landscape_cache:
         Directory for memory-mapped landscape tables.  When set (or when
         ``REPRO_LANDSCAPE_CACHE`` is in the environment), each
@@ -525,14 +520,12 @@ def run_study(
         the cache on or off.  ``None`` with no environment override runs
         fully live.
     trace_level:
-        What lands in ``trace_dir``: ``"spans"`` — hierarchical spans
-        only (study → phase → worker-chunk → replication-group → cell;
-        cheap enough that the vectorized batch paths stay
-        enabled); ``"full"`` (default) — spans plus trajectory events.
-        Ignored without a ``trace_dir``.  The study and phase spans run
-        either way: their docs land in
-        ``StudyResults.metadata["spans"]`` and time the telemetry's
-        phases.  Never affects results.
+        Only ``"spans"`` (the default) is accepted; any other value
+        raises ``ValueError``.  A trace holds spans only, and the
+        parameter stays for callers that still pass it.  The study and
+        phase spans run with or without a ``trace_dir``: their docs land
+        in ``StudyResults.metadata["spans"]`` and time the telemetry's
+        phases.
     executor:
         Transport backend for the experiments phase: ``"serial"``,
         ``"process"``, or ``"socket"`` (see
@@ -567,9 +560,9 @@ def run_study(
         count lands in ``StudyResults.metadata["store_hits"]``.
     """
     config.validate()
-    if trace_level not in ("spans", "full"):
+    if trace_level != "spans":
         raise ValueError(
-            f"trace_level must be 'spans' or 'full', got {trace_level!r}"
+            f"trace_level must be 'spans', got {trace_level!r}"
         )
     if executor is not None and executor not in EXECUTOR_NAMES:
         raise ValueError(
@@ -676,8 +669,8 @@ def run_study(
             )
 
         # The experiments-phase span is constructed (not yet entered)
-        # here so a traced study's context can ride inside every task
-        # across the process-pool boundary.
+        # here so a traced study's pool can parent its worker-chunk
+        # spans on it.
         exp_span = telemetry.phase("experiments")
         exp_ctx = exp_span.ctx if trace_dir_str is not None else None
         executor_obj = None
@@ -718,10 +711,7 @@ def run_study(
                 tasks = build_tasks(
                     config,
                     datasets,
-                    trace_dir=trace_dir_str,
                     landscape_cache=cache_dir,
-                    trace_level=trace_level,
-                    span_parent=exp_ctx,
                     skip_data=covered,
                 )
                 if ckpt is not None:
@@ -772,8 +762,7 @@ def run_study(
         "telemetry": telemetry.snapshot(),
         "spans": telemetry.span_docs(),
         "metrics": registry.to_json(),
-        "trace_dir": str(trace_dir) if trace_dir is not None else None,
-        "trace_level": trace_level if trace_dir is not None else None,
+        "trace_dir": trace_dir_str,
         "landscape_cache": cache_dir,
         "result_store": store_dir,
         "store_hits": answered,

@@ -47,7 +47,7 @@ from ..obs.metrics import global_registry
 from ..searchspace import SearchSpace, paper_search_space
 from .arch import GpuArchitecture
 from .noise import DEFAULT_NOISE, NoiseModel
-from .simulator import CONFIG_COLUMNS, SimulationResult, simulate_runtimes
+from .simulator import CONFIG_COLUMNS, simulate_runtimes
 from .workload import WorkloadProfile
 
 __all__ = [
@@ -172,9 +172,6 @@ class SimulatedDevice:
     def launches(self) -> int:
         """Total kernel launches performed (the paper's 'samples')."""
         return self._launches
-
-    def reset_counter(self) -> None:
-        self._launches = 0
 
     # -- transfers ----------------------------------------------------------
     def transfer_time_ms(self) -> float:
@@ -303,11 +300,6 @@ class SimulatedDevice:
         noisy = self.noise.apply_each(self._known_runtimes(flats), self.rng)
         self._launches += int(flats.size)
         return noisy
-
-    def true_runtimes(self, matrix: np.ndarray) -> SimulationResult:
-        """Noise-free simulation (for optima and tests); not counted as
-        launches — nothing 'runs'."""
-        return simulate_runtimes(self.profile, self.arch, matrix)
 
 
 def resolve_together(

@@ -1,23 +1,22 @@
-"""Zero-dependency observability: trajectory tracing and metrics.
+"""Zero-dependency observability: counters, spans and study monitoring.
 
-The study pipeline only ever recorded the *final* best configuration per
-cell; everything the paper argues about — how each search technique
-spends its sample budget — happened invisibly inside a tuner run.  This
-package makes that trajectory first-class:
+What each search technique spends per cell is in the counters every
+result carries (``model_fit_``, ``propose_`` and
+``evaluate_seconds_sum`` / ``_count``), and its best-so-far curve is in
+the result itself; traces hold only where the study's wall time went:
 
-* :mod:`repro.obs.trace` — structured event tracing to append-only
-  JSONL, with a no-op implementation whose disabled-path overhead is a
-  single attribute check;
 * :mod:`repro.obs.metrics` — a process-local registry of unlabeled
   counters (timings are ``*_seconds_sum`` / ``*_seconds_count`` pairs),
   exportable as JSON and Prometheus text format;
-* :mod:`repro.obs.schema` — the trace event schema and its validator;
+* :mod:`repro.obs.schema` — the trace event schema (spans only) and its
+  validator;
 * :mod:`repro.obs.read` — ``python -m repro.obs.read`` for summarizing,
   validating, and live-tailing (``--follow``) trace files;
 * :mod:`repro.obs.spans` — hierarchical span tracing (study → phase →
-  replication-group → cell) with cross-process context
-  propagation, tree/timeline readers and the per-phase/per-worker
-  wall/CPU/RSS attribution; spans are the study's only region timer;
+  worker-chunk) to per-process append-only JSONL, with cross-process
+  context propagation, tree/timeline readers and the
+  per-phase/per-worker wall/CPU/RSS attribution; spans are the study's
+  only region timer;
 * :mod:`repro.obs.runs` — the content-addressed run ledger and the
   ``repro-runs`` list/show/diff CLI;
 * :mod:`repro.obs.live` — read-only live monitoring of an in-flight
@@ -25,10 +24,10 @@ package makes that trajectory first-class:
 
 Everything here is dependency-free and import-light so the hot paths
 (``Objective.evaluate``, the GPU simulator) can reference it without
-cost when observability is off.  The CLI modules (:mod:`~repro.obs.read`
-and :mod:`~repro.obs.runs`, and :mod:`~repro.obs.live` on top of
-``read``) load on first use of their names, so ``python -m`` can run
-them without the package having imported them first.
+cost.  The CLI modules (:mod:`~repro.obs.read` and :mod:`~repro.obs.runs`,
+and :mod:`~repro.obs.live` on top of ``read``) load on first use of
+their names, so ``python -m`` can run them without the package having
+imported them first.
 """
 
 import importlib
@@ -47,6 +46,7 @@ from .schema import (
     validate_trace_path,
 )
 from .spans import (
+    JsonlTracer,
     SpanContext,
     SpanScope,
     build_span_forest,
@@ -54,21 +54,12 @@ from .spans import (
     render_attribution,
     render_span_tree,
     span_attribution,
-    worker_timeline,
-)
-from .trace import (
-    NULL_TRACER,
-    JsonlTracer,
-    NullTracer,
-    Tracer,
     tracer_for_dir,
+    worker_timeline,
 )
 
 __all__ = [
-    "Tracer",
-    "NullTracer",
     "JsonlTracer",
-    "NULL_TRACER",
     "tracer_for_dir",
     "MetricsRegistry",
     "Counter",

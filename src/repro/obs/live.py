@@ -1,8 +1,8 @@
 """Live monitoring of an in-flight study: ``repro-study --watch``.
 
 A long study already streams everything a monitor needs — completed
-cells into its JSONL checkpoint, trajectory and span events into its
-trace directory.  :class:`StudyWatch` tails both *read-only* (byte-offset
+cells into its JSONL checkpoint, finished spans into its trace
+directory.  :class:`StudyWatch` tails both *read-only* (byte-offset
 polling via :class:`~repro.obs.read.JsonlTail`; it never opens the
 checkpoint for append, never trims, never touches the run) and derives:
 
@@ -10,7 +10,7 @@ checkpoint for append, never trims, never touches the run) and derives:
   (the checkpoint's ``plan`` line, written by the study at startup);
 * throughput and ETA — from a sliding window of recent completions, so
   the estimate tracks the current phase rather than the whole history;
-* trace activity — event counts by kind, live span starts.
+* trace activity — how many spans have finished.
 
 Torn final lines are tolerated exactly like checkpoint resume: a line
 still being written is left unconsumed until a later poll sees its
@@ -63,7 +63,7 @@ class StudyWatch:
         self.plan: Dict[str, object] = {}
         self.completed = 0
         self.failed = 0
-        self.event_kinds: Dict[str, int] = {}
+        self.spans = 0
         self.last_cell: Optional[str] = None
         self._completions: Deque[Tuple[float, int]] = deque()
 
@@ -75,9 +75,9 @@ class StudyWatch:
             for doc in self._ckpt_tail.poll():
                 self._checkpoint_line(doc, now)
         if self._trace_tail is not None:
-            for doc in self._trace_tail.poll():
-                kind = str(doc.get("kind", "<missing>"))
-                self.event_kinds[kind] = self.event_kinds.get(kind, 0) + 1
+            self.spans += sum(
+                doc.get("kind") == "span" for doc in self._trace_tail.poll()
+            )
         while (
             self._completions
             and now - self._completions[0][0] > self._window
@@ -134,7 +134,7 @@ class StudyWatch:
             "throughput_per_s": round(self.throughput(now), 3),
             "eta_seconds": round(eta, 1) if eta is not None else None,
             "last_cell": self.last_cell,
-            "event_kinds": dict(sorted(self.event_kinds.items())),
+            "spans": self.spans,
             "plan": dict(self.plan),
         }
 
@@ -156,13 +156,8 @@ class StudyWatch:
             parts.append(f"{rate:.1f}/s")
         if st["eta_seconds"] is not None and total and done < total:
             parts.append(f"ETA {format_seconds(st['eta_seconds'])}")
-        if st["event_kinds"]:
-            evals = st["event_kinds"].get("evaluate", 0)
-            spans = st["event_kinds"].get("span", 0)
-            trace = f"{evals} evaluations"
-            if spans:
-                trace += f", {spans} spans"
-            parts.append(trace)
+        if st["spans"]:
+            parts.append(f"{st['spans']} spans")
         if st["last_cell"]:
             parts.append(f"last {st['last_cell']}")
         return " | ".join(parts)

@@ -1,20 +1,19 @@
-"""Read, summarize, validate, and live-tail search-trajectory traces.
+"""Read, summarize, validate, and live-tail span traces.
 
 Usage::
 
     python -m repro.obs.read TRACE [TRACE ...]
-        [--validate] [--cells] [--spans] [--json]
+        [--validate] [--spans] [--json]
         [--follow] [--interval SECONDS] [--max-polls N]
 
 ``TRACE`` is a trace JSONL file or a trace directory (every ``*.jsonl``
 inside is read — the study writes one file per worker process).  The
-default output is a summary: event counts by kind, number of cells, and
-evaluation totals.  ``--cells`` adds a per-cell table (evaluate events,
-incumbent updates, best runtime); ``--spans`` renders the hierarchical
-span tree with per-phase/per-worker attribution and a worker-utilization
-timeline (see :mod:`repro.obs.spans`).  ``--validate`` checks every
-event against :mod:`repro.obs.schema` and exits non-zero on the first
-invalid trace — CI runs a tiny traced study and gates on exactly this.
+default output is a summary: event counts by kind.  ``--spans`` renders
+the hierarchical span tree with per-phase/per-worker attribution and a
+worker-utilization timeline (see :mod:`repro.obs.spans`).
+``--validate`` checks every event against :mod:`repro.obs.schema` and
+exits non-zero on the first invalid trace — CI runs a tiny traced study
+and gates on exactly this.
 
 ``--follow`` polls the trace for new events (``tail -f`` for JSONL):
 each poll prints only the newly appended complete lines, tolerating a
@@ -145,38 +144,21 @@ class TraceTail:
 
 
 def summarize_events(events: Iterable[dict]) -> dict:
-    """Aggregate a trace into kind counts and per-cell statistics."""
+    """Aggregate a trace into its event counts by kind."""
     kinds: Dict[str, int] = {}
-    cells: Dict[str, dict] = {}
     for doc in events:
         kind = doc.get("kind", "<missing>")
         kinds[kind] = kinds.get(kind, 0) + 1
-        cell = doc.get("cell")
-        if cell is None:
-            continue
-        stats = cells.setdefault(
-            cell,
-            {"evaluate": 0, "incumbent_update": 0, "best_ms": None,
-             "model_fit": 0},
-        )
-        if kind == "evaluate":
-            stats["evaluate"] += 1
-            best = doc.get("best_ms")
-            if isinstance(best, (int, float)):
-                stats["best_ms"] = best
-        elif kind in ("incumbent_update", "model_fit"):
-            stats[kind] += 1
     return {
         "events": sum(kinds.values()),
         "kinds": dict(sorted(kinds.items())),
-        "cells": cells,
     }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.read",
-        description="Summarize and validate search-trajectory trace files.",
+        description="Summarize and validate span trace files.",
     )
     parser.add_argument(
         "paths", nargs="+", metavar="TRACE",
@@ -186,10 +168,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--validate", action="store_true",
         help="validate every event against the trace schema; exit 1 on "
              "any error",
-    )
-    parser.add_argument(
-        "--cells", action="store_true",
-        help="print a per-cell table (evaluations, incumbents, best ms)",
     )
     parser.add_argument(
         "--spans", action="store_true",
@@ -243,17 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"events: {summary['events']}")
     for kind, n in summary["kinds"].items():
         print(f"  {kind}: {n}")
-    print(f"cells: {len(summary['cells'])}")
-    if args.cells:
-        width = max((len(c) for c in summary["cells"]), default=4)
-        print(f"{'cell':<{width}}  evals  incumbents  model_fits  best_ms")
-        for cell in sorted(summary["cells"]):
-            s = summary["cells"][cell]
-            best = "-" if s["best_ms"] is None else f"{s['best_ms']:.4f}"
-            print(
-                f"{cell:<{width}}  {s['evaluate']:>5}  "
-                f"{s['incumbent_update']:>10}  {s['model_fit']:>10}  {best}"
-            )
     if args.spans:
         from .spans import (
             build_span_forest,

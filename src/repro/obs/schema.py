@@ -5,27 +5,21 @@ Every event is a flat JSON object with the common fields
 * ``t`` — wall-clock timestamp (seconds since the epoch, float),
 * ``kind`` — one of :data:`EVENT_KINDS`,
 
-plus per-kind required fields (:data:`EVENT_FIELDS`).  Trajectory events
-additionally require ``cell`` — the experiment's cell key
-(``algorithm/kernel/arch/sample_size/experiment``); ``span`` events
-(schema v2) carry ancestry fields instead, because a span may cover
-many cells (a phase, a worker chunk) or none (the study root).  Extra
-fields are always allowed (forward compatibility); missing required
-fields, wrong basic types, or unknown kinds are validation errors.
-
-The per-cell contract the CI smoke study asserts: one ``tuner_start``,
-one ``tuner_end``, one ``experiment_end``, and exactly ``sample_size``
-``evaluate`` events per cell (dataset rows are replayed as ``evaluate``
-events with ``source="dataset"``, live measurements carry
-``source="live"``).
+plus per-kind required fields (:data:`EVENT_FIELDS`).  Extra fields are
+always allowed (forward compatibility); missing required fields, wrong
+basic types, or unknown kinds are validation errors.
 
 Schema history:
 
-* v1 — trajectory events only; ``cell`` was a common field.
+* v1 — per-cell trajectory events (``tuner_start``, ``evaluate``,
+  ``incumbent_update``, ``model_fit``, ``propose``, ``tuner_end``,
+  ``experiment_end``), each carrying the cell key.
 * v2 — adds the ``span`` kind (hierarchical span tracing, see
-  :mod:`repro.obs.spans`); ``cell`` moves from the common trio into
-  each trajectory kind's required list (the on-disk shape of v1 events
-  is unchanged — every v1 trace validates under v2).
+  :mod:`repro.obs.spans`).
+* v3 — ``span`` is the only kind.  The trajectory kinds are gone: each
+  result already holds its best-so-far curve and its per-cell timing
+  counters, so a trace records only the study, phase and worker-chunk
+  spans.
 """
 
 from __future__ import annotations
@@ -43,22 +37,14 @@ __all__ = [
     "validate_trace_path",
 ]
 
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 #: kind -> required fields beyond the common (t, kind) pair.
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "tuner_start": ("cell", "algorithm", "budget"),
-    "evaluate": ("cell", "index", "config", "runtime_ms", "best_ms",
-                 "source"),
-    "incumbent_update": ("cell", "index", "runtime_ms"),
-    "model_fit": ("cell", "duration_s"),
-    "propose": ("cell", "duration_s"),
-    "tuner_end": ("cell", "samples_used", "best_ms"),
-    "experiment_end": ("cell", "final_runtime_ms", "samples_used"),
     # One completed hierarchical span (repro.obs.spans).  Ancestry
     # fields (parent_id, trace_id) and resource samples (cpu_s, rss_kb)
     # are optional extras; ``subject`` names what the span covered
-    # (phase name, cell key, group key, task slice).
+    # (phase name, task slice).
     "span": ("span_id", "name", "start", "duration_s", "pid"),
 }
 
@@ -69,17 +55,7 @@ _COMMON = ("t", "kind")
 #: field -> acceptable types, for the basic fields worth checking.
 _FIELD_TYPES: Dict[str, tuple] = {
     "t": (int, float),
-    "cell": (str,),
-    "algorithm": (str,),
-    "budget": (int,),
-    "index": (int,),
-    "config": (dict,),
-    "runtime_ms": (int, float),
-    "best_ms": (int, float),
-    "source": (str,),
     "duration_s": (int, float),
-    "samples_used": (int,),
-    "final_runtime_ms": (int, float),
     "span_id": (str,),
     "parent_id": (str,),
     "trace_id": (str,),
@@ -119,10 +95,6 @@ def validate_event(doc: object) -> List[str]:
                 f"field {name!r} has type {type(value).__name__}, "
                 f"expected {'/'.join(t.__name__ for t in types)}"
             )
-    if doc.get("kind") == "evaluate" and doc.get("source") not in (
-        None, "live", "dataset",
-    ):
-        errors.append(f"evaluate: bad source {doc.get('source')!r}")
     return errors
 
 

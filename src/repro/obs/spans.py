@@ -1,35 +1,35 @@
 """Hierarchical span tracing with cross-process context propagation.
 
 A *span* times one named unit of work — the study itself, one pipeline
-phase, one replication group, one experiment cell, one worker chunk —
-and records its ancestry, so the flat JSONL trace stream (see
-:mod:`repro.obs.trace`) gains a tree:
+phase, one worker chunk — and records its ancestry, so a trace
+directory holds a tree:
 
     study
     ├─ phase landscapes
     ├─ phase dataset
     ├─ phase optima
     └─ phase experiments
-       └─ worker-chunk tasks[0:8]          (pid 1201)
-          └─ replication-group rs/add/titan_v/25
-             ├─ cell rs/add/titan_v/25/0
-             └─ cell rs/add/titan_v/25/1
+       ├─ worker-chunk tasks[0:8]          (pid 1201)
+       └─ worker-chunk tasks[8:16]         (pid 1202)
 
-Span events ride in the same per-process ``trace-<pid>.jsonl`` files as
-trajectory events (``kind == "span"``, schema v2 in
-:mod:`repro.obs.schema`), so no new files, locks, or merge steps exist —
-the reader stitches the tree back together from ``span_id`` /
-``parent_id`` pairs regardless of which process's file a span landed in.
+Spans are the only events a trace holds (``kind == "span"``, schema v3
+in :mod:`repro.obs.schema`).  Each process appends to its own
+``trace-<pid>.jsonl`` inside the shared trace directory
+(:func:`tracer_for_dir`), so no locks or merge steps exist — the reader
+stitches the tree back together from ``span_id`` / ``parent_id`` pairs
+regardless of which process's file a span landed in.  Per-cell time is
+not a span: every result carries its own ``*_seconds_sum`` /
+``*_seconds_count`` counters, so the cell path runs the same code
+whether or not the study is traced.
 
 Cross-process propagation is by value: a :class:`SpanContext` is a tiny
 frozen (picklable, hashable) record of ``(trace_dir, trace_id,
-span_id)`` that the study attaches to each
-:class:`~repro.experiments.runner.ExperimentTask` and hands to
-:class:`~repro.parallel.ParallelMap`; workers open spans parented on it
-through their own process-local tracer.  Every span also samples CPU
-time and peak RSS on exit, which :func:`span_attribution` aggregates
-into per-phase / per-worker attribution and :func:`render_attribution`
-prints.
+span_id)`` that the study hands to
+:class:`~repro.parallel.ParallelMap`; pool workers open their
+``worker-chunk`` spans parented on it through their own process-local
+tracer.  Every span also samples CPU time and peak RSS on exit, which
+:func:`span_attribution` aggregates into per-phase / per-worker
+attribution and :func:`render_attribution` prints.
 
 Spans are the study's only region timer.  A scope without a trace
 directory still measures and keeps its finished :attr:`SpanScope.doc`
@@ -44,13 +44,13 @@ are bit-identical to untraced ones.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from .trace import tracer_for_dir
+from pathlib import Path
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
@@ -58,6 +58,8 @@ except ImportError:  # pragma: no cover
     _resource = None
 
 __all__ = [
+    "JsonlTracer",
+    "tracer_for_dir",
     "SpanContext",
     "SpanScope",
     "SpanNode",
@@ -107,6 +109,61 @@ def _rss_kb() -> Optional[int]:
     if _resource is None:  # pragma: no cover - non-POSIX
         return None
     return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
+
+
+class JsonlTracer:
+    """Append-only JSONL event writer.
+
+    Parameters
+    ----------
+    path:
+        Trace file; parent directories are created, the file is opened
+        lazily (first event) in append mode.
+    clock:
+        Wall-clock source for the ``t`` field (injectable for tests).
+    """
+
+    def __init__(
+        self, path, clock: Callable[[], float] = time.time
+    ) -> None:
+        self.path = Path(path)
+        self._clock = clock
+        self._fh = None
+
+    def event(self, kind: str, **fields) -> None:
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("a")
+        doc = {"t": round(self._clock(), 6), "kind": kind}
+        doc.update(fields)
+        self._fh.write(json.dumps(doc) + "\n")
+        # Flush per line: a killed run loses at most the torn final line.
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
+#: (pid, trace_dir) -> tracer; the pid key means a forked worker opens its
+#: own file instead of writing through the parent's inherited handle.
+_TRACERS: Dict[tuple, JsonlTracer] = {}
+
+
+def tracer_for_dir(trace_dir) -> JsonlTracer:
+    """The calling process's writer for a shared trace directory.
+
+    Every process (study parent and each pool worker) gets its own
+    ``trace-<pid>.jsonl`` file, so trace writes need no cross-process
+    locking; readers merge the per-process files.
+    """
+    key = (os.getpid(), str(trace_dir))
+    tracer = _TRACERS.get(key)
+    if tracer is None:
+        tracer = JsonlTracer(Path(trace_dir) / f"trace-{os.getpid()}.jsonl")
+        _TRACERS[key] = tracer
+    return tracer
 
 
 @dataclass(frozen=True)
@@ -287,7 +344,7 @@ def build_span_forest(events: Iterable[dict]) -> List[SpanNode]:
 def _union_seconds(intervals: List[Tuple[float, float]]) -> float:
     """Total length of the union of ``(start, end)`` intervals.
 
-    Spans nest (a cell inside its worker chunk), so summing durations
+    Spans nest (a phase inside its study), so summing durations
     would double-count; the union length is the true busy time.
     """
     total = 0.0

@@ -39,7 +39,7 @@ from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs import NULL_TRACER, Counter, MetricsRegistry, Tracer
+from ..obs import Counter, MetricsRegistry
 from ..searchspace import SearchSpace
 
 __all__ = [
@@ -107,16 +107,11 @@ class Objective:
         ``measure_flats`` is given.
     budget:
         Maximum number of evaluations.
-    tracer:
-        Trajectory tracer receiving ``evaluate`` / ``incumbent_update``
-        events (default: the no-op tracer — one attribute check of
-        overhead, and no effect on results or RNG streams).
     metrics:
         Optional registry accumulating ``evaluations_total``,
         ``launch_failures_total`` and the ``evaluate_seconds_sum`` /
-        ``evaluate_seconds_count`` timing counters.
-    cell:
-        Cell key stamped onto every trace event.
+        ``evaluate_seconds_count`` timing counters (never read back, so
+        they have no effect on results or RNG streams).
     measure_flats:
         Optional ``flat_index_array -> runtime_ms_array`` callable
         (usually ``SimulatedDevice.measure_flats_each``).  When present,
@@ -132,9 +127,7 @@ class Objective:
         space: SearchSpace,
         measure: Optional[Callable[[Configuration], float]],
         budget: int,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        cell: str = "",
         measure_flats: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         if budget < 1:
@@ -148,13 +141,9 @@ class Objective:
         #: Flat index of every configuration evaluated, in order.
         self.flats: List[int] = []
         self.runtimes: List[float] = []
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.cell = cell
         #: How many of the first rows are pre-collected dataset rows.
         self.dataset_rows = 0
-        #: Best runtime so far; traced runs flag improvements against it.
-        self._best_ms = math.inf
         #: ``metrics`` instruments by name, looked up on first use.
         self._instruments: Dict[str, Counter] = {}
 
@@ -180,7 +169,7 @@ class Objective:
         )
 
     def _observed(self) -> bool:
-        return self.tracer.enabled or self.metrics is not None
+        return self.metrics is not None
 
     def record_dataset(self, flats, runtimes_ms) -> None:
         """Record pre-collected rows (a dataset slice, measured before
@@ -189,9 +178,7 @@ class Objective:
 
         They count against the budget and join the history, but touch no
         metric counter: the counters describe the measurements the
-        search makes.  :meth:`Tuner.run_steps` writes their
-        ``source="dataset"`` ``evaluate`` events right after
-        ``tuner_start``.
+        search makes.
         """
         flats = np.asarray(flats, dtype=np.int64).ravel()
         runtimes = np.asarray(runtimes_ms, dtype=np.float64).ravel()
@@ -207,21 +194,6 @@ class Objective:
         self.flats.extend(flats.tolist())
         self.runtimes.extend(runtimes.tolist())
         self.dataset_rows = int(flats.size)
-        self._best_ms = min([self._best_ms, *self.runtimes])
-
-    def trace_dataset(self) -> None:
-        """Write the trace events of the rows :meth:`record_dataset`
-        recorded: ``evaluate`` events with ``source="dataset"`` and no
-        duration, so a traced cell holds one ``evaluate`` event per
-        budget row for every technique."""
-        if self.tracer.enabled and self.dataset_rows:
-            n = self.dataset_rows
-            configs = self.space.flats_to_configs(
-                np.asarray(self.flats[:n], dtype=np.int64)
-            )
-            self._trace_rows(
-                0, configs, self.runtimes[:n], math.inf, "dataset", 0.0
-            )
 
     def evaluate(self, config: Configuration) -> float:
         """Measure one configuration (counts against the budget)."""
@@ -231,7 +203,7 @@ class Objective:
 
     def evaluate_flat(self, flat: int) -> float:
         """Measure one configuration by flat index (counts against the
-        budget).  History, trace events and RNG consumption are those of
+        budget).  History, metric counts and RNG consumption are those of
         :meth:`evaluate` on the decoded configuration."""
         flat = int(flat)
         if not 0 <= flat < self.space.size:
@@ -257,21 +229,19 @@ class Objective:
             if config is None:
                 config = self.space.flat_to_config(flat)
             runtime = float(self._measure(dict(config)))
-        configs = None if config is None else [config]
-        return self._record([flat], [runtime], t0, configs)[0]
+        return self._record([flat], [runtime], t0)[0]
 
     def evaluate_flats(self, flats) -> List[float]:
         """Measure many configurations by flat index (each counts
         against the budget).
 
         Bit-identical to calling :meth:`evaluate_flat` once per element
-        in order: history, trace-event stream,
-        metric counts and RNG consumption all match — the ``measure_flats``
-        backing draws noise per measurement, and recording happens per
-        evaluation.  When the batch overruns the remaining budget, the
-        affordable prefix is recorded first and :class:`BudgetExhausted`
-        is raised — exactly the objective state a sequential loop leaves
-        behind when its next call raises.
+        in order: history, metric counts and RNG consumption all match —
+        the ``measure_flats`` backing draws noise per measurement, and
+        recording happens per evaluation.  When the batch overruns the
+        remaining budget, the affordable prefix is recorded first and
+        :class:`BudgetExhausted` is raised — exactly the objective state
+        a sequential loop leaves behind when its next call raises.
         """
         arr = np.asarray(flats, dtype=np.int64).ravel()
         remaining = self.remaining
@@ -303,99 +273,43 @@ class Objective:
         return handle
 
     def _record(
-        self,
-        flats: List[int],
-        runtimes: List[float],
-        t0: float,
-        configs: Optional[List[Configuration]] = None,
+        self, flats: List[int], runtimes: List[float], t0: float
     ) -> List[float]:
         """The bookkeeping of every evaluation route: append a batch of
         measured flats (``runtimes`` are Python floats) to the history.
 
         One wall-clock reading covers the batch.  The metrics advance by
-        the batch size at once, with the mean duration as each
-        evaluation's ``evaluate_seconds`` share; counters are
+        the batch at once: its wall time lands in
+        ``evaluate_seconds_sum`` and its size in the counts; counters are
         registered in the order one-at-a-time recording first uses them
         (``flat_counters`` follows registration order, and checkpoint
-        bytes follow it).  Trace events stay per evaluation, carrying
-        ``configs`` (decoded here when the caller has none).
+        bytes follow it).
         """
         self.flats.extend(flats)
-        start = len(self.runtimes)
         self.runtimes.extend(runtimes)
-        tracing = self.tracer.enabled
-        if self.metrics is None and not tracing:
+        if self.metrics is None:
             return runtimes
         n = len(runtimes)
-        per_eval = (time.perf_counter() - t0) / n
-        if self.metrics is not None:
-            instrument = self._instrument
-            instrument("evaluations_total").inc(n)
-            failures = n - sum(map(math.isfinite, runtimes))
-            if failures and not math.isfinite(runtimes[0]):
-                # A failing first evaluation registers the failure
-                # counter before the timing pair, as it would alone.
-                instrument("launch_failures_total")
-            instrument("evaluate_seconds_sum").inc(per_eval * n)
-            instrument("evaluate_seconds_count").inc(n)
-            if failures:
-                instrument("launch_failures_total").inc(failures)
-        if tracing:
-            if configs is None:
-                configs = self.space.flats_to_configs(
-                    np.asarray(flats, dtype=np.int64)
-                )
-            self._best_ms = self._trace_rows(
-                start, configs, runtimes, self._best_ms, "live",
-                round(per_eval, 6),
-            )
+        instrument = self._instrument
+        instrument("evaluations_total").inc(n)
+        failures = n - sum(map(math.isfinite, runtimes))
+        if failures and not math.isfinite(runtimes[0]):
+            # A failing first evaluation registers the failure
+            # counter before the timing pair, as it would alone.
+            instrument("launch_failures_total")
+        instrument("evaluate_seconds_sum").inc(time.perf_counter() - t0)
+        instrument("evaluate_seconds_count").inc(n)
+        if failures:
+            instrument("launch_failures_total").inc(failures)
         return runtimes
 
-    def _trace_rows(
-        self,
-        start: int,
-        configs: List[Configuration],
-        runtimes: List[float],
-        best_ms: float,
-        source: str,
-        duration_s: float,
-    ) -> float:
-        """One ``evaluate`` event per row from budget index ``start``,
-        and an ``incumbent_update`` event for each row that beats the
-        running best, which starts at ``best_ms``; returns the running
-        best."""
-        for offset, runtime in enumerate(runtimes):
-            improved = runtime < best_ms
-            if improved:
-                best_ms = runtime
-            index = start + offset
-            self.tracer.event(
-                "evaluate",
-                cell=self.cell,
-                index=index,
-                config={k: int(v) for k, v in configs[offset].items()},
-                runtime_ms=runtime,
-                best_ms=best_ms,
-                source=source,
-                duration_s=duration_s,
-            )
-            if improved:
-                self.tracer.event(
-                    "incumbent_update",
-                    cell=self.cell,
-                    index=index,
-                    runtime_ms=runtime,
-                )
-        return best_ms
-
-    def span(self, kind: str, **fields):
-        """Instrumentation span: traces ``kind`` and times it into the
-        ``<kind>_seconds_sum`` / ``<kind>_seconds_count`` counters.
-        Tuners wrap model fits and candidate proposals in this — a no-op
-        when observability is off.
+    def span(self, kind: str):
+        """Time a block into the ``<kind>_seconds_sum`` /
+        ``<kind>_seconds_count`` counters.  Tuners wrap model fits and
+        candidate proposals in this — a no-op without ``metrics``.
         """
-        if self.metrics is not None or self.tracer.enabled:
-            return _InstrumentedSpan(self, kind, fields)
+        if self.metrics is not None:
+            return _InstrumentedSpan(self, kind)
         return _NO_SPAN
 
     def best_observed(self, first: int = 0) -> tuple:
@@ -417,15 +331,13 @@ _NO_SPAN = contextlib.nullcontext()
 
 
 class _InstrumentedSpan:
-    """Times a block into ``<kind>_seconds_sum`` / ``_count`` and emits
-    a trace event."""
+    """Times a block into ``<kind>_seconds_sum`` / ``_count``."""
 
-    __slots__ = ("_objective", "_kind", "_fields", "_t0")
+    __slots__ = ("_objective", "_kind", "_t0")
 
-    def __init__(self, objective: Objective, kind: str, fields: dict) -> None:
+    def __init__(self, objective: Objective, kind: str) -> None:
         self._objective = objective
         self._kind = kind
-        self._fields = fields
 
     def __enter__(self) -> "_InstrumentedSpan":
         self._t0 = time.perf_counter()
@@ -433,17 +345,9 @@ class _InstrumentedSpan:
 
     def __exit__(self, *exc_info) -> None:
         duration = time.perf_counter() - self._t0
-        obj = self._objective
-        if obj.metrics is not None:
-            obj._instrument(f"{self._kind}_seconds_sum").inc(duration)
-            obj._instrument(f"{self._kind}_seconds_count").inc()
-        if obj.tracer.enabled:
-            obj.tracer.event(
-                self._kind,
-                cell=obj.cell,
-                duration_s=round(duration, 6),
-                **self._fields,
-            )
+        instrument = self._objective._instrument
+        instrument(f"{self._kind}_seconds_sum").inc(duration)
+        instrument(f"{self._kind}_seconds_count").inc()
 
 
 class FlatConfigs(Sequence):
@@ -553,48 +457,17 @@ class Tuner:
         raise NotImplementedError
 
     def tune(self, objective: Objective, rng: np.random.Generator) -> TuningResult:
-        """The bare algorithm: :meth:`steps` driven alone, every request
-        measured as soon as it is made."""
-        run_to_end(measure_steps(self.steps(objective, rng), objective))
-        return self._result_from(objective)
-
-    def run(
-        self, objective: Objective, rng: np.random.Generator
-    ) -> TuningResult:
-        """Instrumented entry point: :meth:`tune` inside lifecycle events.
-
-        This is the hook that covers all tuners without per-tuner forks:
-        callers that want ``tuner_start`` / ``tuner_end`` trace events use
-        ``run``; ``tune`` stays the bare algorithm.
-        """
+        """:meth:`steps` driven alone, every request measured as soon as
+        it is made."""
         return run_to_end(self.run_steps(objective, rng))
 
     def run_steps(
         self, objective: Objective, rng: np.random.Generator
     ) -> Generator[List[int], None, TuningResult]:
-        """:meth:`run` as a generator that returns the result: it yields
-        each request before measuring it (see :func:`measure_steps`).
-        The events of the objective's dataset rows follow
-        ``tuner_start``."""
-        tracer = objective.tracer
-        if tracer.enabled:
-            tracer.event(
-                "tuner_start",
-                cell=objective.cell,
-                algorithm=self.name,
-                budget=objective.budget,
-            )
-            objective.trace_dataset()
+        """The search as a generator that returns its result: it yields
+        each request before measuring it (see :func:`measure_steps`)."""
         yield from measure_steps(self.steps(objective, rng), objective)
-        result = self._result_from(objective)
-        if tracer.enabled:
-            tracer.event(
-                "tuner_end",
-                cell=objective.cell,
-                samples_used=int(result.samples_used),
-                best_ms=float(result.best_runtime_ms),
-            )
-        return result
+        return self._result_from(objective)
 
     def _result_from(
         self, objective: Objective, first: int = 0

@@ -146,7 +146,7 @@ class BayesianGpTuner(Tuner):
             refit = objective.evaluations >= next_refit
             if refit:
                 next_refit = max(next_refit * 2, objective.evaluations + 1)
-            with objective.span("model_fit", n_obs=int(y.size)):
+            with objective.span("model_fit"):
                 gp.fit(X, y, optimize=refit)
 
             with objective.span("propose"):

@@ -131,7 +131,7 @@ class BayesianTpeTuner(Tuner):
         while objective.remaining > 0:
             # The Parzen-estimator build and candidate scoring are one
             # fused step in TPE; the span is the model-fit analogue.
-            with objective.span("model_fit", n_obs=objective.evaluations):
+            with objective.span("model_fit"):
                 obs = np.stack(index_rows)
                 losses = log_runtime(
                     penalize_failures(np.asarray(objective.runtimes))

@@ -104,7 +104,7 @@ class RandomForestTuner(DatasetTuner):
         forest = RandomForestRegressor(
             n_estimators=self.n_estimators, rng=rng
         )
-        with objective.span("model_fit", n_obs=int(y.size)):
+        with objective.span("model_fit"):
             forest.fit(X, y)
 
         # Stage 2: score a candidate pool, then measure the model's top-k.

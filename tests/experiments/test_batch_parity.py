@@ -3,14 +3,13 @@
 ``run_study`` always dispatches replication groups through the batched
 engine, which may share setup and vectorize across a group — but every
 replication keeps its own cell-key-derived RNG streams.  So results,
-checkpoint bytes and traces must be *identical* to the simplest possible
-study: ``run_experiment`` called on each task of ``build_tasks`` in
-order, not merely statistically equivalent.
+checkpoint bytes must be *identical* to the simplest possible study:
+``run_experiment`` called on each task of ``build_tasks`` in order, not
+merely statistically equivalent.
 
 Wall-clock timing sums in ``ExperimentResult.metrics`` are the one
 legitimately nondeterministic result payload, so ``time.perf_counter``
-is pinned for the trace comparison (serial runs, so the pin covers
-every cell).
+is pinned where whole results are compared.
 """
 
 import json
@@ -65,12 +64,11 @@ def smoke_config(**kwargs):
     return StudyConfig(**defaults)
 
 
-def reference_results(config, cache=None, trace_dir=None):
+def reference_results(config, cache=None):
     """The per-task reference: ``run_experiment`` over ``build_tasks``."""
     tasks = build_tasks(
         config,
         _collect_datasets(config),
-        trace_dir=str(trace_dir) if trace_dir is not None else None,
         landscape_cache=str(cache) if cache is not None else None,
     )
     return tasks, [run_experiment(task) for task in tasks]
@@ -146,43 +144,6 @@ class TestStudyParity:
         assert resumed.metadata["resumed_from_checkpoint"] == 1
         assert resumed.results == reference_results(config, cache)[1]
         assert resumed_ckpt.read_bytes() == reference
-
-    def test_traces_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
-        config = smoke_config(
-            algorithms=("random_search", "random_forest", "genetic_algorithm")
-        )
-        cache = tmp_path / "cache"
-
-        def trace_events(trace_dir):
-            # The trajectory events: their "t" wall-clock field is the
-            # only nondeterministic part (perf_counter is pinned, so
-            # durations are 0.0); strip it and compare everything else.
-            # Spans carry random ids and wall starts, and the study adds
-            # its own study/phase/group spans, so they are left out.
-            events = []
-            for path in sorted(trace_dir.glob("trace-*.jsonl")):
-                for line in path.read_text().splitlines():
-                    doc = json.loads(line)
-                    if doc["kind"] == "span":
-                        continue
-                    doc.pop("t", None)
-                    events.append(doc)
-            return events
-
-        ref_dir = tmp_path / "reference-traces"
-        reference_results(config, cache, trace_dir=ref_dir)
-        study_dir = tmp_path / "study-traces"
-        study = run_study(
-            config,
-            compute_optima=False,
-            landscape_cache=cache,
-            trace_dir=study_dir,
-        )
-        assert study.metadata["trace_dir"] == str(study_dir)
-        ref_events = trace_events(ref_dir)
-        assert ref_events  # the reference actually traced something
-        assert ref_events == trace_events(study_dir)
 
 
 class TestFailuresUnderBatchedDispatch:

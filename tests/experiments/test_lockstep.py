@@ -100,14 +100,15 @@ def passes(monkeypatch):
 @pytest.fixture
 def requests(monkeypatch):
     """``(request size, budget left)`` of every ``evaluate_flats`` call,
-    by cell."""
+    keyed by each cell's objective.  A lockstep group's cells make their
+    first requests in task order, so the values are in task order."""
     from repro.search import Objective
 
     log = {}
     evaluate_flats = Objective.evaluate_flats
 
     def counting(self, flats):
-        log.setdefault(self.cell, []).append((len(flats), self.remaining))
+        log.setdefault(self, []).append((len(flats), self.remaining))
         return evaluate_flats(self, flats)
 
     monkeypatch.setattr(Objective, "evaluate_flats", counting)
@@ -139,7 +140,9 @@ def test_converged_generation_injects_immigrant(monkeypatch):
     original = GeneticAlgorithmTuner._random_individual
 
     def counting(self, objective, rng):
-        immigrants.append(objective.cell)
+        # A cell is known by its first measured row: its flat and noisy
+        # runtime come from the cell's own streams.
+        immigrants.append((objective.flats[0], objective.runtimes[0]))
         return original(self, objective, rng)
 
     monkeypatch.setattr(
@@ -199,7 +202,8 @@ def test_group_passes_follow_its_longest_cell(
         monkeypatch.setattr(runner, "LOCKSTEP_CELLS", width)
     tasks = ga_group(100, replications=6)
     batched = run_experiment_batch(tasks)
-    generations = [len(requests[task.cell_key]) for task in tasks]
+    assert len(requests) == len(tasks)
+    generations = [len(calls) for calls in requests.values()]
     slice_width = width or len(tasks)
     assert len(passes) == sum(
         max(generations[start : start + slice_width])
@@ -295,12 +299,13 @@ def test_surrogate_group_matches_per_task(
     gathers.clear()
     requests.clear()
     batched = run_experiment_batch(tasks)
-    rounds = {len(requests[task.cell_key]) for task in tasks}
+    assert len(requests) == len(tasks)
+    rounds = {len(calls) for calls in requests.values()}
     assert len(rounds) == 1  # same budget and schedule in every cell
     resolved = gathers if tables else passes
     assert len(resolved) == rounds.pop()
     assert sum(resolved) == sum(
-        size for task in tasks for size, _ in requests[task.cell_key]
+        size for calls in requests.values() for size, _ in calls
     )
     assert not (passes if tables else gathers)
     assert_same(batched, per_task(tasks))
@@ -316,6 +321,6 @@ def test_live_bo_gp_slice_one_pass_per_round(passes, requests, monkeypatch):
     # n_init = 2 start-up points in one request, then 23 proposals: 24
     # rounds for each of the two slices.
     assert len(passes) == 2 * 24
-    assert [len(requests[task.cell_key]) for task in tasks] == [24] * 6
+    assert [len(calls) for calls in requests.values()] == [24] * 6
     assert sum(passes) == sum(r.samples_used for r in batched) == 6 * 25
     assert_same(batched, per_task(tasks))

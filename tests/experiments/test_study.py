@@ -160,22 +160,22 @@ class TestStudyObservability:
         json.dumps(doc)  # JSON-serializable
 
     def test_trace_dir_produces_valid_per_cell_traces(self, tmp_path):
-        import collections
-        import json
-
+        """A traced study's trace validates, and its per-cell record —
+        exactly ``sample_size`` evaluations per cell — is in each
+        result's counters and curve, not in the trace."""
         from repro.obs import validate_trace_path
         from repro.obs.read import iter_trace_events
 
         trace = tmp_path / "trace"
-        run_study(tiny_config(), compute_optima=False, trace_dir=trace)
-        assert validate_trace_path(trace) == []
-        per_cell = collections.Counter(
-            e["cell"]
-            for e in iter_trace_events([trace])
-            if e["kind"] == "evaluate"
+        results = run_study(
+            tiny_config(), compute_optima=False, trace_dir=trace
         )
-        assert len(per_cell) == 4
-        assert all(n == 25 for n in per_cell.values())
+        assert validate_trace_path(trace) == []
+        assert {e["kind"] for e in iter_trace_events([trace])} == {"span"}
+        assert len(results.results) == 4
+        for result in results.results:
+            assert result.metrics["evaluations_total"] == 25.0
+            assert len(result.convergence) == 25
 
     def test_tracing_does_not_change_results(self, tmp_path):
         bare = run_study(tiny_config(), compute_optima=False)

@@ -157,7 +157,6 @@ class TestStudyPhaseSpans:
             self._config(),
             landscape_cache=tmp_path / "cache",
             trace_dir=tmp_path / "trace",
-            trace_level="spans",
         )
         events = list(iter_trace_events([tmp_path / "trace"]))
         phase_seconds = results.metadata["telemetry"]["phase_seconds"]
@@ -197,4 +196,3 @@ class TestStudyPhaseSpans:
                 trace_level="events",
             )
         assert "'spans'" in str(err.value)
-        assert "'full'" in str(err.value)

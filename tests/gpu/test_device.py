@@ -104,15 +104,6 @@ class TestAccounting:
         device.measure_flats(flats([GOOD, GOOD, BAD]))
         assert device.launches == 3
 
-    def test_reset(self, device):
-        device.measure(GOOD)
-        device.reset_counter()
-        assert device.launches == 0
-
-    def test_true_runtimes_not_counted(self, device):
-        device.true_runtimes(SPACE.flats_to_values(flats([GOOD])))
-        assert device.launches == 0
-
 
 class TestBatch:
     def test_batch_matches_columns(self, device):

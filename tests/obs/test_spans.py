@@ -24,8 +24,8 @@ from repro.obs.spans import (
     span_attribution,
     worker_timeline,
     _union_seconds,
+    tracer_for_dir,
 )
-from repro.obs.trace import tracer_for_dir
 from repro.parallel import ParallelMap
 
 

@@ -1,4 +1,4 @@
-"""Tests for the JSONL tracer, null tracer, and trace schema/reader."""
+"""Tests for the JSONL span writer and the trace schema/reader."""
 
 import json
 import os
@@ -8,92 +8,55 @@ import sys
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
     JsonlTracer,
-    NullTracer,
     tracer_for_dir,
     validate_event,
     validate_trace_lines,
     validate_trace_path,
 )
 from repro.obs.read import iter_trace_events, main as read_main, summarize_events
-from repro.search import Objective
-from repro.searchspace import IntegerParameter, SearchSpace
 
 
-def _objective(tracer=None):
-    space = SearchSpace([IntegerParameter("thread_x", 1, 2)])
-    return Objective(space, lambda config: 1.0, budget=1, tracer=tracer,
-                     cell="x")
+def _span(**over):
+    """The fields of one ``span`` event, without the ``t``/``kind``
+    pair the writer adds."""
+    doc = {
+        "span_id": "s1", "name": "study", "start": 1.0,
+        "duration_s": 2.0, "pid": 100,
+    }
+    doc.update(over)
+    return doc
 
 
 class TestJsonlTracer:
     def test_writes_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = JsonlTracer(path, clock=lambda: 1234.5)
-        tracer.event("tuner_start", cell="a/b/c/25/0", algorithm="a", budget=25)
-        tracer.event(
-            "evaluate", cell="a/b/c/25/0", index=0, config={"thread_x": 1},
-            runtime_ms=1.5, best_ms=1.5, source="live",
-        )
+        tracer.event("span", **_span())
+        tracer.event("span", **_span(span_id="p1", name="phase",
+                                     parent_id="s1"))
         tracer.close()
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         docs = [json.loads(line) for line in lines]
-        assert docs[0] == {
-            "t": 1234.5, "kind": "tuner_start", "cell": "a/b/c/25/0",
-            "algorithm": "a", "budget": 25,
-        }
-        assert docs[1]["config"] == {"thread_x": 1}
-        assert tracer.events_written == 2
+        assert docs[0] == {"t": 1234.5, "kind": "span", **_span()}
+        assert docs[1]["parent_id"] == "s1"
 
     def test_creates_parent_dirs_lazily(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "trace.jsonl"
         tracer = JsonlTracer(path)
         assert not path.parent.exists()  # nothing until the first event
-        tracer.event("model_fit", cell="x", duration_s=0.1)
+        tracer.event("span", **_span())
         tracer.close()
         assert path.exists()
-
-    def test_objective_span_without_metrics_emits_duration(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        tracer = JsonlTracer(path)
-        objective = _objective(tracer=tracer)
-        assert objective.metrics is None
-        with objective.span("model_fit", n_obs=7):
-            pass
-        tracer.close()
-        doc = json.loads(path.read_text())
-        assert doc["kind"] == "model_fit"
-        assert doc["cell"] == "x"
-        assert doc["n_obs"] == 7
-        assert doc["duration_s"] >= 0.0
-        assert validate_event(doc) == []
 
     def test_appends_across_instances(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         for i in range(2):
             tracer = JsonlTracer(path)
-            tracer.event("propose", cell="x", duration_s=float(i))
+            tracer.event("span", **_span(duration_s=float(i)))
             tracer.close()
         assert len(path.read_text().splitlines()) == 2
-
-
-class TestNullTracer:
-    def test_everything_is_a_noop(self, tmp_path):
-        assert NULL_TRACER.enabled is False
-        NULL_TRACER.event("evaluate", cell="x")  # no error, no output
-        NULL_TRACER.close()
-
-    def test_unobserved_objective_span_is_a_shared_singleton(self):
-        # The disabled path must not allocate per call.
-        objective = _objective()
-        with objective.span("model_fit"):
-            pass
-        assert objective.span("a") is objective.span("b")
-
-    def test_subclass_relationship(self):
-        assert isinstance(NULL_TRACER, NullTracer)
 
 
 class TestTracerForDir:
@@ -110,55 +73,53 @@ class TestTracerForDir:
 
 
 class TestSchema:
-    def _evaluate(self, **over):
-        doc = {
-            "t": 1.0, "kind": "evaluate", "cell": "a/b/c/25/0", "index": 0,
-            "config": {}, "runtime_ms": 2.0, "best_ms": 2.0, "source": "live",
-        }
+    def _event(self, **over):
+        doc = {"t": 1.0, "kind": "span", **_span()}
         doc.update(over)
         return doc
 
     def test_valid_event(self):
-        assert validate_event(self._evaluate()) == []
+        assert validate_event(self._event()) == []
 
     def test_missing_common_field(self):
-        doc = self._evaluate()
-        del doc["cell"]
-        assert any("cell" in e for e in validate_event(doc))
+        doc = self._event()
+        del doc["t"]
+        assert any("'t'" in e for e in validate_event(doc))
 
     def test_unknown_kind(self):
         assert any(
-            "unknown" in e for e in validate_event(self._evaluate(kind="boop"))
+            "unknown" in e for e in validate_event(self._event(kind="boop"))
+        )
+        # The per-cell trajectory kinds of schema v1/v2 are gone.
+        assert any(
+            "unknown" in e
+            for e in validate_event(self._event(kind="evaluate"))
         )
 
     def test_missing_required_field(self):
-        doc = self._evaluate()
-        del doc["runtime_ms"]
-        assert any("runtime_ms" in e for e in validate_event(doc))
+        doc = self._event()
+        del doc["duration_s"]
+        assert any("duration_s" in e for e in validate_event(doc))
 
     def test_bool_is_not_an_int(self):
-        errors = validate_event(self._evaluate(index=True))
-        assert any("index" in e for e in errors)
-
-    def test_bad_source(self):
-        errors = validate_event(self._evaluate(source="psychic"))
-        assert any("source" in e for e in errors)
+        errors = validate_event(self._event(pid=True))
+        assert any("pid" in e for e in errors)
 
     def test_extra_fields_allowed(self):
-        assert validate_event(self._evaluate(note="extra")) == []
+        assert validate_event(self._event(note="extra")) == []
 
     def test_torn_final_line_tolerated(self):
-        good = json.dumps(self._evaluate())
+        good = json.dumps(self._event())
         assert validate_trace_lines([good, '{"t": 1.0, "ki']) == []
 
     def test_torn_middle_line_is_an_error(self):
-        good = json.dumps(self._evaluate())
+        good = json.dumps(self._event())
         errors = validate_trace_lines(['{"t": 1.0, "ki', good])
         assert any("not valid JSON" in e for e in errors)
 
     def test_validate_directory(self, tmp_path):
         (tmp_path / "a.jsonl").write_text(
-            json.dumps(self._evaluate()) + "\n"
+            json.dumps(self._event()) + "\n"
         )
         (tmp_path / "b.jsonl").write_text('{"kind": "boop"}\n')
         errors = validate_trace_path(tmp_path)
@@ -169,33 +130,31 @@ class TestSchema:
 class TestReader:
     def _write_trace(self, path):
         tracer = JsonlTracer(path, clock=lambda: 1.0)
-        cell = "rs/add/titan_v/25/0"
-        tracer.event("tuner_start", cell=cell, algorithm="rs", budget=2)
-        for i, ms in enumerate([3.0, 2.0]):
-            tracer.event(
-                "evaluate", cell=cell, index=i, config={}, runtime_ms=ms,
-                best_ms=min(3.0, ms), source="live",
-            )
-        tracer.event("tuner_end", cell=cell, samples_used=2, best_ms=2.0)
+        tracer.event("span", **_span())
+        for i, subject in enumerate(["optima", "experiments"]):
+            tracer.event("span", **_span(
+                span_id=f"p{i}", name="phase", subject=subject,
+                parent_id="s1",
+            ))
+        tracer.event("span", **_span(
+            span_id="w1", name="worker-chunk", parent_id="p1", pid=200,
+        ))
         tracer.close()
 
     def test_summarize(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         self._write_trace(path)
         summary = summarize_events(iter_trace_events([path]))
-        assert summary["events"] == 4
-        assert summary["kinds"]["evaluate"] == 2
-        cell = summary["cells"]["rs/add/titan_v/25/0"]
-        assert cell["evaluate"] == 2
-        assert cell["best_ms"] == 2.0
+        assert summary == {"events": 4, "kinds": {"span": 4}}
 
     def test_main_validate_ok(self, tmp_path, capsys):
         self._write_trace(tmp_path / "trace.jsonl")
-        rc = read_main([str(tmp_path), "--validate", "--cells"])
+        rc = read_main([str(tmp_path), "--validate", "--spans"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "schema: OK" in out
-        assert "rs/add/titan_v/25/0" in out
+        assert "phase experiments" in out
+        assert "worker-chunk" in out
 
     def test_main_validate_fails_on_bad_trace(self, tmp_path, capsys):
         (tmp_path / "bad.jsonl").write_text('{"kind": "boop"}\n{}\n')

@@ -172,6 +172,13 @@ class TestInstrumentHandles:
         assert counters["evaluate_seconds_count"] == 8
         assert counters["launch_failures_total"] == 2
 
+    def test_unobserved_span_is_a_shared_singleton(self, space):
+        # Without a registry the span path must not allocate per call.
+        obj = Objective(space, lambda c: 1.0, budget=1)
+        with obj.span("model_fit"):
+            pass
+        assert obj.span("a") is obj.span("b")
+
 
 class TestFlatHistory:
     """The objective records flat indices and decodes configurations

@@ -39,6 +39,8 @@ class TestParser:
             ["--chunk-size", "3"],
             ["--adaptive"],
             ["--adaptive-batch", "2"],
+            ["--trace-level", "spans"],
+            ["--trace-level", "full"],
         ],
     )
     def test_removed_options_rejected(self, argv):
@@ -207,13 +209,10 @@ class TestObservabilityFlags:
             for f in files
             for line in f.read_text().splitlines()
         ]
-        evals = [e for e in events if e["kind"] == "evaluate"]
-        # Every cell's trace holds exactly sample_size evaluate events.
-        per_cell = {}
-        for e in evals:
-            per_cell[e["cell"]] = per_cell.get(e["cell"], 0) + 1
-        assert per_cell  # 4 cells
-        assert all(n == 25 for n in per_cell.values())
+        # A serial study's trace is its study and phase spans; cells
+        # leave no events (their time is in each result's counters).
+        assert {e["kind"] for e in events} == {"span"}
+        assert {e["name"] for e in events} == {"study", "phase"}
 
     def test_metrics_out_prometheus(self, tmp_path, capsys):
         out = tmp_path / "metrics.prom"
@@ -298,9 +297,7 @@ class TestObservabilityV2Flags:
         from repro.obs.read import iter_trace_events
 
         trace = tmp_path / "trace"
-        rc = main(self.ARGS + [
-            "--trace-dir", str(trace), "--trace-level", "spans",
-        ])
+        rc = main(self.ARGS + ["--trace-dir", str(trace)])
         assert rc == 0
         assert validate_trace_path(trace) == []
         events = list(iter_trace_events([trace]))
@@ -328,8 +325,7 @@ class TestObservabilityV2Flags:
         trace = tmp_path / "trace"
         out = tmp_path / "flame.svg"
         rc = main(self.ARGS + [
-            "--trace-dir", str(trace), "--trace-level", "spans",
-            "--profile-out", str(out),
+            "--trace-dir", str(trace), "--profile-out", str(out),
         ])
         assert rc == 0
         assert out.read_text().startswith("<svg")
