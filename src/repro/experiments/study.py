@@ -52,6 +52,7 @@ from ..parallel import (
     RngFactory,
     TaskOutcome,
     make_executor,
+    pin_blas_threads,
 )
 from ..search import PAPER_ALGORITHM_NAMES, make_tuner
 from ..search.base import DatasetTuner
@@ -560,6 +561,7 @@ def run_study(
         count lands in ``StudyResults.metadata["store_hits"]``.
     """
     config.validate()
+    blas_threads = pin_blas_threads()
     if trace_level != "spans":
         raise ValueError(
             f"trace_level must be 'spans', got {trace_level!r}"
@@ -759,6 +761,7 @@ def run_study(
         "resumed_from_checkpoint": resumed,
         "failure_policy": failure_policy,
         "executor": executor,
+        "blas_threads": blas_threads,
         "telemetry": telemetry.snapshot(),
         "spans": telemetry.span_docs(),
         "metrics": registry.to_json(),

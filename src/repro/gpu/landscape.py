@@ -358,7 +358,7 @@ _OPEN_TABLES: Dict[Tuple[Optional[str], str], LandscapeTable] = {}
 
 def clear_landscape_memo() -> None:
     """Drop per-process table handles (test isolation)."""
-    _OPEN_TABLES.clear()
+    _OPEN_TABLES.clear()  # repro: noqa[REP007] clear_landscape_memo() is test/teardown support dropping per-process mmap handles; handles are process-local by nature and hold no result state.
 
 
 def load_or_compute_landscape(
@@ -389,5 +389,5 @@ def load_or_compute_landscape(
                 table = reloaded
     else:
         table = compute_landscape(profile, arch, space)
-    _OPEN_TABLES[key] = table
+    _OPEN_TABLES[key] = table  # repro: noqa[REP007] Per-process cache of read-only mmap handles onto the fingerprinted on-disk table: each worker must own its own file handle (handles cannot be shared across fork), and the mapped bytes are identical in every process.
     return table

@@ -14,20 +14,17 @@ the repo's no-deps policy):
   one dead-code check (unused imports);
 * a per-file engine (:mod:`repro.lint.engine`) that parses each module
   once and dispatches AST nodes to every interested rule;
-* inline suppressions — ``# repro: noqa[REP002] reason`` — which only
-  apply when a written justification is present (a reason-less noqa is
-  inert and flagged as REP000);
-* a committed baseline (:mod:`repro.lint.baseline`) for grandfathered
-  findings, each entry requiring a written justification, matched by
-  content so line drift never resurrects old findings;
+* inline suppressions — ``# repro: noqa[REP002] reason`` — the one
+  escape hatch: a suppression applies only with a written
+  justification, and a reason-less one or one that suppresses nothing
+  is itself flagged as REP000;
 * a CLI (``repro-lint`` / ``python -m repro.lint``) with text and JSON
-  output and CI-friendly exit codes (0 clean, 1 new findings, 2 usage /
-  baseline / parse errors).
+  output and CI-friendly exit codes (0 clean, 1 findings, 2 usage /
+  parse errors).
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineError, load_baseline, write_baseline
 from .engine import LintResult, lint_paths, lint_source
 from .findings import Finding, ParseError
 from .registry import ALL_RULES, Rule, get_rules, rule
@@ -35,8 +32,6 @@ from .suppressions import Suppression, parse_suppressions
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineError",
     "Finding",
     "LintResult",
     "ParseError",
@@ -45,8 +40,6 @@ __all__ = [
     "get_rules",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "parse_suppressions",
     "rule",
-    "write_baseline",
 ]

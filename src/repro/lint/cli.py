@@ -2,22 +2,17 @@
 
 Usage::
 
-    repro-lint src/repro --baseline lint-baseline.json
+    repro-lint src/repro
     repro-lint src/repro --format json > lint-report.json
     repro-lint --list-rules
-    repro-lint src/repro --write-baseline lint-baseline.json
 
 Exit codes (CI contract):
 
-* ``0`` — no findings beyond the baseline;
-* ``1`` — new (non-baselined, non-suppressed) findings;
-* ``2`` — usage/configuration error: missing path, syntax error in an
-  analyzed file, unreadable baseline, or a baseline entry without a
-  written justification.
-
-Stale baseline entries (fixed violations still listed) are reported as
-warnings but do not fail the run — the self-check test keeps the
-committed file pruned.
+* ``0`` — no findings;
+* ``1`` — findings, including REP000: a ``# repro: noqa`` without a
+  written reason, or one that suppresses nothing;
+* ``2`` — usage error: unknown rule, missing path, or a syntax error in
+  an analyzed file.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .baseline import Baseline, BaselineError, load_baseline, write_baseline
 from .engine import lint_paths
 from .registry import get_rules, rule_catalog
 
@@ -47,17 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline JSON of grandfathered findings",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings as a new baseline (entries carry a "
-             "placeholder justification that must be filled in) and exit",
     )
     parser.add_argument(
         "--format",
@@ -85,43 +68,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_text(result, new_findings, stale, errors) -> None:
-    for err in errors:
+def _report_text(result) -> None:
+    for err in result.errors:
         print(f"error: {err.path}: {err.message}")
-    for finding in new_findings:
+    for finding in result.findings:
         print(f"{finding.location()}: {finding.rule} {finding.message}")
         if finding.code:
             print(f"    {finding.code}")
-    for entry in stale:
-        print(
-            f"warning: stale baseline entry ({entry.rule} at "
-            f"{entry.path}): no longer found — remove it"
-        )
-    counts = {}
-    for finding in new_findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    summary = ", ".join(f"{r}: {n}" for r, n in sorted(counts.items()))
-    baselined = len(result.findings) - len(new_findings)
+    summary = ", ".join(
+        f"{r}: {n}" for r, n in result.counts_by_rule().items()
+    )
     print(
         f"checked {result.files_checked} files: "
-        f"{len(new_findings)} finding(s)"
+        f"{len(result.findings)} finding(s)"
         + (f" ({summary})" if summary else "")
-        + (f", {baselined} baselined" if baselined else "")
-        + (f", {len(stale)} stale baseline entr(y/ies)" if stale else "")
     )
 
 
-def _report_json(result, new_findings, stale, errors) -> None:
+def _report_json(result) -> None:
     doc = {
         "files_checked": result.files_checked,
-        "counts": {},
-        "findings": [f.to_json() for f in new_findings],
-        "baselined": len(result.findings) - len(new_findings),
-        "stale_baseline": [e.to_json() for e in stale],
-        "errors": [e.to_json() for e in errors],
+        "counts": result.counts_by_rule(),
+        "findings": [f.to_json() for f in result.findings],
+        "errors": [e.to_json() for e in result.errors],
     }
-    for finding in new_findings:
-        doc["counts"][finding.rule] = doc["counts"].get(finding.rule, 0) + 1
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
@@ -146,32 +116,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     relative_to = args.relative_to or os.getcwd()
     result = lint_paths(paths, rules=rules, relative_to=relative_to)
 
-    if args.write_baseline:
-        write_baseline(result.findings, args.write_baseline)
-        print(
-            f"wrote {len(result.findings)} finding(s) to "
-            f"{args.write_baseline}; fill in every justification "
-            f"before committing (placeholders fail validation)"
-        )
-        return 0
-
-    baseline = Baseline()
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-
-    new_findings, stale = baseline.filter(result.findings)
     if args.format == "json":
-        _report_json(result, new_findings, stale, result.errors)
+        _report_json(result)
     else:
-        _report_text(result, new_findings, stale, result.errors)
+        _report_text(result)
 
     if result.errors:
         return 2
-    return 1 if new_findings else 0
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

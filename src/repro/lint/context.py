@@ -125,12 +125,6 @@ class ModuleContext:
             )
         )
 
-    # -- misc helpers --------------------------------------------------------
-
-    def enclosing_functions(self) -> List[ast.AST]:
-        """Innermost-last stack of enclosing function-like nodes."""
-        return list(self.func_stack)
-
 
 def _derive_repro_relpath(path: str) -> str:
     """``src/repro/obs/runs.py`` -> ``repro/obs/runs.py`` (best effort)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
 from .context import ModuleContext
 from .findings import Finding, ParseError
@@ -22,8 +22,9 @@ __all__ = ["LintResult", "lint_source", "lint_paths"]
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
-#: Meta-rule id for a suppression comment with no written justification.
-UNJUSTIFIED_SUPPRESSION = "REP000"
+#: Meta-rule id for a suppression comment with no written justification
+#: or one that suppresses nothing.
+SUPPRESSION_RULE = "REP000"
 
 
 @dataclass
@@ -82,9 +83,9 @@ def lint_source(
     """Lint one module's source; returns sorted, suppression-filtered
     findings.
 
-    ``path`` is the path recorded on findings (and matched against the
-    baseline); ``repro_relpath`` overrides package-relative scoping for
-    callers linting synthetic sources (fixture tests).
+    ``path`` is the path recorded on findings; ``repro_relpath``
+    overrides package-relative scoping for callers linting synthetic
+    sources (fixture tests).
 
     Raises :class:`SyntaxError` when the source does not parse.
     """
@@ -99,38 +100,54 @@ def lint_source(
     _Dispatcher(ctx, instances).visit(tree)
     for inst in instances:
         inst.end_module(ctx)
-    return _apply_suppressions(ctx)
+    return _apply_suppressions(ctx, {cls.rule_id for cls in rule_classes})
 
 
-def _apply_suppressions(ctx: ModuleContext) -> List[Finding]:
+def _apply_suppressions(ctx: ModuleContext, ran: Set[str]) -> List[Finding]:
+    """Drop suppressed findings; report every noqa that is reason-less
+    or, for a rule in ``ran``, suppressed nothing."""
     suppressions = parse_suppressions(ctx.source)
+    used: Set[Tuple[int, str]] = set()
     kept: List[Finding] = []
     for finding in ctx.findings:
         last = max(finding.end_line, finding.line)
-        if any(
-            suppressions[line].covers(finding.rule)
-            for line in range(finding.line, last + 1)
+        covering = [
+            line for line in range(finding.line, last + 1)
             if line in suppressions
-        ):
-            continue
-        kept.append(finding)
+            and suppressions[line].covers(finding.rule)
+        ]
+        used.update((line, finding.rule) for line in covering)
+        if not covering:
+            kept.append(finding)
     for supp in suppressions.values():
         if not supp.justified:
-            kept.append(
-                Finding(
-                    path=ctx.path,
-                    line=supp.line,
-                    col=1,
-                    rule=UNJUSTIFIED_SUPPRESSION,
-                    message=(
-                        "suppression without a written justification — "
-                        "add a reason after the bracket: "
-                        "# repro: noqa[RULE] why this is safe"
-                    ),
-                    code=ctx.line_text(supp.line),
-                    end_line=supp.line,
-                )
+            message = (
+                "suppression without a written justification — "
+                "add a reason after the bracket: "
+                "# repro: noqa[RULE] why this is safe"
             )
+        else:
+            unused = [
+                r for r in supp.rules
+                if r in ran and (supp.line, r) not in used
+            ]
+            if not unused:
+                continue
+            message = (
+                f"suppression of {', '.join(unused)} suppresses nothing "
+                f"on this statement — drop it from the noqa"
+            )
+        kept.append(
+            Finding(
+                path=ctx.path,
+                line=supp.line,
+                col=1,
+                rule=SUPPRESSION_RULE,
+                message=message,
+                code=ctx.line_text(supp.line),
+                end_line=supp.line,
+            )
+        )
     kept.sort()
     return kept
 
@@ -162,7 +179,7 @@ def lint_paths(
 ) -> LintResult:
     """Lint files and/or directory trees; returns a sorted result.
 
-    Finding paths are reported relative to ``relative_to`` (so baselines
+    Finding paths are reported relative to ``relative_to`` (so reports
     are stable no matter where the tool is invoked from); paths outside
     it fall back to their given form.
     """

@@ -10,8 +10,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``code`` is the stripped text of the first source line of the
-    offending statement — it is the content half of the baseline key, so
-    baselined findings survive line-number drift.
+    offending statement, printed under the location in text reports.
     """
 
     path: str

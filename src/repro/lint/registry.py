@@ -70,7 +70,7 @@ def get_rules(
 ) -> List[Type[Rule]]:
     """Registered rule classes, optionally filtered to ``select`` ids."""
     # Importing the rules module populates the registry on first use.
-    from . import rules as _rules  # repro: noqa[REP009] registers the rules
+    from . import rules as _rules  # repro: noqa[REP009] importing the module registers every rule
 
     if select is None:
         return list(ALL_RULES)
@@ -85,6 +85,4 @@ def get_rules(
 
 def rule_catalog() -> Dict[str, str]:
     """``rule_id -> summary`` for every registered rule."""
-    from . import rules as _rules  # repro: noqa[REP009] registers the rules
-
-    return {cls.rule_id: cls.summary for cls in ALL_RULES}
+    return {cls.rule_id: cls.summary for cls in get_rules()}

@@ -3,7 +3,9 @@
 Policy: a suppression **must** carry a written justification.  A
 ``# repro: noqa[REP002]`` with no trailing reason does *not* suppress —
 instead the engine reports REP000 (unjustified suppression) at that
-line, so the discipline is self-enforcing.
+line, so the discipline is self-enforcing.  A justified suppression that
+no longer suppresses anything is reported too (REP000 again), so fixed
+violations never leave a stale exemption behind.
 
 A suppression applies to a finding when the comment sits on any physical
 line of the offending statement (multi-line calls included) and names
@@ -12,7 +14,9 @@ the finding's rule.
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -42,19 +46,24 @@ class Suppression:
 def parse_suppressions(source: str) -> Dict[int, Suppression]:
     """All noqa comments in ``source``, keyed by 1-based line number.
 
-    Comment scanning is line-based on purpose: a ``# repro: noqa`` can
-    only ever appear in a trailing comment, and tokenizing would reject
-    files the ast module happily parses.  A ``repro: noqa`` inside a
-    string literal on the same line as a finding would be misread as a
-    suppression — acceptable for a linter whose scope is this codebase.
+    Only comment tokens are read, so a ``repro: noqa`` quoted in a
+    docstring or string literal is text, not a suppression.  Raises
+    :class:`SyntaxError` when ``source`` does not tokenize.
     """
     out: Dict[int, Suppression] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        if "repro:" not in text or "noqa" not in text:
+    if "noqa" not in source:
+        return out
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    except tokenize.TokenError as err:
+        raise SyntaxError(err.args[0]) from err
+    for tok in tokens:
+        if tok.type != tokenize.COMMENT:
             continue
-        match = NOQA_RE.search(text)
+        match = NOQA_RE.search(tok.string)
         if not match:
             continue
+        lineno = tok.start[0]
         rules = tuple(
             part.strip()
             for part in match.group("rules").split(",")

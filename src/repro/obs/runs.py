@@ -12,7 +12,8 @@ any caller of :func:`build_manifest` and :func:`record_run` on a
 * configuration — the design schedule, algorithms/kernels/archs, image
   size, root seed, worker count;
 * environment — git revision (when inside a work tree), Python/platform
-  versions, every ``REPRO_*`` environment variable;
+  versions, the BLAS thread count (``metadata["blas_threads"]``), every
+  ``REPRO_*`` environment variable;
 * fingerprints — the PR-3 landscape fingerprint of every (kernel, arch)
   landscape in the run, which pins kernel profile + architecture +
   search space + simulator version;
@@ -173,6 +174,7 @@ def build_manifest(
             "git_rev": _git_rev(),
             "python": platform.python_version(),
             "platform": platform.platform(),
+            "blas_threads": meta.get("blas_threads"),
             "repro_env": {
                 k: v for k, v in sorted(os.environ.items())
                 if k.startswith("REPRO_")

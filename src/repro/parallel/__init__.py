@@ -1,5 +1,6 @@
 """Reproducible RNG streams and parallel experiment execution."""
 
+from .blas import pin_blas_threads
 from .executors import (
     EXECUTOR_NAMES,
     ExecutionSettings,
@@ -33,4 +34,5 @@ __all__ = [
     "make_executor",
     "EXECUTOR_NAMES",
     "NODE_ID_ENV",
+    "pin_blas_threads",
 ]

@@ -35,6 +35,7 @@ import time
 import traceback as _traceback
 from typing import List, Optional
 
+from .blas import pin_blas_threads
 from .executors.socket import parse_bind
 from .executors.wire import PROTOCOL_VERSION, send_msg, recv_msg
 from .pool import NODE_ID_ENV, _run_batch
@@ -177,6 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.quiet:
             print(f"repro-worker: {line}", file=sys.stderr)
 
+    pin_blas_threads()
     node = args.node or f"{_socket.gethostname()}-{os.getpid()}"
     try:
         return serve(

@@ -1,7 +1,7 @@
 """Reporting: text heatmaps, ASCII line plots, figure/table generators."""
 
 from .convergence import convergence_plot, convergence_plots
-from .flame import flame_svg, flame_text
+from .flame import flame_svg
 from .figures import (
     FigureGrid,
     algorithm_label,
@@ -43,6 +43,5 @@ __all__ = [
     "heatmap_svg",
     "lineplot_svg",
     "save_figure_svg",
-    "flame_text",
     "flame_svg",
 ]

@@ -1,10 +1,9 @@
-"""Flamegraph rendering of span forests: stacked text bars and SVG.
+"""Flamegraph rendering of span forests as SVG.
 
 A flamegraph lays each span out as a horizontal bar whose width is its
 wall-clock share and whose row is its depth in the span tree — the
-study root across the bottom, phases above it, worker chunks and cells
-stacking upward.  :func:`flame_text` renders it with box characters for
-terminals; :func:`flame_svg` emits a self-contained SVG (no external
+study root across the bottom, phases above it, worker chunks stacking
+upward.  :func:`flame_svg` emits a self-contained SVG (no external
 assets, same zero-dependency rule as the rest of ``repro.reporting``)
 with hover titles carrying exact durations, CPU seconds, and pids.
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 from html import escape
 from typing import List
 
-__all__ = ["flame_text", "flame_svg"]
+__all__ = ["flame_svg"]
 
 _SVG_COLORS = (
     "#e4593b", "#e9803c", "#edaa3e", "#d9c33f", "#a9c93f",
@@ -42,41 +41,6 @@ def _extent(roots) -> tuple:
     if not roots or hi <= lo:
         return 0.0, 1.0
     return lo, hi
-
-
-def flame_text(roots, width: int = 72) -> str:
-    """Stacked text flamegraph, deepest spans on the last lines."""
-    if not roots:
-        return "(no spans)"
-    lo, hi = _extent(roots)
-    extent = hi - lo
-    rows: List[List[tuple]] = []
-
-    def place(node, depth: int) -> None:
-        while len(rows) <= depth:
-            rows.append([])
-        col0 = int((node.start - lo) / extent * width)
-        col1 = int((node.start + node.duration_s - lo) / extent * width)
-        rows[depth].append((col0, max(col1, col0 + 1), node.label))
-        for child in node.children:
-            place(child, depth + 1)
-
-    for root in roots:
-        place(root, 0)
-
-    lines: List[str] = [f"flame: {extent:.3f}s across {width} columns"]
-    for depth, row in enumerate(rows):
-        chars = [" "] * width
-        for col0, col1, label in sorted(row):
-            col1 = min(col1, width)
-            for c in range(col0, col1):
-                chars[c] = "▇"
-            # Inline the label when the bar is wide enough to hold it.
-            text = label[: max(0, col1 - col0 - 2)]
-            for i, ch in enumerate(text):
-                chars[col0 + 1 + i] = ch
-        lines.append(f"d{depth} |{''.join(chars)}|")
-    return "\n".join(lines)
 
 
 def flame_svg(

@@ -28,6 +28,12 @@ class TestParse:
         assert parse_suppressions("x = 1  # noqa: BLE001\n") == {}
         assert parse_suppressions("x = 1  # plain comment\n") == {}
 
+    def test_noqa_quoted_in_a_string_is_not_a_suppression(self):
+        assert parse_suppressions(
+            '"""Write ``# repro: noqa[REP002] reason`` on the line."""\n'
+            'MSG = "# repro: noqa[REP002] why this is safe"\n'
+        ) == {}
+
 
 class TestApply:
     def test_justified_suppression_applies(self):
@@ -56,7 +62,8 @@ class TestApply:
             "    return time.time()  "
             "# repro: noqa[REP003] wrong rule entirely\n"
         )
-        assert [f.rule for f in findings] == ["REP002"]
+        # the finding stands, and the noqa that covers nothing is flagged
+        assert [f.rule for f in findings] == ["REP000", "REP002"]
 
     def test_multiline_statement_comment_on_any_line(self):
         findings = _lint(
@@ -81,3 +88,29 @@ class TestApply:
         )
         assert len(findings) == 1
         assert findings[0].line == 4
+
+    def test_suppression_that_suppresses_nothing_is_flagged(self):
+        findings = _lint(
+            "import time\n"
+            "def f():\n"
+            "    a = time.time()  # repro: noqa[REP002] covered\n"
+            "    return 1  # repro: noqa[REP002] nothing left to cover\n"
+        )
+        assert [(f.rule, f.line) for f in findings] == [("REP000", 4)]
+        assert "suppresses nothing" in findings[0].message
+
+    def test_only_the_unused_rule_of_a_multi_rule_noqa_is_named(self):
+        (finding,) = _lint(
+            "import time\n"
+            "def f():\n"
+            "    return time.time()  "
+            "# repro: noqa[REP002, REP003] boundary read, no write\n"
+        )
+        assert finding.rule == "REP000"
+        assert "REP003" in finding.message
+        assert "REP002" not in finding.message
+
+    def test_unused_check_covers_only_rules_that_ran(self):
+        source = "X = 1  # repro: noqa[REP002] was a boundary read\n"
+        assert lint_source(source, PATH, rules=[]) == []
+        assert [f.rule for f in _lint(source)] == ["REP000"]

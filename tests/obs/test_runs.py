@@ -69,6 +69,10 @@ class TestManifest:
         assert manifest["config"]["root_seed"] == config.root_seed
         assert "add/titan_v" in manifest["fingerprints"]
         assert manifest["environment"]["python"]
+        assert manifest["environment"]["blas_threads"] == (
+            results.metadata["blas_threads"]
+        )
+        assert manifest["environment"]["blas_threads"] in (1, "unpinned")
         assert manifest["headline"]["experiments_total"] == 2
         assert manifest["headline"]["experiments_failed"] == 0
         assert isinstance(
